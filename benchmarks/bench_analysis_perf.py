@@ -87,17 +87,3 @@ def test_incremental_rgraph_from_history(benchmark, history):
     # Z-cycle under this edge convention -- so don't assert on cycles.)
     assert inc.useless_checkpoints() == []
     assert inc.cycles() == RGraph(closed).cycles()
-
-
-def test_check_rdt_incremental_closure(benchmark, history):
-    report = benchmark(lambda: check_rdt(history, closure="incremental"))
-    assert report.holds
-    assert report.checked_pairs == check_rdt(history).checked_pairs
-
-
-def test_check_rdt_vectorized(benchmark, history):
-    report = benchmark(lambda: check_rdt(history, method="vectorized"))
-    assert report.holds
-    # Must agree with the scalar method bit for bit.
-    scalar = check_rdt(history, method="tdv")
-    assert report.checked_pairs == scalar.checked_pairs

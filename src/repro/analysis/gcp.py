@@ -133,19 +133,11 @@ def max_consistent_gcp(
 
 
 # ----------------------------------------------------------------------
-# R-graph shortcuts, valid under RDT.
-#
-# All three accept a prebuilt ``rgraph`` (share one across queries!) and
-# an ``incremental`` flag that, when building internally, backs the
-# reachability with an edge-by-edge IncrementalClosure instead of batch
-# condensation -- bit-identical answers, but the closure object can be
-# extended online as the pattern grows.
+# R-graph shortcuts, valid under RDT.  Both accept a prebuilt ``rgraph``
+# (share one across queries!).
 # ----------------------------------------------------------------------
 def min_gcp_rdt(
-    history: History,
-    cid: CheckpointId,
-    rgraph: Optional[RGraph] = None,
-    incremental: bool = False,
+    history: History, cid: CheckpointId, rgraph: Optional[RGraph] = None
 ) -> Dict[ProcessId, int]:
     """Minimum consistent GCP containing ``cid``, by R-graph reachability.
 
@@ -161,7 +153,7 @@ def min_gcp_rdt(
     history = history.closed()
     _check_exists(history, cid)
     if rgraph is None:
-        rgraph = RGraph(history, incremental=incremental)
+        rgraph = RGraph(history)
     cut: Dict[ProcessId, int] = {}
     for pid in range(history.num_processes):
         if pid == cid.pid:
@@ -177,10 +169,7 @@ def min_gcp_rdt(
 
 
 def max_gcp_rdt(
-    history: History,
-    cid: CheckpointId,
-    rgraph: Optional[RGraph] = None,
-    incremental: bool = False,
+    history: History, cid: CheckpointId, rgraph: Optional[RGraph] = None
 ) -> Dict[ProcessId, int]:
     """Maximum consistent GCP containing ``cid``, by R-graph reachability.
 
@@ -197,7 +186,7 @@ def max_gcp_rdt(
     history = history.closed()
     _check_exists(history, cid)
     if rgraph is None:
-        rgraph = RGraph(history, incremental=incremental)
+        rgraph = RGraph(history)
     source = CheckpointId(cid.pid, cid.index + 1)
     have_source = history.has_checkpoint(source)
     cut: Dict[ProcessId, int] = {}
@@ -219,9 +208,7 @@ def max_gcp_rdt(
 # ----------------------------------------------------------------------
 # Netzer-Xu extensibility
 # ----------------------------------------------------------------------
-def can_belong_to_same_gcp(
-    history: History, cids: List[CheckpointId], incremental: bool = False
-) -> bool:
+def can_belong_to_same_gcp(history: History, cids: List[CheckpointId]) -> bool:
     """Can the given checkpoints be extended to a consistent GCP?
 
     Netzer-Xu: yes iff no zigzag path connects any two of them (nor any
@@ -238,7 +225,7 @@ def can_belong_to_same_gcp(
         if cid.pid in by_pid:
             return False  # two distinct checkpoints of one process
         by_pid[cid.pid] = cid
-    rgraph = RGraph(history, incremental=incremental)
+    rgraph = RGraph(history)
     for a in unique:
         source = CheckpointId(a.pid, a.index + 1)
         if not history.has_checkpoint(source):

@@ -1,29 +1,26 @@
 """The Rollback-Dependency Trackability checker.
 
 RDT (Definition 3.4): every R-path of the pattern is on-line trackable.
-This module decides RDT for arbitrary recorded histories with two
-*independent* methods that the test suite cross-checks against each
-other -- they are the library's rendition of the paper family's
-"characterizations" of RDT:
+This module decides RDT for arbitrary recorded histories two ways, one
+fast and one definitional, and the test suite holds the fast one to the
+other (equal violation lists, equal pair counts):
 
-``method="tdv"`` (default, fast)
-    R-path existence from R-graph transitive closure; trackability from
-    the offline reference TDV (``TDV_{j,y}[i] >= x``).
+``method="tdv"`` (default, the fast pass)
+    The paper's *visible* test.  R-path existence from the R-graph's
+    closure bitsets; trackability from the offline reference TDV
+    (``TDV_{j,y}[i] >= x``), also as bitsets, so the whole pair scan is
+    one AND per checkpoint.  ``"vectorized"`` is an accepted spelling of
+    the same pass.
 
-``method="chains"`` (definitional)
+``method="chains"`` (the definitional oracle)
     Trackability re-derived from first principles with the message-chain
     engine: an R-path ``a -> b`` (``a.pid != b.pid``) is trackable iff a
     *causal* chain reaches ``b`` from ``a`` (relaxed endpoints,
-    Definition 3.3).
-
-``method="vectorized"`` (fast, requires numpy)
-    Same semantics as ``"tdv"`` but with the quadratic pair scan done as
-    boolean matrix algebra; 1-2 orders of magnitude faster on runs with
-    thousands of checkpoints (see ``benchmarks/bench_analysis_perf.py``).
+    Definition 3.3).  Slow, pair by pair, and kept that way.
 
 R-path existence always comes from R-graph transitive closure; its
 equivalence with zigzag-chain reachability (Wang's R-graph theorem) and
-the agreement of the two trackability oracles are property-tested in
+the agreement of the two methods are tested in
 ``tests/test_analysis_rdt.py``.
 """
 
@@ -32,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.clocks.tdv import TrackabilityOracle
+from repro.clocks.tdv import tdv_snapshots
 from repro.events.history import History
+from repro.graph.reachability import iter_bits, popcount
 from repro.graph.rgraph import RGraph
 from repro.graph.zpaths import ZPathAnalyzer
 from repro.types import AnalysisError, CheckpointId
@@ -72,7 +70,6 @@ def check_rdt(
     method: str = "tdv",
     max_violations: Optional[int] = None,
     rgraph: Optional[RGraph] = None,
-    closure: str = "batch",
 ) -> RDTReport:
     """Check whether a pattern satisfies Rollback-Dependency Trackability.
 
@@ -80,41 +77,21 @@ def check_rdt(
     interval containing events is delimited by a checkpoint; otherwise
     dependencies through open intervals would be silently ignored.
 
-    ``max_violations`` stops early once that many violations were found
-    (``None`` collects all).
-
-    ``closure`` selects the reachability backend when no ``rgraph`` is
-    supplied: ``"batch"`` condenses the full R-graph once (Tarjan),
-    ``"incremental"`` folds the edges into an
-    :class:`~repro.graph.reachability.IncrementalClosure` -- same
-    verdicts bit for bit (differentially tested), but the incremental
-    closure is the one an online monitor can keep extending.
+    Violations come in ``(source, target)`` order; ``max_violations``
+    stops early once that many were found (``None`` collects all).
     """
     if method not in ("tdv", "chains", "vectorized"):
         raise AnalysisError(f"unknown RDT check method: {method}")
-    if closure not in ("batch", "incremental"):
-        raise AnalysisError(f"unknown closure backend: {closure}")
     history = history.closed()
     if rgraph is None:
-        rgraph = RGraph(history, incremental=closure == "incremental")
+        rgraph = RGraph(history)
     elif rgraph.history is not history or rgraph.include_volatile:
         raise AnalysisError("rgraph must be built on the closed history, no volatile")
 
-    if method == "vectorized":
-        return _check_rdt_vectorized(history, rgraph, max_violations)
-    if method == "tdv":
-        trackable = _tdv_trackable(history)
+    if method == "chains":
+        violations, checked = _scan_chains(history, rgraph, max_violations)
     else:
-        trackable = _chain_trackable(history)
-
-    violations: List[RDTViolation] = []
-    checked = 0
-    for a, b in rgraph.rpath_pairs():
-        checked += 1
-        if not trackable(a, b):
-            violations.append(RDTViolation(a, b))
-            if max_violations is not None and len(violations) >= max_violations:
-                break
+        violations, checked = _scan_bitsets(history, rgraph, max_violations)
     return RDTReport(
         holds=not violations,
         violations=violations,
@@ -123,9 +100,19 @@ def check_rdt(
     )
 
 
-def _tdv_trackable(history: History):
-    oracle = TrackabilityOracle(history)
-    return oracle.trackable
+def _scan_chains(
+    history: History, rgraph: RGraph, max_violations: Optional[int]
+) -> Tuple[List[RDTViolation], int]:
+    trackable = _chain_trackable(history)
+    violations: List[RDTViolation] = []
+    checked = 0
+    for a, b in rgraph.rpath_pairs():
+        checked += 1
+        if not trackable(a, b):
+            violations.append(RDTViolation(a, b))
+            if max_violations is not None and len(violations) >= max_violations:
+                break
+    return violations, checked
 
 
 def _chain_trackable(history: History):
@@ -146,55 +133,42 @@ def _chain_trackable(history: History):
     return trackable
 
 
-def _check_rdt_vectorized(
+def _scan_bitsets(
     history: History, rgraph: RGraph, max_violations: Optional[int]
-) -> RDTReport:
-    """Matrix-algebra variant of the TDV method.
+) -> Tuple[List[RDTViolation], int]:
+    """The fast pass: untrackable R-paths as ``reach & ~trackable``.
 
-    Builds the checkpoint-by-checkpoint reachability matrix from the
-    closure bitsets and the trackability matrix from stacked TDV
-    snapshots, then reads violations off ``reach & ~trackable``.
+    ``at_least[i][x]`` is the set of checkpoints ``b`` with
+    ``TDV_b[i] >= x``, i.e. every target an R-path from ``C(i,x)`` may
+    end at and still be tracked.  Own-process targets need no special
+    case: ``TDV_{i,y}[i] == y``, so forward is tracked, backward is not.
+    In a closed history no entry ``i`` exceeds ``P_i``'s last index.
     """
-    import numpy as np
-
-    from repro.clocks.tdv import tdv_snapshots
-
     nodes = rgraph.nodes()
-    count = len(nodes)
-    # Reachability matrix straight from the closure's bitsets.
-    nbytes = (count + 7) // 8
-    raw = b"".join(
-        mask.to_bytes(nbytes, "little") for mask in rgraph.closure_masks()
-    )
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(count, nbytes)
-    reach = np.unpackbits(packed, axis=1, bitorder="little")[:, :count].astype(bool)
-    np.fill_diagonal(reach, False)  # pairs are ordered and distinct
-
     snapshots = tdv_snapshots(history)
-    tdv = np.array([snapshots[cid] for cid in nodes], dtype=np.int64)
-    pid = np.array([cid.pid for cid in nodes], dtype=np.int64)
-    idx = np.array([cid.index for cid in nodes], dtype=np.int64)
-    # trackable[a, b]: TDV_b[pid_a] >= idx_a, same-process forward free,
-    # same-process backward never trackable.
-    trackable = tdv[:, pid].T >= idx[:, None]
-    same = pid[:, None] == pid[None, :]
-    forward = idx[:, None] <= idx[None, :]
-    trackable = np.where(same, forward, trackable)
-
-    bad = reach & ~trackable
-    sources, targets = np.nonzero(bad)
-    violations = [
-        RDTViolation(nodes[a], nodes[b]) for a, b in zip(sources, targets)
+    at_least = [
+        [0] * (history.last_index(pid) + 1)
+        for pid in range(history.num_processes)
     ]
-    violations.sort(key=lambda v: (v.source, v.target))
-    if max_violations is not None:
-        violations = violations[:max_violations]
-    return RDTReport(
-        holds=not violations,
-        violations=violations,
-        checked_pairs=int(reach.sum()),
-        method="vectorized",
-    )
+    for v, b in enumerate(nodes):
+        bit = 1 << v
+        for pid, x in enumerate(snapshots[b]):
+            at_least[pid][x] |= bit
+    for row in at_least:
+        for x in range(len(row) - 2, -1, -1):
+            row[x] |= row[x + 1]
+
+    reach = rgraph.closure_masks()
+    violations: List[RDTViolation] = []
+    checked = 0
+    for u, a in enumerate(nodes):
+        paths = reach[u] & ~(1 << u)  # pairs are ordered and distinct
+        checked += popcount(paths)
+        for v in iter_bits(paths & ~at_least[a.pid][a.index]):
+            violations.append(RDTViolation(a, nodes[v]))
+            if max_violations is not None and len(violations) >= max_violations:
+                return violations, checked
+    return violations, checked
 
 
 def untracked_pairs(history: History) -> List[Tuple[CheckpointId, CheckpointId]]:

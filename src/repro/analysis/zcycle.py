@@ -41,8 +41,6 @@ def useless_checkpoints(history: History) -> List[CheckpointId]:
     for pid in range(history.num_processes):
         for x in range(history.last_index(pid) + 1):
             source = CheckpointId(pid, x + 1)
-            if x + 1 > history.last_index(pid) + 1:
-                continue
             reach = analyzer.reach(source, causal=False, exact_start=False)
             if reach.min_deliver_interval[pid] <= x:
                 out.append(CheckpointId(pid, x))

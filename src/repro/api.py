@@ -466,15 +466,17 @@ def serve(
     semantics.
     """
     if config is not None:
-        if (
-            unix_path is not None
-            or snapshot_dir is not None
-            or wal_dir is not None
-            or port != 0
-            or shard_procs is not None
-        ):
+        knobs = dict(
+            host=host, port=port, unix_path=unix_path, workers=workers,
+            queue_depth=queue_depth, idle_timeout=idle_timeout,
+            snapshot_dir=snapshot_dir, wal_dir=wal_dir, fsync_batch=fsync_batch,
+            shard_procs=shard_procs, data_dir=data_dir,
+        )
+        clash = [k for k, v in knobs.items() if v != serve.__kwdefaults__[k]]
+        if clash:
             raise SimulationError(
-                "pass either config= or the individual server knobs, not both"
+                "pass either config= or the individual server knobs, not "
+                f"both (got config= and {', '.join(clash)})"
             )
         return serve_in_thread(config, tracer=tracer, metrics=metrics)
     if shard_procs is not None:
@@ -541,8 +543,7 @@ def analyze_rdt(
 ) -> RDTReport:
     """Check Rollback-Dependency Trackability of a recorded pattern.
 
-    A keyword-only wrapper over :func:`repro.analysis.check_rdt` (the
-    richer knobs -- prebuilt R-graphs, closure strategy -- remain on the
-    underlying function).
+    A keyword-only wrapper over :func:`repro.analysis.check_rdt` (which
+    additionally accepts a prebuilt R-graph).
     """
     return check_rdt(history, method=method, max_violations=max_violations)

@@ -223,7 +223,7 @@ class IncrementalRGraph:
 
     def has_z_cycle(self) -> bool:
         """Any Z-cycle (cyclic SCC) in the pattern so far?"""
-        return bool(self._closure.cyclic_components())
+        return any(map(self._closure.on_cycle, range(len(self._nodes))))
 
     def cycles(self) -> List[List[CheckpointId]]:
         """Cyclic SCCs, each sorted, ordered by smallest member."""

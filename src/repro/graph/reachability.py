@@ -10,7 +10,7 @@ integers, which keeps the per-node union a single ``|`` operation.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 
 class SetView(AbstractSet):
@@ -159,27 +159,38 @@ class DenseDigraph:
             if cyclic:
                 reach |= comp_mask[ci]
             comp_reach[ci] = reach
-        node_reach = [comp_reach[comp_of[u]] for u in range(self._n)]
-        return Closure(node_reach, comp_of, sccs)
+        return Closure(comp_reach[comp_of[u]] for u in range(self._n))
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+try:
+    popcount = int.bit_count  # Python >= 3.10
+except AttributeError:  # pragma: no cover - 3.9 fallback
+    def popcount(mask: int) -> int:
+        return bin(mask).count("1")
 
 
 class Closure:
-    """Precomputed reachability answers.
+    """Reachability answers read off per-node bitsets.
 
     ``reaches(u, v)`` is *strict-or-cyclic*: it reports True for ``u == v``
     only when ``u`` lies on a cycle.  Use ``reaches_or_equal`` for the
     reflexive relation.
+
+    This is the one query surface of both kernels: the batch closure
+    (:meth:`DenseDigraph.transitive_closure`) is an instance, the online
+    one (:class:`IncrementalClosure`) a subclass that only adds growth.
     """
 
-    def __init__(
-        self,
-        node_reach: Sequence[int],
-        comp_of: Sequence[int],
-        sccs: List[List[int]],
-    ) -> None:
-        self._reach = list(node_reach)
-        self._comp_of = list(comp_of)
-        self._sccs = sccs
+    def __init__(self, node_reach: Iterable[int] = ()) -> None:
+        self._reach: List[int] = list(node_reach)
 
     def reaches(self, u: int, v: int) -> bool:
         return bool(self._reach[u] >> v & 1)
@@ -192,50 +203,31 @@ class Closure:
         return u == v or self.reaches(u, v)
 
     def reachable_set(self, u: int) -> Set[int]:
-        mask = self._reach[u]
-        out = set()
-        v = 0
-        while mask:
-            if mask & 1:
-                out.add(v)
-            mask >>= 1
-            v += 1
-        return out
+        return set(iter_bits(self._reach[u]))
 
     def on_cycle(self, u: int) -> bool:
         return self.reaches(u, u)
 
     def cyclic_components(self) -> List[List[int]]:
-        """SCCs that contain at least one cycle, each sorted."""
-        out = []
-        for comp in self._sccs:
-            if len(comp) > 1 or self.reaches(comp[0], comp[0]):
-                out.append(sorted(comp))
-        return out
+        """SCCs containing a cycle, each sorted, ordered by smallest node.
+
+        Two on-cycle nodes share a component iff their reach sets are
+        equal (each set contains its own node, so equal sets mean mutual
+        reachability), hence grouping by bitset recovers the components.
+        """
+        comps: Dict[int, List[int]] = {}
+        for u, mask in enumerate(self._reach):
+            if mask >> u & 1:
+                comps.setdefault(mask, []).append(u)
+        return list(comps.values())
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
-try:
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - 3.9 fallback
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
-
-
-class IncrementalClosure:
+class IncrementalClosure(Closure):
     """Transitive closure maintained online under edge/node insertion.
 
-    Query-compatible with :class:`Closure` (same strict-or-cyclic
-    semantics: ``reaches(u, u)`` iff ``u`` lies on a cycle) but instead
-    of condensing the whole graph per build it updates two bitset
-    families edge by edge:
+    Answers every :class:`Closure` query (it inherits them unchanged)
+    but instead of condensing the whole graph per build it updates two
+    bitset families edge by edge:
 
     * ``reach[u]``  -- everything ``u`` strictly reaches;
     * ``rreach[u]`` -- everything that strictly reaches ``u``.
@@ -254,7 +246,7 @@ class IncrementalClosure:
     """
 
     def __init__(self, n: int = 0) -> None:
-        self._reach: List[int] = [0] * n
+        super().__init__([0] * n)
         self._rreach: List[int] = [0] * n
         self._succ: List[Set[int]] = [set() for _ in range(n)]
         self._num_edges = 0
@@ -289,7 +281,7 @@ class IncrementalClosure:
         rdelta = self._rreach[u] | (1 << u)
         # Snapshot both deltas before mutating: v (or u) may itself be
         # among the updated nodes when the edge closes a cycle.  The bit
-        # walks are inlined (no _iter_bits generator): this loop runs
+        # walks are inlined (no iter_bits generator): this loop runs
         # once per ancestor/descendant per edge and dominates online
         # ingest, where generator resumes double its cost.
         reach = self._reach
@@ -304,49 +296,14 @@ class IncrementalClosure:
             lsb = mask & -mask
             rreach[lsb.bit_length() - 1] |= rdelta
             mask ^= lsb
-        return _popcount(rdelta) + _popcount(delta)
+        return popcount(rdelta) + popcount(delta)
 
     def num_edges(self) -> int:
         return self._num_edges
 
-    # ------------------------------------------------------------------
-    # queries (Closure-compatible)
-    # ------------------------------------------------------------------
-    def reaches(self, u: int, v: int) -> bool:
-        return bool(self._reach[u] >> v & 1)
-
-    def reach_mask(self, u: int) -> int:
-        """The raw reachability bitset of ``u`` (bit v set iff u -> v)."""
-        return self._reach[u]
-
     def coreach_mask(self, v: int) -> int:
         """The raw co-reachability bitset of ``v`` (bit u set iff u -> v)."""
         return self._rreach[v]
-
-    def reaches_or_equal(self, u: int, v: int) -> bool:
-        return u == v or self.reaches(u, v)
-
-    def reachable_set(self, u: int) -> Set[int]:
-        return set(_iter_bits(self._reach[u]))
-
-    def on_cycle(self, u: int) -> bool:
-        return self.reaches(u, u)
-
-    def cyclic_components(self) -> List[List[int]]:
-        """SCCs containing a cycle, each sorted, ordered by smallest node.
-
-        An on-cycle node's component is exactly ``reach & rreach`` (both
-        include the node itself once it is cyclic).
-        """
-        seen = 0
-        out: List[List[int]] = []
-        for u in range(len(self._reach)):
-            if seen >> u & 1 or not self.on_cycle(u):
-                continue
-            comp_mask = self._reach[u] & self._rreach[u]
-            seen |= comp_mask
-            out.append(sorted(_iter_bits(comp_mask)))
-        return out
 
     # ------------------------------------------------------------------
     # snapshot / restore (the serve layer's session eviction)
@@ -375,18 +332,3 @@ class IncrementalClosure:
         inst._succ = [set(outs) for outs in state["succ"]]  # type: ignore[union-attr]
         inst._num_edges = int(state["edges"])  # type: ignore[arg-type]
         return inst
-
-
-def reachable_from(adjacency: Dict[int, Set[int]], start: int) -> Set[int]:
-    """Plain BFS reachability for ad-hoc graphs given as dict adjacency."""
-    seen: Set[int] = set()
-    frontier = [start]
-    while frontier:
-        nxt: List[int] = []
-        for u in frontier:
-            for v in adjacency.get(u, ()):  # noqa: B905 - dict access
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen

@@ -30,33 +30,24 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from typing import Union
-
 from repro.events.history import History
-from repro.graph.reachability import Closure, DenseDigraph, IncrementalClosure
+from repro.graph.reachability import Closure, DenseDigraph
 from repro.types import CheckpointId
 
 
 class RGraph:
-    """The rollback-dependency graph of one history.
+    """The rollback-dependency graph of one finished history.
 
-    ``incremental=True`` answers reachability from an
-    :class:`~repro.graph.reachability.IncrementalClosure` fed edge by
-    edge instead of one batch Tarjan condensation; query results are
-    bit-identical (enforced by ``tests/test_differential_closure.py``)
-    but the closure can then be shared with online analyses that keep
-    extending it.
+    Reachability comes from one batch Tarjan condensation, built on
+    first query.  A pattern that is still growing is the business of
+    :class:`~repro.graph.incremental.IncrementalRGraph`, whose online
+    closure ``tests/test_differential_closure.py`` holds bit-identical
+    to this one.
     """
 
-    def __init__(
-        self,
-        history: History,
-        include_volatile: bool = False,
-        incremental: bool = False,
-    ) -> None:
+    def __init__(self, history: History, include_volatile: bool = False) -> None:
         self._history = history
         self._include_volatile = include_volatile
-        self._incremental = incremental
         n = history.num_processes
         self._nodes: List[CheckpointId] = []
         self._id_of: Dict[CheckpointId, int] = {}
@@ -68,7 +59,7 @@ class RGraph:
                 self._nodes.append(cid)
         self._graph = DenseDigraph(len(self._nodes))
         self._build_edges()
-        self._closure: Optional[Union[Closure, IncrementalClosure]] = None
+        self._closure: Optional[Closure] = None
 
     def _build_edges(self) -> None:
         history = self._history
@@ -125,15 +116,9 @@ class RGraph:
         return {self._nodes[u] for u in self._graph.predecessors(self._id_of[cid])}
 
     # ------------------------------------------------------------------
-    def _closure_or_build(self) -> Union[Closure, IncrementalClosure]:
+    def _closure_or_build(self) -> Closure:
         if self._closure is None:
-            if self._incremental:
-                inc = IncrementalClosure(self._graph.n)
-                for u, v in self._graph.edges():
-                    inc.add_edge(u, v)
-                self._closure = inc
-            else:
-                self._closure = self._graph.transitive_closure()
+            self._closure = self._graph.transitive_closure()
         return self._closure
 
     def has_rpath(self, a: CheckpointId, b: CheckpointId) -> bool:
@@ -159,8 +144,7 @@ class RGraph:
         """Raw per-node reachability bitsets, in :meth:`nodes` order.
 
         Bit ``v`` of entry ``u`` is set iff node ``u`` strictly reaches
-        node ``v``.  Used by vectorised analyses to hand the closure to
-        numpy without a per-node Python loop.
+        node ``v``.  The RDT checker's bitset pass works on these directly.
         """
         closure = self._closure_or_build()
         return [closure.reach_mask(u) for u in range(len(self._nodes))]
@@ -171,8 +155,8 @@ class RGraph:
     def cycles(self) -> List[List[CheckpointId]]:
         """Strongly connected components containing a cycle.
 
-        Each component sorted; components ordered by smallest member so
-        the output is identical across closure backends.
+        Each component sorted; components ordered by smallest member, the
+        same order :meth:`IncrementalRGraph.cycles` reports.
         """
         comps = [
             sorted(self._nodes[v] for v in comp)

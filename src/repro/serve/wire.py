@@ -14,11 +14,11 @@ online decision -- ``force_checkpoint: bool`` plus the piggyback
 payload -- so a client can run BHMR/FDAS as a sidecar without holding
 any protocol state of its own.
 
-The codec is sans-IO at its core (:class:`FrameBuffer` turns byte
-chunks into documents) with thin adapters for asyncio streams
-(:func:`read_frame` / :func:`write_frame`) and blocking sockets
-(:func:`recv_frame` / :func:`send_frame`); client and server share it,
-so neither can drift from the other.
+The codec is sans-IO at its core (:class:`RawFrameBuffer` splits byte
+chunks into frames, :class:`FrameBuffer` decodes them) with thin
+adapters for asyncio streams (:func:`read_frame` / :func:`write_frame`)
+and blocking sockets (:func:`recv_frame` / :func:`send_frame`); client
+and server share it, so neither can drift from the other.
 """
 
 from __future__ import annotations
@@ -73,101 +73,35 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
     return doc
 
 
-class FrameBuffer:
-    """Sans-IO frame reassembly: feed byte chunks, pop documents.
-
-    The buffer owns no socket and never blocks, which lets one
-    implementation serve asyncio readers, blocking sockets and tests
-    alike.  Completed documents queue inside the buffer (pipelined
-    peers may complete several per chunk); :meth:`next_doc` hands them
-    out in arrival order.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._pos = 0  # consumed prefix of _buf (compacted per feed)
-        self._docs: deque = deque()
-
-    def feed(self, data: bytes) -> List[Dict[str, object]]:
-        """Absorb ``data``; return every frame it completed, in order.
-
-        The returned documents are *also* queued for :meth:`next_doc`;
-        use one style or the other, not both.  When a later frame in the
-        chunk raises :class:`FrameError`, every document completed
-        *before* it is still queued for :meth:`next_doc` -- a pipelined
-        peer's good replies must not vanish because a bad frame followed
-        them in the same read.
-        """
-        # Compact once per chunk, not once per frame: a 64 KiB chunk of
-        # small frames would otherwise memmove the tail per frame.
-        if self._pos:
-            del self._buf[: self._pos]
-            self._pos = 0
-        self._buf.extend(data)
-        out: List[Dict[str, object]] = []
-        try:
-            while True:
-                doc = self._pop()
-                if doc is None:
-                    return out
-                out.append(doc)
-        finally:
-            # On both paths -- clean return and FrameError -- the frames
-            # already completed reach the _docs queue exactly once.
-            self._docs.extend(out)
-
-    def next_doc(self) -> Optional[Dict[str, object]]:
-        """The oldest queued document, or None if none is complete."""
-        return self._docs.popleft() if self._docs else None
-
-    def _pop(self) -> Optional[Dict[str, object]]:
-        buf, pos = self._buf, self._pos
-        if len(buf) - pos < _LEN.size:
-            return None
-        (length,) = _LEN.unpack_from(buf, pos)
-        if length > MAX_FRAME:
-            raise FrameError(f"frame length {length} exceeds {MAX_FRAME}")
-        start = pos + _LEN.size
-        if len(buf) - start < length:
-            return None
-        payload = bytes(buf[start : start + length])
-        self._pos = start + length
-        return decode_frame(payload)
-
-    def pending(self) -> int:
-        """Bytes buffered but not yet forming a complete frame."""
-        return len(self._buf) - self._pos
-
-
 class RawFrameBuffer:
     """Sans-IO frame *splitting* without decoding: feed chunks, pop payloads.
 
-    The shard router forwards frames between clients and shard
-    processes verbatim; it needs frame boundaries (to route whole
-    frames) but not a decoded document for every byte it moves.  This
-    buffer yields each complete frame's raw payload bytes (the bytes
-    after the length prefix, exactly as they arrived); callers decode
-    only the payloads they actually need to inspect and re-frame with
-    :func:`frame_prefix` when forwarding.
-
-    Same compaction strategy and :data:`MAX_FRAME` policing as
-    :class:`FrameBuffer`.
+    The one reassembly loop of the wire.  It owns no socket and never
+    blocks, which lets one implementation serve asyncio readers,
+    blocking sockets and tests alike.  The shard router uses it
+    directly: forwarding frames verbatim needs frame boundaries (to
+    route whole frames) but not a decoded document for every byte it
+    moves, so callers decode only the payloads they actually need to
+    inspect and re-frame with :func:`frame_prefix` when forwarding.
     """
 
     __slots__ = ("_buf", "_pos")
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._pos = 0
+        self._pos = 0  # consumed prefix of _buf (compacted per feed)
 
     def feed(self, data: bytes) -> None:
+        # Compact once per chunk, not once per frame: a 64 KiB chunk of
+        # small frames would otherwise memmove the tail per frame.
         if self._pos:
             del self._buf[: self._pos]
             self._pos = 0
         self._buf.extend(data)
 
     def next_payload(self) -> Optional[bytes]:
-        """The next complete frame's payload bytes, or None."""
+        """The next complete frame's payload bytes (the bytes after the
+        length prefix, exactly as they arrived), or None."""
         buf, pos = self._buf, self._pos
         if len(buf) - pos < _LEN.size:
             return None
@@ -184,6 +118,50 @@ class RawFrameBuffer:
     def pending(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
         return len(self._buf) - self._pos
+
+
+class FrameBuffer:
+    """Sans-IO frame reassembly: feed byte chunks, pop documents.
+
+    A :class:`RawFrameBuffer` plus :func:`decode_frame`.  Completed
+    documents queue inside the buffer (pipelined peers may complete
+    several per chunk); :meth:`next_doc` hands them out in arrival order.
+    """
+
+    def __init__(self) -> None:
+        self._raw = RawFrameBuffer()
+        self._docs: deque = deque()
+
+    def feed(self, data: bytes) -> List[Dict[str, object]]:
+        """Absorb ``data``; return every frame it completed, in order.
+
+        The returned documents are *also* queued for :meth:`next_doc`;
+        use one style or the other, not both.  When a later frame in the
+        chunk raises :class:`FrameError`, every document completed
+        *before* it is still queued for :meth:`next_doc` -- a pipelined
+        peer's good replies must not vanish because a bad frame followed
+        them in the same read.
+        """
+        self._raw.feed(data)
+        out: List[Dict[str, object]] = []
+        try:
+            while True:
+                payload = self._raw.next_payload()
+                if payload is None:
+                    return out
+                out.append(decode_frame(payload))
+        finally:
+            # On both paths -- clean return and FrameError -- the frames
+            # already completed reach the _docs queue exactly once.
+            self._docs.extend(out)
+
+    def next_doc(self) -> Optional[Dict[str, object]]:
+        """The oldest queued document, or None if none is complete."""
+        return self._docs.popleft() if self._docs else None
+
+    def pending(self) -> int:
+        """Bytes buffered but not yet forming a complete frame."""
+        return self._raw.pending()
 
 
 def frame_prefix(payload: bytes) -> bytes:

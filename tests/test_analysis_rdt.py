@@ -1,7 +1,11 @@
 """RDT checker tests: Figure 1 violations, cross-checked methods, properties."""
 
+import subprocess
+import sys
+
 import pytest
 
+from repro import api
 from repro.analysis import check_rdt, untracked_pairs
 from repro.events import PatternBuilder, figure1_pattern, random_pattern
 from repro.graph import RGraph
@@ -125,25 +129,31 @@ class TestArguments:
         assert report.checked_pairs > 0
 
 
+def _pairs(report):
+    return [(v.source, v.target) for v in report.violations]
+
+
 class TestVectorizedMethod:
+    """``"vectorized"`` is a pinned spelling of the fast pass (the
+    committed benchmark calls it): same report as ``"tdv"``, which in
+    turn must match the ``"chains"`` oracle pair for pair."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_tdv_on_random_patterns(self, seed):
         h = random_pattern(n=4, steps=80, seed=seed)
         a = check_rdt(h, method="tdv")
         b = check_rdt(h, method="vectorized")
-        assert a.holds == b.holds
-        assert a.checked_pairs == b.checked_pairs
-        assert {(v.source, v.target) for v in a.violations} == {
-            (v.source, v.target) for v in b.violations
-        }
+        oracle = check_rdt(h, method="chains")
+        assert a.holds == b.holds == oracle.holds
+        assert a.checked_pairs == b.checked_pairs == oracle.checked_pairs
+        assert _pairs(a) == _pairs(b) == _pairs(oracle)
 
     def test_figure1_violations_identical(self):
         h = figure1_pattern()
         a = check_rdt(h, method="tdv")
         b = check_rdt(h, method="vectorized")
-        assert sorted((v.source, v.target) for v in a.violations) == sorted(
-            (v.source, v.target) for v in b.violations
-        )
+        assert _pairs(a) == _pairs(b) == _pairs(check_rdt(h, method="chains"))
+        assert _pairs(a) == sorted(_pairs(a))
 
     def test_max_violations_respected(self):
         report = check_rdt(figure1_pattern(), method="vectorized", max_violations=1)
@@ -152,3 +162,46 @@ class TestVectorizedMethod:
     def test_reported_method_name(self):
         report = check_rdt(figure1_pattern(), method="vectorized")
         assert report.method == "vectorized"
+
+
+class TestFastPassAgainstOracle:
+    """The bitset pass vs the definitional chain search, on simulated runs."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("protocol", ["independent", "bhmr", "fdas", "cbr"])
+    @pytest.mark.parametrize("workload", ["random", "client-server", "groups"])
+    def test_identical_reports_on_sim_histories(self, workload, protocol, seed):
+        h = api.run(
+            workload, protocol=protocol, n=5, duration=25, seed=seed, basic_rate=0.2
+        ).history
+        fast = check_rdt(h)
+        oracle = check_rdt(h, method="chains")
+        assert fast.holds == oracle.holds
+        assert _pairs(fast) == _pairs(oracle) == sorted(_pairs(oracle))
+        assert fast.checked_pairs == oracle.checked_pairs
+        for k in (1, 3):
+            assert _pairs(check_rdt(h, max_violations=k)) == _pairs(fast)[:k]
+
+    def test_independent_runs_do_violate(self):
+        # Guards the differential above against comparing empty lists only.
+        h = api.run(
+            "random", protocol="independent", n=5, duration=25, seed=0, basic_rate=0.2
+        ).history
+        assert len(check_rdt(h).violations) > 3
+
+
+def test_checking_rdt_never_imports_numpy():
+    """numpy is not a declared dependency: the public surface and the
+    fast pass must work on an install without it."""
+    code = (
+        "import sys\n"
+        "import repro.api, repro.testing\n"
+        "from repro.events import figure1_pattern\n"
+        "for method in ('tdv', 'vectorized', 'chains'):\n"
+        "    assert not repro.api.analyze_rdt(figure1_pattern(), method=method).holds\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -30,7 +30,7 @@ CAMPAIGN = [
 @pytest.mark.parametrize("env,make,n", CAMPAIGN)
 @pytest.mark.parametrize("protocol", ["bhmr", "bhmr-nosimple", "fdas"])
 def test_rdt_fuzz_campaign(env, make, n, protocol):
-    """15 seeds per (environment, protocol) cell; vectorized checking."""
+    """15 seeds per (environment, protocol) cell, through the fast pass."""
     for seed in range(15):
         sim = Simulation(
             make(),
@@ -39,7 +39,7 @@ def test_rdt_fuzz_campaign(env, make, n, protocol):
             ),
         )
         res = sim.run(protocol)
-        report = check_rdt(res.history, method="vectorized")
+        report = check_rdt(res.history)
         assert report.holds, (env, protocol, seed, report.violations[:2])
 
 

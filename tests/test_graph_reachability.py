@@ -2,14 +2,25 @@
 
 import random
 
-from repro.graph.reachability import DenseDigraph, reachable_from
+from repro.graph.reachability import DenseDigraph
 
 
 def brute_force_reach(n, edges, u):
+    """Plain BFS: everything ``u`` reaches by a non-empty path."""
     adj = {}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
-    return reachable_from(adj, u)
+    seen = set()
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in adj.get(a, ()):
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
 
 
 class TestDenseDigraph:

@@ -279,6 +279,28 @@ class TestApiFacade:
                 unix_path=str(tmp_path / "d.sock"),
             )
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("host", "0.0.0.0"),
+            ("port", 7000),
+            ("unix_path", "d.sock"),
+            ("workers", 2),
+            ("queue_depth", 8),
+            ("idle_timeout", 1.0),
+            ("snapshot_dir", "snaps"),
+            ("wal_dir", "wal"),
+            ("fsync_batch", 1),
+            ("shard_procs", 2),
+            ("data_dir", "data"),
+        ],
+    )
+    def test_api_serve_config_rejects_each_knob(self, tmp_path, knob, value):
+        """No knob is silently dropped next to ``config=``; the error names it."""
+        config = ServerConfig(unix_path=str(tmp_path / "c.sock"))
+        with pytest.raises(SimulationError, match=knob):
+            api.serve(config=config, **{knob: value})
+
     def test_api_connect_dead_socket_is_clean(self, tmp_path):
         started = time.monotonic()
         with pytest.raises(ConnectionError):
