@@ -41,8 +41,8 @@ class IncrementalRGraph:
     """R-graph of a pattern under construction, with online closure.
 
     Optionally instrumented: ``tracer`` receives ``closure.node`` /
-    ``closure.edge`` events (the latter with the number of bitsets the
-    closure actually updated), ``metrics`` maintains ``closure.nodes``,
+    ``closure.edge`` events (the latter with the number of node rows the
+    closure actually changed), ``metrics`` maintains ``closure.nodes``,
     ``closure.edges`` and ``closure.edge_updates``.  Feed methods accept
     the simulation time ``t`` purely to stamp those events; it defaults
     to 0.0 and has no semantic effect.
@@ -62,6 +62,8 @@ class IncrementalRGraph:
         self._closure = IncrementalClosure()
         self._nodes: List[CheckpointId] = []
         self._id_of: Dict[CheckpointId, int] = {}
+        # Node ids per process, by checkpoint index (frontier last).
+        self._ids_of_pid: List[List[int]] = [[] for _ in range(n)]
         # Index of the last *taken* checkpoint per process; the frontier
         # node sits at last_index + 1.
         self._last_index = [0] * n
@@ -77,6 +79,7 @@ class IncrementalRGraph:
     def _new_node(self, cid: CheckpointId, t: float = 0.0) -> int:
         node = self._closure.add_node()
         self._id_of[cid] = node
+        self._ids_of_pid[cid.pid].append(node)
         self._nodes.append(cid)
         if self.tracer:
             self.tracer.event("closure.node", t, pid=cid.pid, index=cid.index)
@@ -223,7 +226,7 @@ class IncrementalRGraph:
 
     def has_z_cycle(self) -> bool:
         """Any Z-cycle (cyclic SCC) in the pattern so far?"""
-        return any(map(self._closure.on_cycle, range(len(self._nodes))))
+        return self._closure.has_cycle()
 
     def cycles(self) -> List[List[CheckpointId]]:
         """Cyclic SCCs, each sorted, ordered by smallest member."""
@@ -237,29 +240,22 @@ class IncrementalRGraph:
         """Checkpoints straddled by a backward R-path, as of now.
 
         ``C(p, x)`` is useless iff there is an R-path ``C(p,u) -> C(p,v)``
-        with ``u > x >= v`` -- read directly off the closure bitsets of
-        ``p``'s own nodes, frontier excluded.
+        with ``u > x >= v``.  Any such path extends along succession
+        edges to ``C(p,x+1) -> C(p,x)``, so one closure probe per node
+        decides it.  The frontier (index last+1) participates as a path
+        *source*: a chain leaving the open interval can already doom
+        taken checkpoints, even though its closing checkpoint is pending.
         """
-        out: Set[CheckpointId] = set()
-        for pid in range(self._n):
-            # The frontier (index last+1) participates as a path *source*:
-            # a chain leaving the open interval can already doom taken
-            # checkpoints, even though its closing checkpoint is pending.
-            node_of = [
-                self._id_of[CheckpointId(pid, x)]
-                for x in range(self._last_index[pid] + 2)
-            ]
-            for u in range(1, self._last_index[pid] + 2):
-                mask = self._closure.reach_mask(node_of[u])
-                for v in range(u):
-                    if mask >> node_of[v] & 1:
-                        # Everything in [v, u) is straddled, hence useless.
-                        out.update(CheckpointId(pid, x) for x in range(v, u))
-                        break
-        return sorted(out)
+        reaches = self._closure.reaches
+        return [
+            CheckpointId(pid, x)
+            for pid, ids in enumerate(self._ids_of_pid)
+            for x in range(len(ids) - 1)
+            if reaches(ids[x + 1], ids[x])
+        ]
 
     # ------------------------------------------------------------------
-    # snapshot / restore (session eviction in ``repro.serve``)
+    # snapshot (hashed by the serve layer; restore replays the log)
     # ------------------------------------------------------------------
     def state(self) -> dict:
         """A JSON-safe snapshot: nodes, frontier indices, closure."""
@@ -269,32 +265,6 @@ class IncrementalRGraph:
             "nodes": [[cid.pid, cid.index] for cid in self._nodes],
             "closure": self._closure.state(),
         }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: dict,
-        tracer: Optional["Tracer"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> "IncrementalRGraph":
-        """Rebuild a graph from a :meth:`state` snapshot.
-
-        The restored instance answers every query bit-identically to
-        the snapshotted one and accepts further feed calls; tracer and
-        metrics attach fresh (instrument state is not part of a
-        snapshot).
-        """
-        inst = cls.__new__(cls)
-        inst._n = int(state["n"])
-        inst.tracer = tracer
-        inst.metrics = metrics
-        inst._closure = IncrementalClosure.from_state(state["closure"])
-        inst._nodes = [
-            CheckpointId(int(pid), int(index)) for pid, index in state["nodes"]
-        ]
-        inst._id_of = {cid: node for node, cid in enumerate(inst._nodes)}
-        inst._last_index = [int(x) for x in state["last_index"]]
-        return inst
 
     def __repr__(self) -> str:
         return (

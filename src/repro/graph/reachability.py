@@ -5,10 +5,15 @@ The R-graph of a checkpoint pattern is a digraph that may contain cycles
 closure is computed by Tarjan SCC condensation followed by bitset
 propagation in reverse topological order.  Bitsets are plain Python
 integers, which keeps the per-node union a single ``|`` operation.
+
+The online kernel (:class:`IncrementalClosure`) answers the same queries
+under edge-by-edge growth from chain-indexed rows; each kernel is the
+other's differential oracle (``tests/test_differential_closure.py``).
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Set as AbstractSet
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
@@ -186,7 +191,8 @@ class Closure:
 
     This is the one query surface of both kernels: the batch closure
     (:meth:`DenseDigraph.transitive_closure`) is an instance, the online
-    one (:class:`IncrementalClosure`) a subclass that only adds growth.
+    one (:class:`IncrementalClosure`) answers the same methods from
+    chain-indexed rows instead of bitsets.
     """
 
     def __init__(self, node_reach: Iterable[int] = ()) -> None:
@@ -222,23 +228,36 @@ class Closure:
         return list(comps.values())
 
 
-class IncrementalClosure(Closure):
+#: "Lane not reached": compares greater than every chain position.
+_UNREACHED = sys.maxsize
+
+
+class IncrementalClosure:
     """Transitive closure maintained online under edge/node insertion.
 
-    Answers every :class:`Closure` query (it inherits them unchanged)
-    but instead of condensing the whole graph per build it updates two
-    bitset families edge by edge:
+    Answers every :class:`Closure` query, but instead of a bit per node
+    it keeps one *index per chain*.  The closure covers the digraph with
+    chains it discovers as edges arrive -- an unassigned ``u`` starts a
+    chain, an unassigned ``v`` joins ``u``'s chain when ``u`` is its
+    tail and starts its own otherwise -- so consecutive chain members
+    are always joined by a real edge, and whatever a node reaches on a
+    chain is a *suffix* of it.  A node's row is therefore
+    ``{chain: smallest position reached}`` and
 
-    * ``reach[u]``  -- everything ``u`` strictly reaches;
-    * ``rreach[u]`` -- everything that strictly reaches ``u``.
+        ``reaches(u, v)  <=>  low[u].get(chain[v], inf) <= pos[v]``.
+
+    On an R-graph feed the chains are exactly the process chains
+    (succession edges), which makes a row the exact form of a dependency
+    vector: one checkpoint index per process.  On an arbitrary digraph
+    it degrades to more chains, never to a wrong answer.
 
     On ``add_edge(u, v)`` any new path uses the edge at least once, and a
     path using it several times can always be shortcut to a single use
     (old prefix to ``u``, the edge, old suffix from ``v``).  So the exact
-    update is: for every ``w`` in ``{u} | rreach[u]``, fold in
-    ``{v} | reach[v]`` (and symmetrically for ``rreach``), with both
-    deltas snapshotted before mutation.  An insertion that adds nothing
-    new (``reach[u]`` already covers the delta) costs O(1).
+    update folds ``v``'s row (with ``v`` itself) into ``u`` and every
+    ancestor of ``u``; the walk stops at any node the delta does not
+    lower, because by closure invariance everything reaching that node
+    is already covered.  An insertion that adds nothing new costs O(row).
 
     This is what lets a simulation append checkpoints and message edges
     as they happen and query trackability online, instead of re-running
@@ -246,9 +265,13 @@ class IncrementalClosure(Closure):
     """
 
     def __init__(self, n: int = 0) -> None:
-        super().__init__([0] * n)
-        self._rreach: List[int] = [0] * n
-        self._succ: List[Set[int]] = [set() for _ in range(n)]
+        self._low: List[Dict[int, int]] = [{} for _ in range(n)]
+        # A node has no chain (-1) until its first edge.
+        self._chain: List[int] = [-1] * n
+        self._pos: List[int] = [0] * n
+        self._members: List[List[int]] = []
+        self._pred: List[Set[int]] = [set() for _ in range(n)]
+        self._on_cycle: Set[int] = set()
         self._num_edges = 0
 
     # ------------------------------------------------------------------
@@ -256,79 +279,140 @@ class IncrementalClosure(Closure):
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
-        return len(self._reach)
+        return len(self._low)
 
     def add_node(self) -> int:
         """Append an isolated node; returns its index."""
-        self._reach.append(0)
-        self._rreach.append(0)
-        self._succ.append(set())
-        return len(self._reach) - 1
+        self._low.append({})
+        self._chain.append(-1)
+        self._pos.append(0)
+        self._pred.append(set())
+        return len(self._low) - 1
+
+    def _place(self, node: int, chain: int) -> None:
+        """Append ``node`` to ``chain`` (a new chain when out of range)."""
+        if chain == len(self._members):
+            self._members.append([])
+        members = self._members[chain]
+        self._chain[node] = chain
+        self._pos[node] = len(members)
+        members.append(node)
 
     def add_edge(self, u: int, v: int) -> int:
-        """Insert ``u -> v``; returns how many node bitsets were updated
-        (0 for a duplicate or already-implied edge), the natural unit of
-        closure work for the ``closure.edge_updates`` metric."""
-        if v in self._succ[u]:
+        """Insert ``u -> v``; returns how many node rows changed (0 for a
+        duplicate or already-implied edge), the natural unit of closure
+        work for the ``closure.edge_updates`` metric.  A node appended
+        behind its chain's tail is reached by the tail's ancestors
+        through the lane entry they already hold, with no row change."""
+        pred = self._pred
+        if u in pred[v]:
             return 0
-        self._succ[u].add(v)
+        pred[v].add(u)
         self._num_edges += 1
-        delta = self._reach[v] | (1 << v)
-        if self._reach[u] & delta == delta:
-            # u already reached v and everything past it; by closure
-            # invariance so did everything reaching u.  Nothing changes.
+        chain, pos, low = self._chain, self._pos, self._low
+        if chain[u] < 0:
+            self._place(u, len(self._members))
+        if chain[v] < 0:
+            # Joining behind the tail keeps chain neighbours joined by a
+            # real edge (this one), which is what makes reach a suffix.
+            # Everything that already reached ``u`` now reaches ``v``
+            # through its existing lane entry -- no row changes for it.
+            cu = chain[u]
+            is_tail = self._members[cu][-1] == u
+            self._place(v, cu if is_tail else len(self._members))
+        # What v offers (its row, plus v itself) that u lacks.  Only
+        # those lanes can lower at an ancestor of u, whose row is
+        # lane-wise at or below u's.  The delta is a fresh dict, taken
+        # before any mutation: v may itself be among the updated nodes
+        # when the edge closes a cycle.
+        unreached = _UNREACHED
+        row, offer = low[u], low[v]
+        delta = {
+            lane: at for lane, at in offer.items()
+            if row.get(lane, unreached) > at
+        }
+        cv, pv = chain[v], pos[v]
+        if offer.get(cv, unreached) > pv and row.get(cv, unreached) > pv:
+            delta[cv] = pv
+        if not delta:
             return 0
-        rdelta = self._rreach[u] | (1 << u)
-        # Snapshot both deltas before mutating: v (or u) may itself be
-        # among the updated nodes when the edge closes a cycle.  The bit
-        # walks are inlined (no iter_bits generator): this loop runs
-        # once per ancestor/descendant per edge and dominates online
-        # ingest, where generator resumes double its cost.
-        reach = self._reach
-        mask = rdelta
-        while mask:
-            lsb = mask & -mask
-            reach[lsb.bit_length() - 1] |= delta
-            mask ^= lsb
-        rreach = self._rreach
-        mask = delta
-        while mask:
-            lsb = mask & -mask
-            rreach[lsb.bit_length() - 1] |= rdelta
-            mask ^= lsb
-        return popcount(rdelta) + popcount(delta)
+        on_cycle = self._on_cycle
+        lanes = list(delta.items())
+        changed = 0
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            row = low[w]
+            lowered = False
+            for lane, at in lanes:
+                if row.get(lane, unreached) > at:
+                    row[lane] = at
+                    lowered = True
+            if lowered:
+                changed += 1
+                if row.get(chain[w], unreached) <= pos[w]:
+                    on_cycle.add(w)
+                stack.extend(pred[w])
+        return changed
 
     def num_edges(self) -> int:
         return self._num_edges
 
-    def coreach_mask(self, v: int) -> int:
-        """The raw co-reachability bitset of ``v`` (bit u set iff u -> v)."""
-        return self._rreach[v]
+    # ------------------------------------------------------------------
+    # queries (the :class:`Closure` surface)
+    # ------------------------------------------------------------------
+    def reaches(self, u: int, v: int) -> bool:
+        return self._low[u].get(self._chain[v], _UNREACHED) <= self._pos[v]
+
+    def reaches_or_equal(self, u: int, v: int) -> bool:
+        return u == v or self.reaches(u, v)
+
+    def reachable_set(self, u: int) -> Set[int]:
+        members = self._members
+        out: Set[int] = set()
+        for lane, at in self._low[u].items():
+            out.update(members[lane][at:])
+        return out
+
+    def reach_mask(self, u: int) -> int:
+        """The reachability bitset of ``u`` (bit v set iff u -> v),
+        materialised from the row."""
+        mask = 0
+        for v in self.reachable_set(u):
+            mask |= 1 << v
+        return mask
+
+    def on_cycle(self, u: int) -> bool:
+        return u in self._on_cycle
+
+    def has_cycle(self) -> bool:
+        return bool(self._on_cycle)
+
+    def cyclic_components(self) -> List[List[int]]:
+        """SCCs containing a cycle, each sorted, ordered by smallest node.
+
+        A row determines its reach set, so (as in :class:`Closure`)
+        on-cycle nodes share a component iff their rows are equal.
+        """
+        comps: Dict[frozenset, List[int]] = {}
+        for u in sorted(self._on_cycle):
+            comps.setdefault(frozenset(self._low[u].items()), []).append(u)
+        return list(comps.values())
 
     # ------------------------------------------------------------------
-    # snapshot / restore (the serve layer's session eviction)
+    # snapshot (hashed by the serve layer's integrity digest)
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, object]:
         """A JSON-safe snapshot of the closure.
 
-        Bitsets serialise as hex strings (they are arbitrary-precision
-        integers; JSON numbers are not), adjacency as sorted lists.
-        :meth:`from_state` inverts this exactly, so snapshot/restore
-        round-trips are bit-identical.
+        Rows are emitted dense, one entry per chain with ``-1`` for an
+        unreached lane; adjacency as sorted predecessor lists.
         """
+        lanes = range(len(self._members))
         return {
-            "reach": [format(mask, "x") for mask in self._reach],
-            "rreach": [format(mask, "x") for mask in self._rreach],
-            "succ": [sorted(outs) for outs in self._succ],
+            "chain": list(self._chain),
+            "pos": list(self._pos),
+            "low": [[row.get(lane, -1) for lane in lanes] for row in self._low],
+            "pred": [sorted(ins) for ins in self._pred],
             "edges": self._num_edges,
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "IncrementalClosure":
-        """Rebuild a closure from a :meth:`state` snapshot."""
-        inst = cls()
-        inst._reach = [int(mask, 16) for mask in state["reach"]]  # type: ignore[union-attr]
-        inst._rreach = [int(mask, 16) for mask in state["rreach"]]  # type: ignore[union-attr]
-        inst._succ = [set(outs) for outs in state["succ"]]  # type: ignore[union-attr]
-        inst._num_edges = int(state["edges"])  # type: ignore[arg-type]
-        return inst

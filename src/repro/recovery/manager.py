@@ -370,17 +370,16 @@ class RecoveryManager:
         )
 
     # ------------------------------------------------------------------
-    # snapshot / restore (session eviction in ``repro.serve``)
+    # snapshot (hashed by ``repro.serve.snapshots``; restore replays the log)
     # ------------------------------------------------------------------
     def state(self) -> dict:
         """A JSON-safe snapshot of the whole live state.
 
         Messages serialise once (under ``records``, together with their
         interval bookkeeping); sender-log membership and stability marks
-        are stored by id.  :meth:`from_state` inverts this exactly, so a
-        restored manager answers every recovery question bit-identically
-        -- the integrity digest of ``repro.serve.snapshots`` hashes this
-        document.
+        are stored by id.  The integrity digest of
+        ``repro.serve.snapshots`` hashes this document; restore replays
+        the ingest log and must arrive at the same one.
         """
         records = [
             [
@@ -409,51 +408,6 @@ class RecoveryManager:
             },
             "gc_dropped": sorted(self.gc_dropped),
         }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: dict,
-        tracer: Optional["Tracer"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> "RecoveryManager":
-        """Rebuild a manager from a :meth:`state` snapshot."""
-        n = int(state["n"])
-        inst = cls.__new__(cls)
-        inst.n = n
-        inst.rgraph = IncrementalRGraph.from_state(
-            state["rgraph"], tracer=tracer, metrics=metrics
-        )
-        inst.tracer = tracer
-        inst.metrics = metrics
-        inst._records = {}
-        for mid, src, dst, send_seq, size, send_iv, deliver_iv in state["records"]:
-            message = Message(
-                msg_id=int(mid),
-                src=int(src),
-                dst=int(dst),
-                send_seq=int(send_seq),
-                size=int(size),
-            )
-            record = _MessageRecord(message, int(send_iv))
-            record.deliver_interval = (
-                None if deliver_iv is None else int(deliver_iv)
-            )
-            inst._records[message.msg_id] = record
-        inst._event_count = [int(x) for x in state["event_count"]]
-        inst._count_at_ckpt = [
-            [int(x) for x in counts] for counts in state["count_at_ckpt"]
-        ]
-        inst.logs = {}
-        for pid_s, doc in state["logs"].items():
-            pid = int(pid_s)
-            log = SenderLog(pid)
-            log.stable_upto = int(doc["stable_upto"])
-            for mid in doc["messages"]:
-                log.record(inst._records[int(mid)].message)
-            inst.logs[pid] = log
-        inst.gc_dropped = {int(mid) for mid in state["gc_dropped"]}
-        return inst
 
     def __repr__(self) -> str:
         logged = sum(len(log) for log in self.logs.values())

@@ -11,7 +11,7 @@ what turns "replay should be deterministic" from a hope into an
 enforced invariant at every eviction/restore cycle.
 
 The store itself is either in-memory (the default: eviction frees the
-live closure bitsets, protocol matrices and sender logs, keeping only
+live closure rows, protocol matrices and sender logs, keeping only
 the compact log) or directory-backed (one ``<session>.json`` per
 snapshot), so a server can survive a restart with its sessions intact.
 """
@@ -31,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
 
 
+#: Snapshot document version.  It names the digest preimage (the shape
+#: of ``RecoveryManager.state()``), so it changes whenever that does.
+SNAPSHOT_VERSION = 3
+
+
 def state_digest(session: ServeSession) -> str:
     """SHA-256 over the canonical manager state (the replay invariant)."""
     return hashlib.sha256(canonical_bytes(session.manager.state())).hexdigest()
@@ -46,7 +51,7 @@ def snapshot_doc(session: ServeSession, wal_seq: int = -1) -> Dict[str, object]:
     ``-1`` means "no WAL" (or nothing of this session logged yet).
     """
     return {
-        "version": 2,
+        "version": SNAPSHOT_VERSION,
         "session": session.session_id,
         "n": session.n,
         "protocol": session.protocol_name,
@@ -67,8 +72,16 @@ def restore_session(
     Raises :class:`SimulationError` if the replayed state's digest does
     not match the snapshot's (a nondeterminism bug upstream, or a
     corrupted snapshot) -- resuming silently from diverged state is the
-    one failure mode this layer must never allow.
+    one failure mode this layer must never allow.  A document of another
+    ``version`` is refused by name first: its digest was taken over a
+    different preimage and could only fail that check misleadingly.
     """
+    if doc.get("version") != SNAPSHOT_VERSION:
+        raise SimulationError(
+            f"snapshot of session {doc.get('session')!r} has version "
+            f"{doc.get('version')!r}; this build reads version "
+            f"{SNAPSHOT_VERSION} only"
+        )
     session = ServeSession.replay_log(
         str(doc["session"]),
         int(doc["n"]),  # type: ignore[arg-type]

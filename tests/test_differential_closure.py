@@ -10,7 +10,10 @@ randomized inputs:
 * recorded patterns (2-8 processes): batch ``RGraph`` vs the online
   ``IncrementalRGraph`` on reachability, Z-cycle components and all
   three useless-checkpoint detectors, and the RDT checker's fast pass
-  vs its definitional oracle (reports included).
+  vs its definitional oracle (reports included);
+* the online graph's O(nodes) useless-checkpoint query vs the quadratic
+  scan it replaced (kept here as its oracle), and a structural guard
+  that the closure's chain discovery recovers the process chains.
 
 Well over 200 randomized cases total; every assertion is exact equality.
 """
@@ -33,6 +36,10 @@ from repro.graph import (
     IncrementalRGraph,
     RGraph,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Simulation, SimulationConfig
+from repro.types import CheckpointId
+from repro.workloads import RandomUniformWorkload
 
 DIGRAPH_CASES = 120
 PATTERN_CASES = 110
@@ -111,6 +118,62 @@ def pattern_for(case):
     )
 
 
+def useless_by_quadratic_scan(online):
+    """The definition, probed pair by pair: ``C(p, x)`` is useless iff
+    some R-path ``C(p,u) -> C(p,v)`` has ``u > x >= v`` (the frontier
+    ``last+1`` counts as a source).  Oracle for the one-probe-per-node
+    ``IncrementalRGraph.useless_checkpoints``."""
+    out = set()
+    for pid in range(online.num_processes):
+        top = online.last_index(pid) + 1
+        for u in range(1, top + 1):
+            for v in range(u):
+                if online.reaches_strictly(
+                    CheckpointId(pid, u), CheckpointId(pid, v)
+                ):
+                    out.update(CheckpointId(pid, x) for x in range(v, u))
+    return sorted(out)
+
+
+def sim_history(protocol, n=8, seed=2):
+    sim = Simulation(
+        RandomUniformWorkload(send_rate=2.0),
+        SimulationConfig(n=n, duration=40.0, basic_rate=0.3, seed=seed),
+    )
+    return sim.run(protocol).history
+
+
+class TestOnlineQueriesOnChainRows:
+    @pytest.mark.parametrize("case", range(0, PATTERN_CASES, 5))
+    def test_useless_checkpoints_match_quadratic_scan(self, case):
+        online = IncrementalRGraph.from_history(pattern_for(case))
+        assert online.useless_checkpoints() == useless_by_quadratic_scan(online)
+        assert online.has_z_cycle() == bool(online.cycles())
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_useless_checkpoints_on_a_non_rdt_run(self, seed):
+        """Uncoordinated checkpointing does leave useless checkpoints."""
+        history = sim_history("independent", seed=seed)
+        online = IncrementalRGraph.from_history(history)
+        useless = online.useless_checkpoints()
+        assert useless and useless == useless_by_quadratic_scan(online)
+        assert useless == useless_checkpoints_rgraph(history)
+
+    @pytest.mark.parametrize("protocol", ["bhmr", "cbr", "independent"])
+    def test_chain_discovery_recovers_the_process_chains(self, protocol):
+        """Counts, not timings: on an R-graph feed the closure finds one
+        chain per process and rewrites a handful of rows per edge (the
+        bit-per-node kernel it replaced rewrote hundreds)."""
+        history = sim_history(protocol)
+        metrics = MetricsRegistry()
+        online = IncrementalRGraph.from_history(history, metrics=metrics)
+        rows = online.state()["closure"]["low"]
+        assert {len(row) for row in rows} == {history.num_processes}
+        edges = metrics.counter("closure.edges").value
+        assert edges >= online.num_edges() > 4 * history.num_processes
+        assert metrics.counter("closure.edge_updates").value <= 8 * edges
+
+
 @pytest.mark.tier2
 class TestPatternDifferential:
     @pytest.mark.parametrize("case", range(PATTERN_CASES))
@@ -138,6 +201,7 @@ class TestPatternDifferential:
         assert useless_checkpoints(history) == expected
         assert useless_checkpoints_incremental(history) == expected
         assert online.useless_checkpoints() == expected
+        assert useless_by_quadratic_scan(online) == expected
 
     @pytest.mark.parametrize("case", range(0, PATTERN_CASES, 2))
     def test_rdt_verdicts_bit_identical(self, case):

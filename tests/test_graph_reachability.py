@@ -1,8 +1,8 @@
-"""Unit tests for the generic digraph closure (SCCs, bitset reachability)."""
+"""Unit tests for the generic digraph closures (batch bitsets, online chain rows)."""
 
 import random
 
-from repro.graph.reachability import DenseDigraph
+from repro.graph.reachability import DenseDigraph, IncrementalClosure
 
 
 def brute_force_reach(n, edges, u):
@@ -116,3 +116,100 @@ class TestClosure:
             for u in range(n):
                 expect = brute_force_reach(n, edges, u)
                 assert closure.reachable_set(u) == expect, (trial, u, edges)
+
+
+def mask_of(nodes):
+    mask = 0
+    for v in nodes:
+        mask |= 1 << v
+    return mask
+
+
+class TestIncrementalClosure:
+    def test_self_reach_requires_cycle(self):
+        inc = IncrementalClosure(3)
+        inc.add_edge(0, 1)
+        inc.add_edge(1, 2)
+        assert inc.reaches(0, 2) and not inc.reaches(2, 0)
+        assert not inc.has_cycle()
+        inc.add_edge(1, 0)
+        assert inc.has_cycle()
+        assert inc.on_cycle(0) and inc.on_cycle(1) and not inc.on_cycle(2)
+        assert inc.reaches_or_equal(2, 2) and not inc.reaches(2, 2)
+        assert inc.cyclic_components() == [[0, 1]]
+
+    def test_isolated_node_is_unreachable(self):
+        inc = IncrementalClosure(2)
+        inc.add_edge(0, 0)
+        assert inc.reachable_set(0) == {0}
+        assert not inc.reaches(0, 1) and not inc.reaches(1, 1)
+
+    def test_new_tail_behind_a_cyclic_predecessor(self):
+        """A cyclic chain tail reaches the node appended behind it
+        through the lane entry it already has: nothing is rewritten."""
+        inc = IncrementalClosure(2)
+        assert inc.add_edge(0, 1) == 1
+        assert inc.add_edge(1, 0) == 2
+        tail = inc.add_node()
+        assert inc.add_edge(1, tail) == 0
+        assert inc.num_edges() == 3
+        assert inc.reachable_set(0) == inc.reachable_set(1) == {0, 1, tail}
+        assert inc.reachable_set(tail) == set() and not inc.on_cycle(tail)
+        assert inc.cyclic_components() == [[0, 1]]
+
+    def test_add_edge_returns_rows_changed(self):
+        """``add_edge`` returns how many nodes' reachability it rewrote,
+        checked against BFS before and after every call."""
+        rng = random.Random(99)
+        tail_joins = 0
+        for trial in range(60):
+            n = rng.randrange(1, 5)
+            inc = IncrementalClosure(n)
+            edges = []
+            for _ in range(rng.randrange(5, 40)):
+                roll = rng.random()
+                if roll < 0.2:
+                    inc.add_node()
+                    n += 1
+                    continue
+                if roll < 0.3 and edges:
+                    u, v = rng.choice(edges)  # duplicate
+                elif roll < 0.4:
+                    u = v = rng.randrange(n)  # self-loop
+                else:
+                    u, v = rng.randrange(n), rng.randrange(n)
+                before = [brute_force_reach(n, edges, w) for w in range(n)]
+                fresh = all(v not in edge for edge in edges) and u != v
+                edges.append((u, v))
+                touched = inc.add_edge(u, v)
+                after = [brute_force_reach(n, edges, w) for w in range(n)]
+                for w in range(n):
+                    assert inc.reach_mask(w) == mask_of(after[w]), (trial, edges)
+                    assert inc.reachable_set(w) == after[w]
+                    assert inc.on_cycle(w) == (w in after[w])
+                state = inc.state()
+                if (
+                    fresh
+                    and state["chain"][v] == state["chain"][u]
+                    and state["pos"][v] == state["pos"][u] + 1
+                ):
+                    # v was appended behind its chain's tail u: every
+                    # ancestor of u reaches it through the lane entry
+                    # that names u, so only u's own row can change.
+                    tail_joins += 1
+                    assert touched == (u not in before[u]), (trial, edges)
+                else:
+                    differ = sum(before[w] != after[w] for w in range(n))
+                    assert touched == differ, (trial, edges)
+        assert tail_joins > 20
+
+    def test_state_rows_are_dense_per_chain(self):
+        inc = IncrementalClosure(4)
+        inc.add_edge(0, 1)
+        inc.add_edge(2, 3)
+        inc.add_edge(1, 3)
+        state = inc.state()
+        assert state["chain"] == [0, 0, 1, 1] and state["pos"] == [0, 1, 0, 1]
+        assert state["low"] == [[1, 1], [-1, 1], [-1, 1], [-1, -1]]
+        assert state["pred"] == [[], [0], [], [1, 2]]
+        assert state["edges"] == 3

@@ -136,6 +136,41 @@ class TestQueries:
         assert metrics["queries"] == 0  # itself not yet counted
         assert session.query("metrics")["queries"] == 1
 
+    @pytest.mark.parametrize("protocol", ["bhmr", "cbr", "independent"])
+    def test_metrics_match_a_recount_of_the_log(self, protocol):
+        """The running counters answer what a scan of the log would."""
+        import random
+
+        rng = random.Random(11)
+        session = ServeSession("t", 4, protocol)
+        in_flight = []
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.15:
+                session.apply({"kind": "checkpoint", "pid": rng.randrange(4)})
+            elif roll < 0.6 or not in_flight:
+                src, dst = rng.sample(range(4), 2)
+                reply = session.apply({"kind": "send", "src": src, "dst": dst})
+                in_flight.append(reply["msg_id"])
+            else:
+                mid = in_flight.pop(rng.randrange(len(in_flight)))
+                session.apply({"kind": "deliver", "msg_id": mid})
+            with pytest.raises(SessionError):  # refused ops count nowhere
+                session.apply({"kind": "send", "src": 0, "dst": 0})
+        kinds = [op["kind"] for op in session.ingest_log]
+        metrics = session.query("metrics")
+        assert metrics["events"] == len(kinds) == 300
+        assert metrics["sends"] == kinds.count("send")
+        assert metrics["delivers"] == kinds.count("deliver")
+        assert metrics["forced"] == session.forced_total
+        assert (
+            metrics["checkpoints"]
+            == kinds.count("checkpoint") + session.forced_total
+            == sum(session.manager.last_taken(p) for p in range(4))
+        )
+        if protocol != "independent":
+            assert session.forced_total > 0  # forced checkpoints exercised
+
     def test_queries_never_log(self, session):
         drive(session, [("c", 0)])
         session.query("rdt_status")

@@ -46,13 +46,21 @@ class TestSnapshotRoundTrip:
     def test_snapshot_doc_is_json_safe(self):
         doc = snapshot_doc(busy_session())
         assert canonical_dumps(doc)  # no repr fallbacks, no cycles
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["events"] == len(doc["log"])
         assert doc["wal_seq"] == -1  # no WAL attached
 
     def test_snapshot_doc_records_wal_watermark(self):
         doc = snapshot_doc(busy_session(), wal_seq=41)
         assert doc["wal_seq"] == 41
+
+    def test_other_version_refused_by_name(self):
+        # A parent-commit doc hashed another preimage; it must not reach
+        # (and misleadingly fail) the digest check.
+        doc = snapshot_doc(busy_session())
+        doc["version"] = 2
+        with pytest.raises(SimulationError, match="version 2"):
+            restore_session(doc)
 
     def test_tampered_log_fails_integrity_check(self):
         doc = snapshot_doc(busy_session())

@@ -15,11 +15,14 @@ echo "== tier-1: pytest =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
 # The committed benchmark (BENCHMARK.json) is frozen and calls pinned
-# names of the program; run its self-test sizes here (about 5 s) so a
-# call it depends on breaks this gate, not the benchmark pipeline.
-echo "== ledger: frozen benchmark smoke (offline_cell, serve_short traced) =="
+# names of the program; run its self-test sizes here (about 10 s) so a
+# call it depends on breaks this gate, not the benchmark pipeline.  The
+# traced serve_deep pass drives IncrementalClosure through the bare
+# add_node()/add_edge(u, v) API on n=16 feeds.
+echo "== ledger: frozen benchmark smoke (offline_cell, serve_short + serve_deep traced) =="
 python3 benchmarks/ledger/run.py --workload offline_cell --quick
 python3 benchmarks/ledger/run.py --workload serve_short --quick --trace 1
+python3 benchmarks/ledger/run.py --workload serve_deep --quick --trace 1
 
 # Sharded stage (opt-in: spawns real shard subprocesses behind the
 # router).  REPRO_SHARDED=1 runs the multi-process differential suite
