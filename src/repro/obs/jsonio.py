@@ -14,6 +14,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
+# ``json.dumps`` with non-default options builds a fresh JSONEncoder per
+# call; every wire frame comes through here, so hold the one encoder.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def jsonable(value: object) -> object:
     """A JSON-safe, deterministic rendition of an arbitrary value.
@@ -33,7 +37,7 @@ def jsonable(value: object) -> object:
 
 def canonical_dumps(doc: Any) -> str:
     """Encode ``doc`` as canonical (sorted, compact) JSON text."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _ENCODE(doc)
 
 
 def canonical_bytes(doc: Any) -> bytes:

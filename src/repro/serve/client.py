@@ -12,7 +12,27 @@ Two flavours over the same wire format:
 Both raise :class:`ReplyError` when the server answers ``ok: false``
 (the reply's error code is on the exception, so callers can tell a
 shed ``overloaded`` frame -- retryable -- from a real fault), and plain
-:class:`ConnectionError` when the peer is gone.
+:class:`ConnectionError` when the peer is gone or its framing is broken
+(``wire.FrameError`` never escapes either client).
+
+How :class:`AsyncClient` writes (Nagle-style coalescing, no knob):
+
+* **Idle => immediate.**  A ``submit`` that is the connection's only
+  unanswered request is written before ``submit`` returns -- there is
+  nothing to batch it with, so a window-1 caller pays no extra loop
+  turn.
+* **Busy => once per loop turn.**  Otherwise the encoded frame joins a
+  per-connection out-list that one ``loop.call_soon`` callback hands to
+  the transport as a single ``write`` -- a pipelined caller pays one
+  syscall per burst, and the server finds a whole batch per ``recv``.
+* **Any wait => flush first.**  ``reply()`` on an unresolved future,
+  ``flush()``, ``call()`` and ``close()`` write the out-list before
+  they wait, so nothing of ours sits queued while we wait for an answer
+  to it.  Submit order is wire order.
+
+``flush()`` therefore means "everything submitted is with the transport
+now"; it additionally waits for the transport to drain only when the
+transport is actually holding bytes the peer has not taken.
 
 Resilience semantics (the wire-chaos grid tortures all of these):
 
@@ -22,6 +42,11 @@ Resilience semantics (the wire-chaos grid tortures all of these):
   deadline miss raises the typed, retryable :class:`RequestTimeout`
   and *invalidates* the connection -- the request may be half-sent or
   its reply half-received, so the framing can no longer be trusted.
+  The async deadline is O(1) per wait: a reply that already arrived is
+  returned without yielding or arming anything; otherwise one
+  ``loop.call_later`` handle is armed for the wait and cancelled when
+  the reply lands.  On expiry it fails the awaited future and aborts
+  the transport, which fails every other in-flight future too.
 * **Seeded backoff.**  The sync client's transparent retry of
   :data:`RETRYABLE_CODES` uses jittered exponential backoff drawn from
   a seeded RNG (``retry_delay`` base, doubling per attempt, capped at
@@ -42,7 +67,16 @@ import asyncio
 import random
 import socket
 import time
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.serve import wire
 from repro.types import ReproError
@@ -489,12 +523,17 @@ class AsyncClient(_Requests):
 
     ``timeout`` is a *per-request deadline*, not just a dial guard:
     every awaited reply (:meth:`call`, :meth:`reply`) and every
-    :meth:`flush` is bounded by it.  A deadline miss raises the same
-    typed :class:`RequestTimeout` as the sync client and invalidates
-    the connection -- in-flight futures fail, later submits fail fast
-    with :class:`ConnectionError` -- because a reply that arrives late
-    would desync the pipelining bookkeeping.  Reconnect via
-    :meth:`connect`; ``timeout=None`` disables the deadline.
+    :meth:`flush` that has to wait is bounded by it.  A deadline miss
+    raises the same typed :class:`RequestTimeout` as the sync client
+    and invalidates the connection -- in-flight futures fail, later
+    submits fail fast with :class:`ConnectionError` -- because a reply
+    that arrives late would desync the pipelining bookkeeping.
+    Reconnect via :meth:`connect`; ``timeout=None`` disables the
+    deadline.
+
+    Frames are coalesced Nagle-style (see the module docstring):
+    ``frames_sent`` / ``writes`` count the frames handed to the
+    transport and the ``write`` calls that carried them.
     """
 
     def __init__(
@@ -509,7 +548,15 @@ class AsyncClient(_Requests):
         self._seq = 0
         self._dead = False
         self._pending: Dict[object, asyncio.Future] = {}
-        self._reader_task = asyncio.ensure_future(self._read_replies())
+        #: Encoded frames submitted but not yet handed to the transport,
+        #: in submit order.
+        self._out: List[bytes] = []
+        self.frames_sent = 0
+        self.writes = 0
+        # get_running_loop, not the deprecated get_event_loop: the client
+        # is only legal with the loop running (the reader task needs it).
+        self._loop = asyncio.get_running_loop()
+        self._reader_task = self._loop.create_task(self._read_replies())
 
     @classmethod
     async def connect(
@@ -531,27 +578,43 @@ class AsyncClient(_Requests):
         return cls(reader, writer, timeout=timeout)
 
     # ------------------------------------------------------------------
+    # the read half
+    # ------------------------------------------------------------------
     async def _read_replies(self) -> None:
         error: BaseException = ConnectionError("server closed the connection")
         buffer = wire.FrameBuffer()
+        pending = self._pending
         try:
             while True:
-                reply = buffer.next_doc()
-                if reply is None:
-                    data = await self._reader.read(65536)
-                    if not data:
-                        if buffer.pending():
-                            error = wire.FrameError("closed mid-frame")
-                        break
+                data = await self._reader.read(65536)
+                if not data:
+                    if buffer.pending():
+                        raise wire.FrameError("closed mid-frame")
+                    break
+                try:
                     buffer.feed(data)
-                    continue
-                future = self._pending.pop(reply.get("seq"), None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except (wire.FrameError, ConnectionError, OSError) as exc:
+                finally:
+                    # Also when a later frame of the chunk is garbage:
+                    # the good replies ahead of it were acked by the
+                    # server and must not be reported as failures.
+                    while (reply := buffer.next_doc()) is not None:
+                        future = pending.pop(reply.get("seq"), None)
+                        if future is not None and not future.done():
+                            future.set_result(reply)
+        except wire.FrameError as exc:
+            # Normalised like the sync client: callers handle exactly
+            # one retry-after-reconnect exception family.
+            error = ConnectionError(
+                f"broken framing from peer ({exc}); reconnect via "
+                f"AsyncClient.connect()"
+            )
+        except (ConnectionError, OSError) as exc:
             error = exc
         except asyncio.CancelledError:
             error = ConnectionError("client closed")
+        self._fail_pending(error)
+
+    def _fail_pending(self, error: BaseException) -> None:
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(error)
@@ -561,20 +624,20 @@ class AsyncClient(_Requests):
                 future.exception()
         self._pending.clear()
 
+    # ------------------------------------------------------------------
+    # the write half
+    # ------------------------------------------------------------------
     def submit(self, kind: str, **fields: object) -> "asyncio.Future":
         """Fire one request without waiting; resolves to the raw reply.
 
         This is the pipelining primitive: N submits then N awaits keeps
-        N frames in flight on one connection.
+        N frames in flight on one connection.  The frame is written
+        before ``submit`` returns when the connection is idle, and with
+        its neighbours -- one transport write for the burst -- otherwise.
         """
         self._seq += 1
         seq = self._seq
-        doc = self._frame(kind, seq, **fields)
-        # get_running_loop, not the deprecated get_event_loop: submit is
-        # only legal with the loop running (the reader task needs it),
-        # and get_event_loop inside a running loop warns today and is
-        # slated to raise on future CPython.
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future: asyncio.Future = self._loop.create_future()
         if self._dead:
             future.set_exception(
                 ConnectionError(
@@ -584,33 +647,61 @@ class AsyncClient(_Requests):
             )
             future.exception()  # consumed here; awaiting still raises
             return future
-        self._pending[seq] = future
         try:
-            self._writer.write(wire.encode_frame(doc))
-        except Exception as exc:  # connection already torn down
-            self._pending.pop(seq, None)
-            if not future.done():
-                future.set_exception(ConnectionError(str(exc)))
+            frame = wire.encode_frame(self._frame(kind, seq, **fields))
+        except Exception as exc:  # oversized or unencodable: never sent
+            future.set_exception(ConnectionError(str(exc)))
+            return future
+        self._pending[seq] = future
+        out = self._out
+        out.append(frame)
+        if len(self._pending) == 1:
+            # Idle: every earlier request has been answered, so there is
+            # nothing to coalesce with and deferring would only add a
+            # loop turn to the round trip.
+            self._write_out()
+        elif len(out) == 1:
+            # Busy: the first frame of a burst books the write for the
+            # end of this loop turn; its neighbours ride along.
+            self._loop.call_soon(self._write_out)
         return future
 
-    async def flush(self) -> None:
-        """Honour the transport's backpressure after a burst of submits.
-
-        Deadline-bounded like every other await: a peer that stalls
-        while our transport buffer is full would otherwise hang the
-        drain forever.
-        """
-        if self._timeout is None:
-            await self._writer.drain()
+    def _write_out(self) -> None:
+        """Hand every queued frame to the transport in one write."""
+        out = self._out
+        if not out:
             return
+        data = out[0] if len(out) == 1 else b"".join(out)
+        self.frames_sent += len(out)
+        self.writes += 1
+        out.clear()
         try:
-            await asyncio.wait_for(self._writer.drain(), timeout=self._timeout)
-        except asyncio.TimeoutError:
-            self._invalidate()
-            raise RequestTimeout(
-                f"transport refused to drain within {self._timeout}s; "
-                f"connection invalidated"
-            ) from None
+            self._writer.write(data)
+        except Exception as exc:  # connection already torn down
+            self._fail_pending(ConnectionError(str(exc)))
+
+    async def flush(self) -> None:
+        """Write every submitted frame now; honour transport backpressure.
+
+        Waits (under the deadline) only when the transport is actually
+        holding bytes the peer has not taken: a peer that stalls while
+        our transport buffer is full would otherwise hang the drain
+        forever.
+        """
+        self._write_out()
+        if not self._writer.transport.get_write_buffer_size():
+            return
+        # drain() has no future of ours to fail, so the deadline fails a
+        # stand-in; abort() in _invalidate is what wakes the drain.
+        expired: asyncio.Future = self._loop.create_future()
+        handle = self._arm(expired, "transport refused to drain")
+        try:
+            await self._writer.drain()
+        finally:
+            if handle is not None:
+                handle.cancel()
+        if expired.done():
+            raise expired.exception()  # type: ignore[misc]
 
     async def reply(self, future: "asyncio.Future") -> Dict[str, object]:
         """Await one submitted request's raw reply under the deadline.
@@ -618,30 +709,52 @@ class AsyncClient(_Requests):
         This is the awaiting half of the pipelining primitive: callers
         that ``submit`` in bursts must collect through here (or
         :meth:`call`) so a stalled or blackholed server surfaces as
-        :class:`RequestTimeout` instead of an eternal hang.
+        :class:`RequestTimeout` instead of an eternal hang.  A reply
+        that already arrived is returned without yielding to the loop.
         """
-        if self._timeout is None:
-            return await future
+        if future.done():
+            return future.result()
+        self._write_out()  # about to wait: nothing of ours may sit queued
+        handle = self._arm(future, "no reply")
         try:
-            return await asyncio.wait_for(future, timeout=self._timeout)
-        except asyncio.TimeoutError:
-            # The reply may yet arrive -- late, out of budget.  Frame
-            # accounting can no longer be trusted, so the whole
-            # connection is invalidated, failing every other in-flight
-            # future (the reader task's cleanup does that).
-            self._invalidate()
-            raise RequestTimeout(
-                f"no reply within {self._timeout}s; connection invalidated, "
+            return await future
+        finally:
+            if handle is not None:
+                handle.cancel()
+
+    def _arm(
+        self, future: "asyncio.Future", what: str
+    ) -> Optional[asyncio.TimerHandle]:
+        if self._timeout is None:
+            return None
+        return self._loop.call_later(self._timeout, self._expire, future, what)
+
+    def _expire(self, future: "asyncio.Future", what: str) -> None:
+        """The deadline passed with ``future`` still unresolved.
+
+        The reply may yet arrive -- late, out of budget.  Frame
+        accounting can no longer be trusted, so the whole connection is
+        invalidated, failing every other in-flight future (the reader
+        task's cleanup does that).
+        """
+        if future.done():
+            return
+        future.set_exception(
+            RequestTimeout(
+                f"{what} within {self._timeout}s; connection invalidated, "
                 f"reconnect via AsyncClient.connect()"
-            ) from None
+            )
+        )
+        self._invalidate()
 
     def _invalidate(self) -> None:
         self._dead = True
+        self._out.clear()
         self._reader_task.cancel()
-        try:
-            self._writer.close()
-        except Exception:
-            pass
+        # abort, not close: close() would wait for buffered bytes a
+        # stalled peer never takes, and a flush() parked in drain() is
+        # woken only by the connection actually going away.
+        self._writer.transport.abort()
 
     async def call(self, kind: str, **fields: object) -> Dict[str, object]:
         future = self.submit(kind, **fields)

@@ -63,6 +63,11 @@ class LoadReport:
     ingest_latencies_s: List[float] = field(default_factory=list, repr=False)
     query_latencies_s: List[float] = field(default_factory=list, repr=False)
     per_session: Dict[str, int] = field(default_factory=dict)
+    #: Frames handed to the transports and the writes that carried them,
+    #: summed over connections (:attr:`AsyncClient.frames_sent` /
+    #: :attr:`AsyncClient.writes`): how well the pipelined path batches.
+    frames_sent: int = 0
+    writes: int = 0
 
     @property
     def throughput(self) -> float:
@@ -92,6 +97,7 @@ class LoadReport:
             "queries": self.queries,
             "duration_s": round(self.duration_s, 6),
             "throughput_events_per_s": round(self.throughput, 1),
+            "frames_per_write": round(self.frames_sent / max(1, self.writes), 2),
             "per_session": dict(sorted(self.per_session.items())),
         }
         doc.update(
@@ -210,6 +216,8 @@ async def _drive_session(
     finally:
         report.per_session[session_id] = acked_here
         await client.close()
+        report.frames_sent += client.frames_sent
+        report.writes += client.writes
     return len(send_futures)
 
 

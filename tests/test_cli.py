@@ -325,3 +325,5 @@ class TestServiceVerbs:
         assert load["errors"] == 0 and load["shed"] == 0
         assert load["acked"] > 0 and load["queries"] > 0
         assert load["acked"] == sum(load["per_session"].values())
+        # Pipelined connections batch: never more writes than frames.
+        assert load["frames_per_write"] >= 1.0

@@ -515,3 +515,289 @@ class TestBrokenFraming:
             # Invalidated: no mis-parse from mid-frame on a dead conn.
             with pytest.raises(ConnectionError, match="invalidated"):
                 client.request("query", session="s")
+
+    def test_async_garbage_after_good_reply_keeps_the_ack(self, tmp_path):
+        """Regression: a good reply and a garbage frame in one chunk used
+        to fail *both* futures, and with raw ``wire.FrameError`` -- which
+        is not in the retry-after-reconnect family drivers catch."""
+
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            first = wire.recv_frame(conn, buffer)
+            wire.recv_frame(conn, buffer)
+            conn.sendall(
+                wire.encode_frame({"ok": True, "seq": first["seq"]})
+                + b"\x00\x00\x00\x05not-j"
+            )
+            while wire.recv_frame(conn, buffer) is not None:
+                pass
+
+        path = tmp_path / "garbage.sock"
+
+        async def scenario():
+            client = await AsyncClient.connect(f"unix:{path}", timeout=2.0)
+            acked = client.submit("checkpoint", session="s", pid=0)
+            lost = client.submit("checkpoint", session="s", pid=1)
+            assert (await client.reply(acked))["ok"] is True
+            with pytest.raises(ConnectionError, match="broken framing"):
+                await client.reply(lost)
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+    def test_async_truncated_frame_normalises(self, tmp_path):
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            if wire.recv_frame(conn, buffer) is None:
+                return
+            conn.sendall(b"\x00\x00\x00\x40" + b'{"ok": true, "seq"')
+            conn.close()
+
+        path = tmp_path / "atrunc.sock"
+
+        async def scenario():
+            client = await AsyncClient.connect(f"unix:{path}", timeout=2.0)
+            with pytest.raises(ConnectionError, match="broken framing"):
+                await client.call("query", session="s")
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+
+def _record_writes(client):
+    """Log every chunk the client hands its transport, still sending it."""
+    chunks = []
+    send = client._writer.write
+
+    def write(data):
+        chunks.append(bytes(data))
+        send(data)
+
+    client._writer.write = write
+    return chunks
+
+
+def _seqs(chunk):
+    return [doc["seq"] for doc in wire.FrameBuffer().feed(chunk)]
+
+
+def _live_timers(loop):
+    return [handle for handle in loop._scheduled if not handle.cancelled()]
+
+
+class TestAsyncClientCoalescing:
+    """The write discipline: idle => immediate, busy => one write per
+    loop turn, any wait => flush first.  And the O(1) deadline."""
+
+    def test_burst_on_busy_connection_is_one_write_in_submit_order(self, tmp_path):
+        seen = []
+
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            while True:
+                doc = wire.recv_frame(conn, buffer)
+                if doc is None:
+                    return
+                seen.append(doc["seq"])
+                wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+
+        path = tmp_path / "burst.sock"
+
+        async def scenario():
+            client = await AsyncClient.connect(f"unix:{path}", timeout=2.0)
+            chunks = _record_writes(client)
+            futures = [
+                client.submit("checkpoint", session="s", pid=i) for i in range(40)
+            ]
+            # Idle rule: the first frame left inside submit(), before
+            # any await; the other 39 wait for the turn to end.
+            assert [_seqs(c) for c in chunks] == [[1]]
+            assert (client.frames_sent, client.writes) == (1, 1)
+            replies = [await client.reply(f) for f in futures]
+            assert [r["seq"] for r in replies] == list(range(1, 41))
+            assert [_seqs(c) for c in chunks] == [[1], list(range(2, 41))]
+            assert (client.frames_sent, client.writes) == (40, 2)
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+        assert seen[:40] == list(range(1, 41))
+
+    def test_plain_await_gets_its_frame_out_on_the_next_turn(self, tmp_path):
+        def handler(index, conn):
+            _serve_ok(conn)
+
+        path = tmp_path / "turn.sock"
+
+        async def scenario():
+            client = await AsyncClient.connect(f"unix:{path}", timeout=2.0)
+            chunks = _record_writes(client)
+            client.submit("checkpoint", session="s", pid=0)
+            queued = client.submit("checkpoint", session="s", pid=1)
+            assert len(chunks) == 1  # busy: the second frame is queued
+            # No reply()/flush()/call(): the loop turn alone sends it.
+            assert (await asyncio.wait_for(queued, timeout=2.0))["seq"] == 2
+            assert [_seqs(c) for c in chunks] == [[1], [2]]
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+    def test_reply_on_done_future_neither_yields_nor_arms_a_timer(self, tmp_path):
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            while True:
+                doc = wire.recv_frame(conn, buffer)
+                if doc is None:
+                    return
+                wire.send_frame(
+                    conn, wire.error_reply(doc["seq"], "overloaded", "queue full")
+                )
+
+        path = tmp_path / "done.sock"
+
+        def step(coro):
+            """Run ``coro`` without a loop turn; it must finish at once."""
+            try:
+                coro.send(None)
+            except StopIteration as stop:
+                return stop.value
+            raise AssertionError("reply() yielded on a done future")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            client = await AsyncClient.connect(f"unix:{path}", timeout=2.0)
+            refused = client.submit("checkpoint", session="s", pid=0)
+            await asyncio.wait_for(refused, timeout=2.0)
+            before = _live_timers(loop)
+            # An ok=false reply comes back raw, not raised.
+            assert step(client.reply(refused))["error"] == "overloaded"
+            broken = loop.create_future()
+            broken.set_exception(KeyError("stored"))
+            with pytest.raises(KeyError, match="stored"):
+                step(client.reply(broken))
+            assert _live_timers(loop) == before
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+    def test_blackholed_server_deadline(self, tmp_path):
+        release = threading.Event()
+
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            doc = wire.recv_frame(conn, buffer)
+            release.wait(timeout=10.0)
+            # Out of budget: the client must ignore this.
+            wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+
+        path = tmp_path / "hole.sock"
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            client = await AsyncClient.connect(f"unix:{path}", timeout=0.2)
+            first = client.submit("checkpoint", session="s", pid=0)
+            sibling = client.submit("checkpoint", session="s", pid=1)
+            started = time.monotonic()
+            with pytest.raises(RequestTimeout, match="0.2"):
+                await client.reply(first)
+            assert time.monotonic() - started < 2.0
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(sibling, timeout=2.0)
+            late = client.submit("query", session="s")
+            assert late.done()  # failed fast, never queued or written
+            with pytest.raises(ConnectionError, match="invalidated"):
+                late.result()
+            assert client.frames_sent == 2
+            release.set()
+            await asyncio.sleep(0.1)  # the late reply arrives -- nowhere
+            assert isinstance(first.exception(), RequestTimeout)
+            assert _live_timers(loop) == []
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+    def test_timeout_none_waits_without_a_timer(self, tmp_path):
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            doc = wire.recv_frame(conn, buffer)
+            time.sleep(0.1)
+            wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+            _serve_ok(conn)
+
+        path = tmp_path / "nodl2.sock"
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            client = await AsyncClient.connect(f"unix:{path}", timeout=None)
+            future = client.submit("query", session="s")
+            waiter = asyncio.ensure_future(client.reply(future))
+            await asyncio.sleep(0)  # reply() is now parked on the future
+            assert not waiter.done()
+            assert _live_timers(loop) == []
+            assert (await waiter)["ok"] is True
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+    def test_pipelined_run_batches_and_leaves_no_timers(self, tmp_path):
+        def handler(index, conn):
+            _serve_ok(conn)
+
+        path = tmp_path / "pipe.sock"
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            client = await AsyncClient.connect(f"unix:{path}", timeout=5.0)
+            inflight = []
+            acked = 0
+            for i in range(1000):
+                while len(inflight) >= 64:
+                    acked += (await client.reply(inflight.pop(0)))["ok"]
+                inflight.append(client.submit("checkpoint", session="s", pid=i))
+                if i % 64 == 63:
+                    await client.flush()
+            while inflight:
+                acked += (await client.reply(inflight.pop(0)))["ok"]
+            assert acked == 1000
+            assert client.frames_sent == 1000
+            assert client.writes < 500  # bursts, not one syscall per frame
+            assert _live_timers(loop) == []
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            asyncio.run(scenario())
+
+    def test_flush_deadline_when_peer_stops_reading(self, tmp_path):
+        gate = threading.Event()
+
+        def handler(index, conn):
+            gate.wait(timeout=10.0)  # accept, then never read a byte
+
+        path = tmp_path / "full.sock"
+
+        async def scenario():
+            client = await AsyncClient.connect(f"unix:{path}", timeout=0.3)
+            blob = "x" * 500_000
+            futures = [client.submit("query", session=blob) for _ in range(8)]
+            started = time.monotonic()
+            with pytest.raises(RequestTimeout, match="drain"):
+                await client.flush()
+            assert time.monotonic() - started < 2.0
+            for future in futures:
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(future, timeout=2.0)
+            with pytest.raises(ConnectionError, match="invalidated"):
+                client.submit("query", session="s").result()
+            await client.close()
+
+        with _ScriptedServer(path, handler):
+            try:
+                asyncio.run(scenario())
+            finally:
+                gate.set()
