@@ -5,12 +5,15 @@ cares about: R-graph closure, RDT verification (both characterizations),
 zigzag reachability and recovery-line computation on a mid-size run.
 """
 
+from time import perf_counter
+
 import pytest
 
 from repro.analysis import check_rdt, useless_checkpoints
 from repro.graph import IncrementalClosure, IncrementalRGraph, RGraph, ZPathAnalyzer
 from repro.obs.tracer import Tracer
 from repro.recovery import recovery_line
+from repro.serve.session import ServeSession
 from repro.sim import Simulation, SimulationConfig
 from repro.workloads import RandomUniformWorkload
 
@@ -109,8 +112,8 @@ def test_incremental_rgraph_from_history(benchmark, history):
 
 
 def test_online_rdt_status_queries(benchmark, history):
-    """What ``rdt_status`` reads per query: one probe per node, one set
-    lookup."""
+    """What ``rdt_status`` reads per query: one probe per on-cycle node,
+    one set lookup."""
     closed = history.closed()
     inc = IncrementalRGraph.from_history(closed)
     useless, cyclic = benchmark(
@@ -122,3 +125,65 @@ def test_online_rdt_status_queries(benchmark, history):
     # absent, only consistent with the batch kernel.)
     assert useless == []
     assert cyclic == bool(RGraph(closed).cycles())
+
+
+# ----------------------------------------------------------------------
+# the three online queries at two depths: cost must not follow history
+# ----------------------------------------------------------------------
+QUERY_DEPTHS = (60.0, 240.0)
+
+
+def session_at_depth(duration, n=16):
+    """A ``bhmr`` session fed the ledger's ``serve_deep`` input shape
+    (same generator, ``n=16``) for ``duration`` simulated seconds."""
+    from benchmarks.ledger.workloads import trace_ops
+
+    ops, _ = trace_ops(n, duration, seed=0)
+    session = ServeSession(f"depth-{duration:g}", n, "bhmr")
+    ids = {}
+    for op in ops:
+        if op[0] == "c":
+            session.apply({"kind": "checkpoint", "pid": op[1]})
+        elif op[0] == "s":
+            reply = session.apply({"kind": "send", "src": op[1], "dst": op[2]})
+            ids[op[3]] = reply["msg_id"]
+        else:
+            session.apply({"kind": "deliver", "msg_id": ids[op[1]]})
+    return session
+
+
+@pytest.fixture(scope="module")
+def sessions_by_depth():
+    return [session_at_depth(duration) for duration in QUERY_DEPTHS]
+
+
+def best_ms(fn, reps=200, rounds=5):
+    best = float("inf")
+    for _ in range(rounds):
+        started = perf_counter()
+        for _ in range(reps):
+            fn()
+        best = min(best, (perf_counter() - started) / reps)
+    return 1e3 * best
+
+
+@pytest.mark.parametrize("what", ["rdt_status", "z_cycles", "recovery_line"])
+def test_online_queries_do_not_grow_with_history(what, sessions_by_depth):
+    """Each query kind timed at ``duration`` 60 and 240 and the ratio
+    printed.  ``rdt_status`` and ``recovery_line`` are read off the
+    on-cycle set, the frontier rows and the tails of the delivery lists,
+    so 4x the history must stay well under 4x the time; ``z_cycles``
+    lists the cyclic components (O(cyclic nodes * n), and BHMR runs do
+    accumulate non-Z cyclic components), so its ratio is only reported."""
+    shallow, deep = sessions_by_depth
+    events = [len(session.ingest_log) for session in sessions_by_depth]
+    ms = [best_ms(lambda: session.query(what)) for session in sessions_by_depth]
+    growth, ratio = events[1] / events[0], ms[1] / ms[0]
+    print(
+        f"\n{what}: {ms[0]:.4f} ms at {events[0]} events -> {ms[1]:.4f} ms "
+        f"at {events[1]} events: x{ratio:.2f} the time for x{growth:.2f} "
+        f"the history ({deep.manager.rgraph.num_nodes()} nodes)"
+    )
+    assert growth > 3.5
+    if what != "z_cycles":
+        assert ratio < growth / 2

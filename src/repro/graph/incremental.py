@@ -17,6 +17,13 @@ a CIC protocol sees the pattern: the sender piggybacks its current
 interval index, the receiver attributes the delivery to its own open
 interval.
 
+Queries that only need "how far down does this node reach" read the
+closure row directly: the chains the closure discovers on this feed are
+the process chains, so :meth:`IncrementalRGraph.earliest_reached` is a
+dependency vector (per process, the first checkpoint reached) at
+O(processes), and :meth:`IncrementalRGraph.useless_checkpoints` probes
+only the nodes the closure already knows to lie on a cycle.
+
 Fed the events of a closed history in time order
 (:meth:`IncrementalRGraph.from_history`), the resulting reachability
 over real (non-frontier) checkpoints is bit-identical to the batch
@@ -236,23 +243,49 @@ class IncrementalRGraph:
         ]
         return sorted(comps, key=lambda comp: comp[0])
 
+    def earliest_reached(self, cid: CheckpointId) -> Dict[ProcessId, int]:
+        """Per process, the smallest checkpoint index ``cid`` strictly
+        R-reaches (processes it does not reach are absent).
+
+        Succession edges make reach along a process a suffix, so this
+        is ``cid``'s whole reach set in dependency-vector form, read
+        off its closure row in O(chains).  Rows are mapped back through
+        the node table rather than assumed one chain per process: a feed
+        that fragments a process over several chains still gets the
+        minimum over all of them.
+        """
+        nodes = self._nodes
+        first: Dict[ProcessId, int] = {}
+        for node in self._closure.earliest(self._id_of[cid]):
+            reached = nodes[node]
+            pid, index = reached.pid, reached.index
+            if first.get(pid, index) >= index:
+                first[pid] = index
+        return first
+
     def useless_checkpoints(self) -> List[CheckpointId]:
         """Checkpoints straddled by a backward R-path, as of now.
 
         ``C(p, x)`` is useless iff there is an R-path ``C(p,u) -> C(p,v)``
         with ``u > x >= v``.  Any such path extends along succession
-        edges to ``C(p,x+1) -> C(p,x)``, so one closure probe per node
-        decides it.  The frontier (index last+1) participates as a path
-        *source*: a chain leaving the open interval can already doom
-        taken checkpoints, even though its closing checkpoint is pending.
+        edges to ``C(p,x+1) -> C(p,x)``, and the succession edge back
+        closes a cycle through ``C(p,x+1)`` -- so only nodes the closure
+        already knows to be on a cycle can witness one, and one probe
+        per such node decides it: O(cyclic nodes), nothing under RDT.
+        The frontier (index last+1) participates as a witness: a chain
+        leaving the open interval can already doom taken checkpoints,
+        even though its closing checkpoint is pending.
         """
         reaches = self._closure.reaches
-        return [
-            CheckpointId(pid, x)
-            for pid, ids in enumerate(self._ids_of_pid)
-            for x in range(len(ids) - 1)
-            if reaches(ids[x + 1], ids[x])
-        ]
+        nodes, ids_of_pid = self._nodes, self._ids_of_pid
+        useless = []
+        for node in self._closure.cyclic_nodes():
+            witness = nodes[node]
+            below = witness.index - 1
+            if below >= 0 and reaches(node, ids_of_pid[witness.pid][below]):
+                useless.append(CheckpointId(witness.pid, below))
+        useless.sort()
+        return useless
 
     # ------------------------------------------------------------------
     # snapshot (hashed by the serve layer; restore replays the log)

@@ -374,6 +374,17 @@ class IncrementalClosure:
             out.update(members[lane][at:])
         return out
 
+    def earliest(self, u: int) -> List[int]:
+        """The first node ``u`` reaches on each chain it reaches at all.
+
+        The row read as a dependency vector: everything else ``u``
+        reaches lies behind one of these nodes on its chain, so a
+        caller that only needs "how far down does ``u`` reach on this
+        chain" reads O(chains), never O(reach set).
+        """
+        members = self._members
+        return [members[lane][at] for lane, at in self._low[u].items()]
+
     def reach_mask(self, u: int) -> int:
         """The reachability bitset of ``u`` (bit v set iff u -> v),
         materialised from the row."""
@@ -387,6 +398,10 @@ class IncrementalClosure:
 
     def has_cycle(self) -> bool:
         return bool(self._on_cycle)
+
+    def cyclic_nodes(self) -> SetView:
+        """Read-only view of the nodes lying on a cycle (no copy)."""
+        return SetView(self._on_cycle)
 
     def cyclic_components(self) -> List[List[int]]:
         """SCCs containing a cycle, each sorted, ordered by smallest node.

@@ -21,6 +21,19 @@ cross-checks every such answer against the offline
 :func:`repro.recovery.recovery_line.recovery_line` fixpoint on the
 closed prefix history.
 
+Neither answer scans the history.  A closure row is a dependency vector
+(per process, the first checkpoint reached), so the line is the
+lane-wise min over the crashed frontiers' rows minus one, bounded above
+by where each process stands -- O(n * |crashed|).  A message crossing a
+cut is still in transit or was delivered above the cut, so the manager
+keeps the in-transit records and, per receiver, the delivered records in
+delivery order (intervals never decrease along one list): the plan
+filters the former and walks each receiver's tail back to the cut, and
+:meth:`rollback` pops those same tails -- O(in-transit + deliveries
+undone).  Both indexes are derived from the records and stay out of
+:meth:`state`.  The scans they replaced are the oracles of
+``tests/test_online_vector_queries.py``.
+
 :meth:`collect_garbage` runs the *safe* log-GC rule online (both-sides
 condition -- see :mod:`repro.recovery.gc`): messages are reclaimed only
 when sent *and* delivered at or below the current total-failure floor.
@@ -34,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 from repro.events.event import Message
 from repro.graph.incremental import IncrementalRGraph
 from repro.recovery.logging import SenderLog
-from repro.types import CheckpointId, MessageId, ProcessId, RecoveryError
+from repro.types import MessageId, ProcessId, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.history import History
@@ -118,6 +131,13 @@ class RecoveryManager:
         self.tracer = tracer
         self.metrics = metrics
         self._records: Dict[MessageId, _MessageRecord] = {}
+        # The replay-plan indexes (derived from ``_records``, never
+        # snapshotted): what is still in transit, and per receiver what
+        # was delivered, in delivery order -- deliver intervals along
+        # one list never decrease, so the deliveries above any cut are
+        # a tail of it.
+        self._in_transit: Dict[MessageId, _MessageRecord] = {}
+        self._delivered_to: List[List[_MessageRecord]] = [[] for _ in range(n)]
         # Events recorded per process, and the running count at the
         # moment each checkpoint (index-aligned, incl. the checkpoint
         # event itself) was taken.  Initial checkpoints count as one
@@ -157,15 +177,20 @@ class RecoveryManager:
     def on_send(self, message: Message, t: float = 0.0) -> None:
         """``message`` was just sent: log it, remember its interval."""
         send_interval = self.last_taken(message.src) + 1
-        self._records[message.msg_id] = _MessageRecord(message, send_interval)
+        record = _MessageRecord(message, send_interval)
+        self._records[message.msg_id] = self._in_transit[message.msg_id] = record
         self.logs[message.src].record(message)
         self._event_count[message.src] += 1
 
     def on_deliver(self, message: Message, t: float = 0.0) -> None:
-        """``message`` was just delivered: hook its R-graph edge."""
-        record = self._records[message.msg_id]
+        """``message`` was just delivered: hook its R-graph edge.
+
+        ``KeyError`` for a message never sent or not in transit any more.
+        """
+        record = self._in_transit.pop(message.msg_id)
         deliver_interval = self.last_taken(message.dst) + 1
         record.deliver_interval = deliver_interval
+        self._delivered_to[message.dst].append(record)
         self._event_count[message.dst] += 1
         self.rgraph.observe_delivery(
             message.src, record.send_interval, message.dst, deliver_interval, t=t
@@ -225,42 +250,45 @@ class RecoveryManager:
         the rollback sources are the *frontier* nodes of crashed
         processes with a volatile tail (their open interval is exactly
         what the crash destroys); entry ``j`` of the line is the largest
-        ``y <= bound[j]`` no source R-reaches strictly.  A survivor
-        entry equal to ``last_taken + 1`` means "keep the volatile
-        state, do not roll back at all".
+        ``y <= bound[j]`` no source R-reaches strictly.  What a source
+        reaches on a process is a suffix of it (succession edges), so
+        that is the lane-wise min of the bound and each source's
+        earliest-reached index minus one -- O(n * |crashed|), a read of
+        the sources' dependency vectors.  A survivor entry equal to
+        ``last_taken + 1`` means "keep the volatile state, do not roll
+        back at all".
         """
         crashed_set = set(crashed)
-        bounds = self._bounds(crashed_set)
-        sources = [
-            self.rgraph.frontier(pid)
-            for pid in sorted(crashed_set)
-            if self.open_events(pid)
-        ]
-        cut: Dict[ProcessId, int] = {}
-        for pid in range(self.n):
-            chosen = 0
-            for y in range(bounds[pid], -1, -1):
-                target = CheckpointId(pid, y)
-                if not any(
-                    self.rgraph.reaches_strictly(src, target) for src in sources
-                ):
-                    chosen = y
-                    break
-            cut[pid] = chosen
+        cut = self._bounds(crashed_set)
+        rgraph = self.rgraph
+        for source in crashed_set:
+            if not self.open_events(source):
+                continue
+            reached = rgraph.earliest_reached(rgraph.frontier(source))
+            for pid, first in reached.items():
+                if first <= cut[pid]:
+                    cut[pid] = max(first - 1, 0)
         return cut
 
     def replay_plan_ids(self, cut: Dict[ProcessId, int]) -> List[MessageId]:
-        """Messages crossing ``cut``: sent at/below, not delivered at/below."""
-        out = []
-        for mid, record in self._records.items():
-            if record.send_interval > cut[record.message.src]:
-                continue
-            if (
-                record.deliver_interval is not None
-                and record.deliver_interval <= cut[record.message.dst]
-            ):
-                continue
-            out.append(mid)
+        """Messages crossing ``cut``: sent at/below, not delivered at/below.
+
+        Such a message is either still in transit or was delivered above
+        the cut, i.e. sits at the tail of its receiver's delivery list:
+        O(in-transit + deliveries the cut undoes), not O(messages).
+        """
+        out = [
+            mid
+            for mid, record in self._in_transit.items()
+            if record.send_interval <= cut[record.message.src]
+        ]
+        for dst, delivered in enumerate(self._delivered_to):
+            line = cut[dst]
+            for record in reversed(delivered):
+                if record.deliver_interval <= line:
+                    break
+                if record.send_interval <= cut[record.message.src]:
+                    out.append(record.message.msg_id)
         return sorted(out)
 
     def crash(self, pids: Sequence[ProcessId], t: float = 0.0) -> OnlineRecovery:
@@ -307,31 +335,37 @@ class RecoveryManager:
 
         The live graph is *not* rolled back: the resumed execution
         re-takes the same checkpoints and re-inserts the same edges
-        (piecewise determinism), so its closure stays exact.  Messages
-        sent above the cut are forgotten (their re-sends re-record
-        them); deliveries above the cut revert to in-transit.
+        (piecewise determinism), so its closure stays exact.  Deliveries
+        above the cut revert to in-transit (popped off their receiver's
+        tail), then messages sent above the cut are forgotten (their
+        re-sends re-record them): O(in-transit + deliveries undone).
+        ``cut`` must be consistent, as every recovery line is.
         """
         for pid in range(self.n):
             if cut[pid] > self.last_taken(pid):
                 continue  # no rollback for this process
             del self._count_at_ckpt[pid][cut[pid] + 1 :]
             self._event_count[pid] = self._count_at_ckpt[pid][cut[pid]]
+        in_transit = self._in_transit
+        for dst, delivered in enumerate(self._delivered_to):
+            line = cut[dst]
+            while delivered and delivered[-1].deliver_interval > line:
+                record = delivered.pop()
+                record.deliver_interval = None
+                in_transit[record.message.msg_id] = record
+        # ``cut`` is consistent (a recovery line has no orphans), so a
+        # message sent above it was delivered above it or not at all:
+        # every dead send is in transit by now.
         dead_sends = [
             mid
-            for mid, record in self._records.items()
+            for mid, record in in_transit.items()
             if record.send_interval > cut[record.message.src]
         ]
         for mid in dead_sends:
-            src = self._records[mid].message.src
+            src = in_transit.pop(mid).message.src
             del self._records[mid]
             if mid in self.logs[src]._messages:
                 del self.logs[src]._messages[mid]
-        for record in self._records.values():
-            if (
-                record.deliver_interval is not None
-                and record.deliver_interval > cut[record.message.dst]
-            ):
-                record.deliver_interval = None
 
     # ------------------------------------------------------------------
     # online garbage collection (the safe rule, live)

@@ -655,8 +655,13 @@ class CheckpointServer:
             self._touch(session_id)
             if kind == "query":
                 what = str(doc.get("what"))
+                started = perf_counter() if self.metrics is not None else 0.0
                 result = session.query(what, crashed=doc.get("crashed"))
                 if self.metrics is not None:
+                    # One histogram per kind (an unknown kind raised).
+                    self.metrics.observe(
+                        f"serve.query.{what}_s", perf_counter() - started
+                    )
                     self.metrics.inc("serve.queries")
                 return {"ok": True, "seq": seq, "result": result}
             if kind == "snapshot":

@@ -167,7 +167,8 @@ class ServeSession:
 
     def _pid(self, doc: Dict[str, object], field: str) -> int:
         pid = doc.get(field)
-        if not isinstance(pid, int) or not 0 <= pid < self.n:
+        # ``type(...) is int``: JSON ``true`` is an ``int`` to isinstance.
+        if type(pid) is not int or not 0 <= pid < self.n:
             raise SessionError(f"{field}={pid!r} out of range for n={self.n}")
         return pid
 
@@ -221,15 +222,16 @@ class ServeSession:
 
     def _apply_deliver(self, doc: Dict[str, object]) -> Dict[str, object]:
         msg_id = doc.get("msg_id")
-        message = self._messages.get(msg_id)  # type: ignore[arg-type]
+        # ``1.0`` and ``False`` hash equal to message ids 1 and 0.
+        message = self._messages.get(msg_id) if type(msg_id) is int else None
         if message is None:
             raise SessionError(f"deliver of unknown msg_id {msg_id!r}")
         if msg_id in self._delivered:
             raise SessionError(f"message m{msg_id} delivered twice")
         t = self.clock
-        self.ingest_log.append({"kind": "deliver", "msg_id": int(msg_id)})  # type: ignore[arg-type]
+        self.ingest_log.append({"kind": "deliver", "msg_id": msg_id})
         self._delivered.add(msg_id)
-        pb = self._piggybacks[msg_id]  # type: ignore[index]
+        pb = self._piggybacks[msg_id]
         proto = self.family[message.dst]
         forced = proto.wants_forced_checkpoint(pb, message.src)
         forced_index: Optional[int] = None
@@ -239,7 +241,7 @@ class ServeSession:
         self.manager.on_deliver(message, t)
         return {
             "ok": True,
-            "msg_id": int(msg_id),  # type: ignore[arg-type]
+            "msg_id": msg_id,
             "force_checkpoint": forced,
             "forced_index": forced_index,
             "piggyback": {"tdv": list(proto.tdv)},
@@ -294,7 +296,7 @@ class ServeSession:
         if crashed is None:
             pids: Sequence[int] = range(self.n)
         elif isinstance(crashed, (list, tuple)) and all(
-            isinstance(p, int) and 0 <= p < self.n for p in crashed
+            type(p) is int and 0 <= p < self.n for p in crashed
         ):
             pids = sorted(set(crashed))
         else:

@@ -20,6 +20,7 @@ import pytest
 from repro import api
 from repro import cli
 from repro.obs import MetricsRegistry, Tracer
+from repro.recovery import RecoveryManager
 from repro.sim import (
     CrashSchedule,
     InjectedCrash,
@@ -29,6 +30,10 @@ from repro.sim import (
 )
 from repro.types import SimulationError
 from repro.workloads import RandomUniformWorkload
+from tests.test_online_vector_queries import (
+    assert_plan_index_is_derived,
+    plan_by_record_scan,
+)
 
 CONFIG = SimulationConfig(n=3, duration=40.0, seed=4, basic_rate=0.4)
 
@@ -184,6 +189,59 @@ class TestEngine:
             snap.counters["recovery.messages_replayed"]
             == result.total_messages_replayed
         )
+
+    @pytest.mark.parametrize("protocol", ["bhmr", "independent"])
+    def test_plan_index_follows_crash_rollback_and_reexecution(
+        self, protocol, monkeypatch
+    ):
+        """The replay-plan indexes stay ``_records`` regrouped through
+        every crash: rollback returns deliveries above the cut to
+        in-transit and drops dead sends from both indexes, and each
+        re-delivery during re-execution is indexed exactly once."""
+        rollback, on_deliver = RecoveryManager.rollback, RecoveryManager.on_deliver
+        seen = {"rollbacks": 0, "undone": 0, "redelivered": 0}
+        was_undone = set()
+
+        def checked_rollback(manager, cut):
+            plan = manager.replay_plan_ids(cut)
+            assert plan == plan_by_record_scan(manager, cut)
+            above = {
+                mid
+                for mid, rec in manager._records.items()
+                if rec.deliver_interval is not None
+                and rec.deliver_interval > cut[rec.message.dst]
+            }
+            dead = {
+                mid
+                for mid, rec in manager._records.items()
+                if rec.send_interval > cut[rec.message.src]
+            }
+            rollback(manager, cut)
+            assert_plan_index_is_derived(manager)
+            assert not dead & set(manager._records)
+            assert not dead & set(manager._in_transit)
+            assert above - dead <= set(manager._in_transit)
+            assert sorted(manager._in_transit) == plan
+            seen["rollbacks"] += 1
+            seen["undone"] += len(above)
+            was_undone.update(above)
+
+        def checked_deliver(manager, message, t=0.0):
+            on_deliver(manager, message, t)
+            if message.msg_id in was_undone:
+                was_undone.discard(message.msg_id)
+                seen["redelivered"] += 1
+                assert_plan_index_is_derived(manager)
+
+        monkeypatch.setattr(RecoveryManager, "rollback", checked_rollback)
+        monkeypatch.setattr(RecoveryManager, "on_deliver", checked_deliver)
+        schedule = CrashSchedule.at((0, 14.0), (2, 27.0), (1, 33.0))
+        result = self.run_once(protocol, schedule=schedule)
+        assert seen["rollbacks"] == 3
+        assert seen["undone"] and seen["redelivered"] == seen["undone"]
+        assert_plan_index_is_derived(result.manager)
+        clean = RecoveryManager.from_history(make_sim().run(protocol).history)
+        assert result.manager.state()["records"] == clean.state()["records"]
 
 
 class TestApiRecover:

@@ -11,9 +11,11 @@ randomized inputs:
   ``IncrementalRGraph`` on reachability, Z-cycle components and all
   three useless-checkpoint detectors, and the RDT checker's fast pass
   vs its definitional oracle (reports included);
-* the online graph's O(nodes) useless-checkpoint query vs the quadratic
-  scan it replaced (kept here as its oracle), and a structural guard
-  that the closure's chain discovery recovers the process chains.
+* the online graph's O(cyclic nodes) useless-checkpoint query vs the
+  quadratic scan of the definition (kept here as its oracle; the
+  one-probe-per-node form is ``tests/test_online_vector_queries.py``'s),
+  and a structural guard that the closure's chain discovery recovers
+  the process chains.
 
 Well over 200 randomized cases total; every assertion is exact equality.
 """
@@ -121,8 +123,8 @@ def pattern_for(case):
 def useless_by_quadratic_scan(online):
     """The definition, probed pair by pair: ``C(p, x)`` is useless iff
     some R-path ``C(p,u) -> C(p,v)`` has ``u > x >= v`` (the frontier
-    ``last+1`` counts as a source).  Oracle for the one-probe-per-node
-    ``IncrementalRGraph.useless_checkpoints``."""
+    ``last+1`` counts as a source).  Oracle for the probe-the-cyclic-
+    nodes ``IncrementalRGraph.useless_checkpoints``."""
     out = set()
     for pid in range(online.num_processes):
         top = online.last_index(pid) + 1

@@ -118,6 +118,31 @@ class TestClosure:
                 assert closure.reachable_set(u) == expect, (trial, u, edges)
 
 
+def growing_digraphs(rng, trials=60):
+    """Random growing digraphs, one edge at a time: yields ``(trial,
+    closure, n, edges so far, u, v)`` just *before* ``u -> v`` goes in
+    (the consumer inserts it).  The stream mixes node growth,
+    duplicates, self-loops, tail joins and edges that fragment the
+    chain cover."""
+    for trial in range(trials):
+        n = rng.randrange(1, 5)
+        inc = IncrementalClosure(n)
+        edges = []
+        for _ in range(rng.randrange(5, 40)):
+            roll = rng.random()
+            if roll < 0.2:
+                inc.add_node()
+                n += 1
+                continue
+            if roll < 0.3 and edges:
+                u, v = rng.choice(edges)  # duplicate
+            elif roll < 0.4:
+                u = v = rng.randrange(n)  # self-loop
+            else:
+                u, v = rng.randrange(n), rng.randrange(n)
+            yield trial, inc, n, edges, u, v
+
+
 def mask_of(nodes):
     mask = 0
     for v in nodes:
@@ -160,48 +185,57 @@ class TestIncrementalClosure:
     def test_add_edge_returns_rows_changed(self):
         """``add_edge`` returns how many nodes' reachability it rewrote,
         checked against BFS before and after every call."""
-        rng = random.Random(99)
         tail_joins = 0
-        for trial in range(60):
-            n = rng.randrange(1, 5)
-            inc = IncrementalClosure(n)
-            edges = []
-            for _ in range(rng.randrange(5, 40)):
-                roll = rng.random()
-                if roll < 0.2:
-                    inc.add_node()
-                    n += 1
-                    continue
-                if roll < 0.3 and edges:
-                    u, v = rng.choice(edges)  # duplicate
-                elif roll < 0.4:
-                    u = v = rng.randrange(n)  # self-loop
-                else:
-                    u, v = rng.randrange(n), rng.randrange(n)
-                before = [brute_force_reach(n, edges, w) for w in range(n)]
-                fresh = all(v not in edge for edge in edges) and u != v
-                edges.append((u, v))
-                touched = inc.add_edge(u, v)
-                after = [brute_force_reach(n, edges, w) for w in range(n)]
-                for w in range(n):
-                    assert inc.reach_mask(w) == mask_of(after[w]), (trial, edges)
-                    assert inc.reachable_set(w) == after[w]
-                    assert inc.on_cycle(w) == (w in after[w])
-                state = inc.state()
-                if (
-                    fresh
-                    and state["chain"][v] == state["chain"][u]
-                    and state["pos"][v] == state["pos"][u] + 1
-                ):
-                    # v was appended behind its chain's tail u: every
-                    # ancestor of u reaches it through the lane entry
-                    # that names u, so only u's own row can change.
-                    tail_joins += 1
-                    assert touched == (u not in before[u]), (trial, edges)
-                else:
-                    differ = sum(before[w] != after[w] for w in range(n))
-                    assert touched == differ, (trial, edges)
+        for trial, inc, n, edges, u, v in growing_digraphs(random.Random(99)):
+            before = [brute_force_reach(n, edges, w) for w in range(n)]
+            fresh = all(v not in edge for edge in edges) and u != v
+            edges.append((u, v))
+            touched = inc.add_edge(u, v)
+            after = [brute_force_reach(n, edges, w) for w in range(n)]
+            for w in range(n):
+                assert inc.reach_mask(w) == mask_of(after[w]), (trial, edges)
+                assert inc.reachable_set(w) == after[w]
+                assert inc.on_cycle(w) == (w in after[w])
+            state = inc.state()
+            if (
+                fresh
+                and state["chain"][v] == state["chain"][u]
+                and state["pos"][v] == state["pos"][u] + 1
+            ):
+                # v was appended behind its chain's tail u: every
+                # ancestor of u reaches it through the lane entry
+                # that names u, so only u's own row can change.
+                tail_joins += 1
+                assert touched == (u not in before[u]), (trial, edges)
+            else:
+                differ = sum(before[w] != after[w] for w in range(n))
+                assert touched == differ, (trial, edges)
         assert tail_joins > 20
+
+    def test_earliest_is_the_first_reached_member_of_each_chain(self):
+        """``earliest(u)`` is the row as a vector: per chain ``u``
+        reaches, the member of ``reachable_set(u)`` with the smallest
+        position -- and ``cyclic_nodes`` is exactly the on-cycle set."""
+        fragmented = 0
+        for trial, inc, n, edges, u, v in growing_digraphs(random.Random(41)):
+            edges.append((u, v))
+            inc.add_edge(u, v)
+            state = inc.state()
+            chain, pos = state["chain"], state["pos"]
+            fragmented += len(set(chain)) > 2
+            for w in range(n):
+                first = {}
+                for node in brute_force_reach(n, edges, w):
+                    lane = chain[node]
+                    if lane not in first or pos[node] < pos[first[lane]]:
+                        first[lane] = node
+                earliest = inc.earliest(w)
+                assert sorted(earliest) == sorted(first.values()), (trial, edges)
+                assert len(earliest) == len(set(earliest))
+            assert set(inc.cyclic_nodes()) == {
+                w for w in range(n) if w in brute_force_reach(n, edges, w)
+            }
+        assert fragmented > 100
 
     def test_state_rows_are_dense_per_chain(self):
         inc = IncrementalClosure(4)

@@ -58,3 +58,36 @@ def test_spread_wider_than_the_bound_is_unresolved_unless_dominated(ab):
 
 def test_ties_count_for_neither_side(ab):
     assert ab.judge([1.0, 1.0, 1.0], [1.0, 1.0, 2.0], True, 0.25)[1] == 1
+
+
+def test_markdown_renders_the_closing_table_as_a_github_table(ab):
+    specs = [
+        {"name": "events_per_s", "better": "higher", "bound": 0.25},
+        {"name": "query_p95_ms", "better": "lower", "bound": 0.25},
+    ]
+    runs = {
+        "parent": [
+            {"events_per_s": 100.0, "query_p95_ms": 0.9},
+            {"events_per_s": 90.0, "query_p95_ms": 0.8},
+        ],
+        "change": [
+            {"events_per_s": 101.0, "query_p95_ms": 0.3},
+            {"events_per_s": 60.0, "query_p95_ms": 0.35},
+        ],
+    }
+    rows = ab.closing_rows(specs, runs)
+    assert ab.render_markdown(rows).splitlines() == [
+        "| metric | parent med [q1, q3] | change med [q1, q3] "
+        "| delta | wins | bound | verdict |",
+        "|---|---|---|---:|---:|---:|---|",
+        "| `events_per_s` | 95 [92.5, 97.5] | 80.5 [70.25, 90.75] "
+        "| -15.3% | 1/2 | 0.25 | ok |",
+        "| `query_p95_ms` | 0.85 [0.825, 0.875] | 0.325 [0.3125, 0.3375] "
+        "| -61.8% | 2/2 | 0.25 | better |",
+    ]
+    # Same rows, same order, in the plain rendering.
+    text = ab.render_text(rows).splitlines()
+    assert [line.split()[0] for line in text] == [
+        "metric", "events_per_s", "query_p95_ms"
+    ]
+    assert text[2].split()[-1] == "better" and "-61.8%" in text[2]

@@ -78,6 +78,21 @@ class TestVocabulary:
             client.send("s", src=0, dst=0)
         assert err.value.code == "bad_session"
 
+    def test_bool_ids_are_bad_session_on_the_wire(self, client):
+        client.hello("s", n=2)
+        assert client.send("s", src=0, dst=1)["msg_id"] == 0
+        for frame in (
+            {"kind": "checkpoint", "session": "s", "pid": True},
+            {"kind": "deliver", "session": "s", "msg_id": False},
+            {"kind": "deliver", "session": "s", "msg_id": 0.0},
+            {"kind": "query", "session": "s", "what": "recovery_line",
+             "crashed": [True]},
+        ):
+            reply = client.call({**frame, "seq": 7})
+            assert reply["ok"] is False and reply["error"] == "bad_session", frame
+        metrics = client.query("s", "metrics")
+        assert (metrics["events"], metrics["delivers"]) == (1, 0)
+
     def test_unknown_protocol_in_hello(self, client):
         with pytest.raises(ReplyError, match="unknown protocol"):
             client.hello("s", n=2, protocol="nope")
@@ -110,6 +125,37 @@ class TestObservability:
         assert {"serve.start", "serve.conn", "serve.snapshot", "serve.stop"} <= kinds
         snap = metrics.snapshot()
         assert snap.counters["serve.ingest"] == 1
+
+    def test_one_latency_histogram_per_query_kind(self, tmp_path):
+        metrics = MetricsRegistry()
+        config = ServerConfig(unix_path=str(tmp_path / "q.sock"))
+        with serve_in_thread(config, metrics=metrics) as handle:
+            with Client(handle.connect_address()) as c:
+                c.hello("s", n=2)
+                c.checkpoint("s", pid=0)
+                c.query("s", "rdt_status")
+                c.query("s", "z_cycles")
+                c.query("s", "recovery_line", crashed=[0])
+                c.query("s", "recovery_line")
+                refused = c.call(
+                    {"kind": "query", "session": "s", "what": "nope", "seq": 9}
+                )
+                assert refused["error"] == "bad_session"
+        snap = metrics.snapshot()
+        counts = {
+            name: summary["count"]
+            for name, summary in snap.histograms.items()
+            if name.startswith("serve.query.")
+        }
+        assert counts == {
+            "serve.query.rdt_status_s": 1,
+            "serve.query.z_cycles_s": 1,
+            "serve.query.recovery_line_s": 2,
+        }
+        assert snap.counters["serve.queries"] == 4
+        # Every frame (hello, ingest, queries, the refusal) still lands
+        # in the one per-frame histogram.
+        assert snap.histograms["serve.latency_s"]["count"] == 7
 
 
 class TestBackpressure:

@@ -84,6 +84,29 @@ class TestIngest:
                 session.apply(doc)
         assert session.ingest_log == []
 
+    def test_bool_and_float_ids_are_refused_and_not_logged(self, session):
+        """JSON ``true`` is an ``int`` to ``isinstance`` and ``1.0`` /
+        ``False`` hash equal to ids 1 / 0: each used to be accepted and
+        written to the ingest log (and the WAL) as sent."""
+        drive(session, [("s", 0, 1), ("s", 1, 2)])  # messages 0 and 1
+        log = list(session.ingest_log)
+        for doc in (
+            {"kind": "checkpoint", "pid": True},
+            {"kind": "checkpoint", "pid": 1.0},
+            {"kind": "send", "src": True, "dst": 2},
+            {"kind": "send", "src": 0, "dst": True},
+            {"kind": "deliver", "msg_id": 1.0},
+            {"kind": "deliver", "msg_id": False},
+            {"kind": "deliver", "msg_id": True},
+        ):
+            with pytest.raises(SessionError):
+                session.apply(doc)
+            assert session.ingest_log == log
+        assert session.manager.last_taken(1) == 0
+        # The well-typed forms of the same ops still go through.
+        assert session.apply({"kind": "deliver", "msg_id": 1})["msg_id"] == 1
+        assert session.apply({"kind": "checkpoint", "pid": 1})["index"] == 1
+
     def test_self_send_refused(self, session):
         with pytest.raises(SessionError, match="src == dst"):
             session.apply({"kind": "send", "src": 1, "dst": 1})
@@ -126,6 +149,10 @@ class TestQueries:
             session.query("recovery_line", crashed=[7])
         with pytest.raises(SessionError, match="crashed"):
             session.query("recovery_line", crashed="all")
+        for crashed in ([True], [0, 1.0], [False, 2]):
+            with pytest.raises(SessionError, match="crashed"):
+                session.query("recovery_line", crashed=crashed)
+        assert session.queries_answered == 0
 
     def test_metrics_counts(self, session):
         drive(session, [("c", 0), ("s", 0, 1), ("d", 0), ("s", 1, 2)])

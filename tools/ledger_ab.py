@@ -21,6 +21,9 @@ quartiles, the change in the median, how many pairs the change won
 * ``better`` / ``ok`` -- median better, or worse by no more than the
   bound.
 
+``--markdown`` prints that closing table as a GitHub table instead, so
+a CHANGES entry pastes it rather than retyping it into prose.
+
 The tool only *invokes* the benchmark in each checkout; it reads the
 bounds from this tree's ``BENCHMARK.json`` and never writes to either.
 Exit status is 1 when a run failed its correctness gate or a metric
@@ -94,12 +97,57 @@ def judge(
     return rel, wins, verdict
 
 
+def closing_rows(
+    specs: Sequence[Dict[str, object]], runs: Dict[str, List[Dict[str, float]]]
+) -> List[Tuple[str, str, str, str, str, str, str]]:
+    """One row of strings per end-to-end metric: name, each side's
+    ``median [q1, q3]``, delta of the median, wins/pairs, bound, verdict."""
+    rows = []
+    for spec in specs:
+        name = str(spec["name"])
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        rel, wins, verdict = judge(
+            parent, change, spec["better"] == "higher", float(spec["bound"])
+        )
+        cells = []
+        for values in (parent, change):
+            q1, q2, q3 = quartiles(values)
+            cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
+        rows.append(
+            (name, cells[0], cells[1], f"{rel:+.1%}", f"{wins}/{len(parent)}",
+             f"{spec['bound']}", verdict)
+        )
+    return rows
+
+
+HEADER = ("metric", "parent med [q1, q3]", "change med [q1, q3]",
+          "delta", "wins", "bound", "verdict")
+
+
+def render_text(rows: Sequence[Sequence[str]]) -> str:
+    layout = "{:<18} {:<34} {:<34} {:>8} {:>6} {:>6}  {}"
+    return "\n".join(layout.format(*row) for row in (HEADER, *rows))
+
+
+def render_markdown(rows: Sequence[Sequence[str]]) -> str:
+    """The closing table as a GitHub table (metric names as code)."""
+    lines = ["| " + " | ".join(HEADER) + " |", "|---|---|---|---:|---:|---:|---|"]
+    for name, *rest in rows:
+        lines.append("| " + " | ".join((f"`{name}`", *rest)) + " |")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--markdown", action="store_true",
+        help="print the closing table as a GitHub table",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -126,28 +174,9 @@ def main(argv=None) -> int:
         f"\n# {args.workload} seed={args.seed} pairs={args.pairs} "
         f"seconds={seconds:g} parent={parent_root}"
     )
-    print(
-        f"{'metric':<18} {'parent med [q1, q3]':<34} {'change med [q1, q3]':<34} "
-        f"{'delta':>8} {'wins':>6} {'bound':>6}  verdict"
-    )
-    worse = False
-    for spec in bench["end_to_end"]:
-        name = spec["name"]
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        rel, wins, verdict = judge(
-            parent, change, spec["better"] == "higher", float(spec["bound"])
-        )
-        worse = worse or verdict == "WORSE"
-        cells = []
-        for values in (parent, change):
-            q1, q2, q3 = quartiles(values)
-            cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
-        print(
-            f"{name:<18} {cells[0]:<34} {cells[1]:<34} {rel:>+8.1%} "
-            f"{wins:>3}/{args.pairs:<2} {spec['bound']:>6}  {verdict}"
-        )
-    return 1 if worse else 0
+    rows = closing_rows(bench["end_to_end"], runs)
+    print(render_markdown(rows) if args.markdown else render_text(rows))
+    return 1 if any(row[-1] == "WORSE" for row in rows) else 0
 
 
 if __name__ == "__main__":
