@@ -19,7 +19,6 @@ import statistics
 
 import pytest
 
-from benchmarks._emit import write_bench
 from repro.core import protocol_factory
 from repro.harness import render_table
 from repro.sim import NetFaultModel, Simulation, SimulationConfig, replay
@@ -96,22 +95,7 @@ def test_retransmission_overhead_vs_loss(benchmark, emit, loss_sweep):
     # (high loss may starve some *acks*, flagging delivered messages as
     # degraded, but nothing goes undelivered).
     assert all(p["undelivered"] == 0 for p in loss_sweep)
-    result = benchmark(lambda: faulty_sim(0, loss=0.2).trace)
-    write_bench(
-        "net_faults",
-        {
-            "loss_sweep": [
-                {**p, "attempts/msg": round(p["attempts/msg"], 4)}
-                for p in loss_sweep
-            ],
-            "generate_latency": {
-                "p50_s": round(benchmark.stats.stats.median, 6),
-                "mean_s": round(benchmark.stats.stats.mean, 6),
-                "max_s": round(benchmark.stats.stats.max, 6),
-                "ops": len(result.ops),
-            },
-        },
-    )
+    benchmark(lambda: faulty_sim(0, loss=0.2).trace)
 
 
 @pytest.fixture(scope="module")
@@ -157,17 +141,4 @@ def test_r_under_reordering(benchmark, emit, reorder_comparison):
             faulty_sim(0, reorder=0.6, net_seed=3).trace,
             protocol_factory("bhmr"),
         )
-    )
-    write_bench(
-        "net_faults",
-        {
-            "reordering": {
-                "messages": messages,
-                "forced": forced,
-                "R": {
-                    p: round(forced[p] / forced[BASELINE], 4) for p in PROTOCOLS
-                },
-                "replay_p50_s": round(benchmark.stats.stats.median, 6),
-            }
-        },
     )

@@ -8,8 +8,7 @@ bit-identical to the serial path in every mode.
 
 The speedup assertion is conditional on visible CPUs: on a single-core
 runner the parallel pool cannot beat serial wall time, so there we only
-pin result parity and record the measured times in ``extra_info`` (which
-lands in BENCH_*.json for trend tracking).
+pin result parity and record the measured times in ``extra_info``.
 """
 
 import os
@@ -17,7 +16,6 @@ import time
 
 import pytest
 
-from benchmarks._emit import write_bench
 from repro.harness import ratio_sweep, render_runner_stats, run_sweep
 from repro.sim import SimulationConfig
 from repro.workloads import RandomUniformWorkload
@@ -86,22 +84,6 @@ def test_parallel_matches_serial_and_scales(benchmark, emit, serial_run):
             ),
         )
     )
-    write_bench(
-        "runner_scaling",
-        {
-            "scaling": {
-                "cpus": cpus,
-                "workers": PARALLEL_WORKERS,
-                "cells": len(XS),
-                "serial_s": round(serial_s, 4),
-                "parallel_s": round(parallel_s, 4),
-                "speedup": round(speedup, 2),
-                "throughput_cells_per_s": round(len(XS) / parallel_s, 2)
-                if parallel_s > 0
-                else None,
-            }
-        },
-    )
     # Identical results, not just statistically close.
     assert parallel_sweep.ratio_series() == serial_sweep.ratio_series()
     assert parallel_sweep.forced_series() == serial_sweep.forced_series()
@@ -148,19 +130,6 @@ def test_warm_cache_short_circuits(benchmark, emit, serial_run, tmp_path_factory
     emit(
         f"Warm cache: {len(XS)} cells in {warm_s * 1000:.1f} ms "
         f"(cold serial {serial_s:.2f}s)"
-    )
-    write_bench(
-        "runner_scaling",
-        {
-            "warm_cache": {
-                "cells": len(XS),
-                "warm_cache_s": round(warm_s, 5),
-                "serial_s": round(serial_s, 4),
-                "cache_speedup": round(serial_s / warm_s, 1)
-                if warm_s > 0
-                else None,
-            }
-        },
     )
     # A warm cache must beat rerunning the cells by a wide margin.
     assert warm_s < serial_s / 5

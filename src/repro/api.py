@@ -33,6 +33,7 @@ CLI and examples are built on and the one the README documents.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.analysis import check_rdt, find_z_cycles, useless_checkpoints
@@ -58,7 +59,8 @@ from repro.sim import (
 )
 from repro.core.registry import PROTOCOLS
 from repro.serve.client import Client
-from repro.serve.server import ServerConfig, ServerHandle, serve_in_thread
+from repro.serve.router import Router, RouterConfig
+from repro.serve.server import CheckpointServer, ServerConfig, ServerHandle
 from repro.types import SimulationError
 from repro.workloads import WORKLOADS
 from repro.workloads.base import Workload
@@ -76,6 +78,7 @@ __all__ = [
     "RecoveryReplayResult",
     "ReplayResult",
     "ResultCache",
+    "RouterConfig",
     "RunnerStats",
     "ServerConfig",
     "ServerHandle",
@@ -429,23 +432,20 @@ def recover(
 
 
 def serve(
+    config: Union[ServerConfig, RouterConfig, None] = None,
     *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_path: Optional[str] = None,
-    workers: Optional[int] = None,
-    queue_depth: int = 256,
-    idle_timeout: Optional[float] = None,
-    snapshot_dir: Optional[str] = None,
-    wal_dir: Optional[str] = None,
-    fsync_batch: int = 64,
-    shard_procs: Optional[int] = None,
-    data_dir: Optional[str] = None,
-    config: Optional[ServerConfig] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
+    **knobs: object,
 ) -> ServerHandle:
     """Start the online checkpointing service on a background thread.
+
+    The deployment is either a ready ``config`` or the ``knobs`` that
+    build one: with ``shard_procs`` among them a :class:`RouterConfig`,
+    otherwise a :class:`ServerConfig`.  Those dataclasses own every
+    knob's default and rule (listed in ``docs/SERVICE.md``); a knob the
+    chosen dataclass does not have, a knob beside ``config=``, or a
+    value its rules refuse raises :class:`SimulationError`.
 
     The returned :class:`~repro.serve.server.ServerHandle` is a context
     manager whose exit performs a graceful drain (every acknowledged
@@ -465,63 +465,26 @@ def serve(
     ``docs/SERVICE.md`` for the wire protocol, durability and sharding
     semantics.
     """
-    if config is not None:
-        knobs = dict(
-            host=host, port=port, unix_path=unix_path, workers=workers,
-            queue_depth=queue_depth, idle_timeout=idle_timeout,
-            snapshot_dir=snapshot_dir, wal_dir=wal_dir, fsync_batch=fsync_batch,
-            shard_procs=shard_procs, data_dir=data_dir,
+    if config is None:
+        kind = RouterConfig if "shard_procs" in knobs else ServerConfig
+        names = {field.name for field in dataclasses.fields(kind)}
+        unknown = sorted(set(knobs) - names)
+        if unknown:
+            raise SimulationError(
+                f"{kind.__name__} has no knob {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(names))}"
+            )
+        config = kind(**knobs)
+    elif knobs:
+        raise SimulationError(
+            "pass either config= or the individual server knobs, not "
+            f"both (got config= and {', '.join(sorted(knobs))})"
         )
-        clash = [k for k, v in knobs.items() if v != serve.__kwdefaults__[k]]
-        if clash:
-            raise SimulationError(
-                "pass either config= or the individual server knobs, not "
-                f"both (got config= and {', '.join(clash)})"
-            )
-        return serve_in_thread(config, tracer=tracer, metrics=metrics)
-    if shard_procs is not None:
-        # Multi-process scale-out: N shard daemons (each with its own
-        # WAL + snapshot store under data_dir/shard-<k>/) behind an
-        # asyncio router; see repro.serve.router.
-        from repro.serve.router import Router, RouterConfig
-
-        if data_dir is None:
-            raise SimulationError(
-                "shard_procs= needs data_dir= (per-shard WAL and "
-                "snapshot directories live under it)"
-            )
-        if snapshot_dir is not None or wal_dir is not None:
-            raise SimulationError(
-                "sharded serving derives per-shard snapshot/WAL "
-                "directories from data_dir=; do not pass snapshot_dir= "
-                "or wal_dir="
-            )
-        router_config = RouterConfig(
-            host=host,
-            port=port,
-            unix_path=unix_path,
-            shard_procs=shard_procs,
-            data_dir=data_dir,
-            # Parallelism comes from processes here; loop workers per
-            # shard default to 1 unless explicitly asked for.
-            shard_workers=1 if workers is None else workers,
-            queue_depth=queue_depth,
-            idle_timeout=idle_timeout,
-            fsync_batch=fsync_batch,
-        )
-        return ServerHandle(Router(router_config, tracer=tracer, metrics=metrics))
-    config = ServerConfig(
-        host=host,
-        port=port,
-        unix_path=unix_path,
-        workers=4 if workers is None else workers,
-        queue_depth=queue_depth,
-        idle_timeout=idle_timeout,
-        snapshot_dir=snapshot_dir,
-        wal_dir=wal_dir,
-        fsync_batch=fsync_batch,
-    )
-    return serve_in_thread(config, tracer=tracer, metrics=metrics)
+    if isinstance(config, RouterConfig):
+        server = Router(config, tracer=tracer, metrics=metrics)
+    else:
+        server = CheckpointServer(config, tracer=tracer, metrics=metrics)
+    return ServerHandle(server)
 
 
 def connect(address: str, *, timeout: Optional[float] = 10.0) -> Client:

@@ -558,54 +558,33 @@ def cmd_workloads(args) -> int:
 # ----------------------------------------------------------------------
 # the service verbs
 # ----------------------------------------------------------------------
+#: ``repro serve`` flags whose ``dest`` is a deployment knob (the
+#: observability flags are not).
+_SERVE_KNOBS = frozenset(
+    field.name
+    for config in (api.ServerConfig, api.RouterConfig)
+    for field in dataclasses.fields(config)
+)
+
+
 def cmd_serve(args) -> int:
     """Run the checkpointing daemon in the foreground until Ctrl-C."""
     import time
 
-    from repro.serve.server import ServerConfig, ServerHandle
+    from repro.types import SimulationError
 
     obs = _Obs(args)
-    if args.shard_procs is not None:
-        # Multi-process scale-out: N shard daemons behind a router.
-        from repro.serve.router import Router, RouterConfig
-
-        if args.data_dir is None:
-            raise SystemExit("--shard-procs needs --data-dir")
-        if args.snapshot_dir is not None or args.wal_dir is not None:
-            raise SystemExit(
-                "--shard-procs derives per-shard snapshot/WAL directories "
-                "from --data-dir; drop --snapshot-dir/--wal-dir"
-            )
-        router_config = RouterConfig(
-            host=args.host,
-            port=args.port,
-            unix_path=args.unix,
-            shard_procs=args.shard_procs,
-            data_dir=args.data_dir,
-            shard_workers=1 if args.workers is None else args.workers,
-            queue_depth=args.queue_depth,
-            idle_timeout=args.idle_timeout,
-            fsync_batch=args.fsync_batch,
-            wal=not args.no_wal,
-        )
-        handle = ServerHandle(
-            Router(router_config, tracer=obs.tracer, metrics=obs.registry)
-        )
-    else:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            unix_path=args.unix,
-            workers=4 if args.workers is None else args.workers,
-            queue_depth=args.queue_depth,
-            idle_timeout=args.idle_timeout,
-            snapshot_dir=args.snapshot_dir,
-            wal_dir=None if args.no_wal else args.wal_dir,
-            fsync_batch=args.fsync_batch,
-        )
-        handle = api.serve(
-            config=config, tracer=obs.tracer, metrics=obs.registry
-        )
+    # Only the flags given: every default and rule is the config's.
+    knobs = {
+        name: value
+        for name, value in vars(args).items()
+        if name in _SERVE_KNOBS and value is not None
+    }
+    try:
+        handle = api.serve(tracer=obs.tracer, metrics=obs.registry, **knobs)
+    except SimulationError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     if not obs.json:
         print(f"serving on {handle.connect_address()}", flush=True)
     try:
@@ -807,26 +786,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_recover)
 
+    # One flag per knob, dest = the config field; defaults and rules
+    # live only in ServerConfig / RouterConfig (docs/SERVICE.md lists
+    # them).  --port is the one deployment default of the command line.
     p = sub.add_parser("serve", help="run the checkpointing service")
     _add_obs_args(p)
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", help="TCP address to bind")
     p.add_argument("--port", type=int, default=7463, help="0 = ephemeral")
     p.add_argument(
-        "--unix", metavar="PATH", default=None, help="serve on a Unix socket"
+        "--unix", dest="unix_path", metavar="PATH", help="serve on a Unix socket"
     )
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
         help=(
-            "in-process session shards (default: 4; with --shard-procs "
-            "this is per-shard loop workers, default 1)"
+            "session worker tasks per process (with --shard-procs: per "
+            "shard process)"
         ),
     )
     p.add_argument(
         "--shard-procs",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "scale out to N shard processes behind a router "
@@ -836,7 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--data-dir",
         metavar="DIR",
-        default=None,
         help=(
             "sharded deployment state: per-shard WAL/snapshot "
             "directories and the shard map live under DIR"
@@ -845,42 +824,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--queue-depth",
         type=int,
-        default=256,
         help="per-shard queue bound before frames are shed",
     )
     p.add_argument(
         "--idle-timeout",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="snapshot + evict sessions idle this long",
     )
     p.add_argument(
         "--snapshot-dir",
         metavar="DIR",
-        default=None,
-        help="persist session snapshots under DIR (default: in memory)",
+        help="persist session snapshots under DIR (omitted: in memory)",
     )
     p.add_argument(
         "--wal-dir",
         metavar="DIR",
-        default=None,
         help=(
             "durable ingest WAL under DIR: every acked frame is fsynced "
-            "before its ack and survives kill -9 (default: no WAL)"
+            "before its ack and survives kill -9 (omitted: no WAL)"
         ),
     )
     p.add_argument(
         "--fsync-batch",
         type=int,
-        default=64,
         metavar="RECORDS",
         help="max WAL records retired per fsync (group-commit batch cap)",
-    )
-    p.add_argument(
-        "--no-wal",
-        action="store_true",
-        help="disable the WAL even if --wal-dir is given (benchmarking)",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from repro.obs.jsonio import canonical_dumps
 from repro.serve import wire
 from repro.serve.client import AsyncClient, ReplyError
+from repro.serve.server import ServerConfig
 from repro.serve.session import ServeSession
 from repro.serve.shardmap import DEFAULT_REPLICAS, ShardMap
 from repro.serve.snapshots import SnapshotStore, snapshot_doc
@@ -78,23 +79,24 @@ Address = Tuple
 class RouterConfig:
     """Knobs for a sharded deployment.
 
-    The per-shard knobs (``queue_depth``, ``fsync_batch``,
-    ``idle_timeout``, ``wal``) are passed straight through to each
-    shard's ``repro serve`` process; ``shard_workers`` defaults to 1
-    because parallelism now comes from processes, not loop tasks.
+    The per-shard knobs (``workers``, ``queue_depth``, ``idle_timeout``,
+    ``fsync_batch``) are passed straight through to each shard's
+    ``repro serve`` process, which always runs with its WAL under
+    ``data_dir``.  They take :class:`ServerConfig`'s defaults and rules,
+    except that ``workers`` defaults to 1: parallelism comes from
+    processes here, not loop tasks.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    unix_path: Optional[str] = None
+    host: str = ServerConfig.host
+    port: int = ServerConfig.port
+    unix_path: Optional[str] = ServerConfig.unix_path
     shard_procs: int = 2
     data_dir: str = ""
     replicas: int = DEFAULT_REPLICAS
-    shard_workers: int = 1
-    queue_depth: int = 256
-    idle_timeout: Optional[float] = None
-    fsync_batch: int = 64
-    wal: bool = True
+    workers: int = 1
+    queue_depth: int = ServerConfig.queue_depth
+    idle_timeout: Optional[float] = ServerConfig.idle_timeout
+    fsync_batch: int = ServerConfig.fsync_batch
     #: Shed with ``overloaded`` once this many bytes sit unsent in a
     #: shard uplink's transport buffer (the shard's pipe is backed up).
     shed_bytes: int = 1 << 20
@@ -123,6 +125,14 @@ class RouterConfig:
                 "a sharded deployment needs data_dir (per-shard WAL and "
                 "snapshot directories live under it)"
             )
+        # The shards' own rules, checked here so a bad per-shard knob
+        # fails before any directory or process exists.
+        ServerConfig(
+            workers=self.workers,
+            queue_depth=self.queue_depth,
+            idle_timeout=self.idle_timeout,
+            fsync_batch=self.fsync_batch,
+        )
 
 
 class _Shard:
@@ -395,14 +405,13 @@ class Router:
         argv = [
             sys.executable, "-m", "repro", "serve",
             "--unix", str(shard.sock_path),
-            "--workers", str(self.config.shard_workers),
+            "--workers", str(self.config.workers),
             "--queue-depth", str(self.config.queue_depth),
             "--fsync-batch", str(self.config.fsync_batch),
             "--snapshot-dir", str(shard.snaps_dir),
+            "--wal-dir", str(shard.wal_dir),
             "--json",
         ]
-        if self.config.wal:
-            argv += ["--wal-dir", str(shard.wal_dir)]
         if self.config.idle_timeout is not None:
             argv += ["--idle-timeout", str(self.config.idle_timeout)]
         return argv

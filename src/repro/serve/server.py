@@ -53,6 +53,11 @@ Address = Tuple[str, ...]
 class ServerConfig:
     """Tunables of one daemon instance (defaults suit tests and demos).
 
+    The one declaration of every single-process knob's default and
+    rule: :class:`~repro.serve.router.RouterConfig` takes its per-shard
+    defaults from here and validates them by these rules, and
+    ``repro.api.serve`` / ``repro serve`` restate neither.
+
     ``port=0`` binds an ephemeral TCP port; ``unix_path`` switches to a
     Unix socket instead.  ``idle_timeout=None`` disables eviction;
     ``snapshot_dir=None`` keeps snapshots in memory.
@@ -70,9 +75,6 @@ class ServerConfig:
     wal_dir: Optional[str] = None
     #: Max records retired per WAL fsync (the group-commit batch cap).
     fsync_batch: int = 64
-    #: ``False`` keeps the WAL files but skips ``fsync`` -- the
-    #: benchmark's no-durability baseline, never a production setting.
-    wal_fsync: bool = True
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -236,9 +238,7 @@ class CheckpointServer:
         the server halts rather than serving silently-wrong state.
         """
         assert self.config.wal_dir is not None
-        self.wal = IngestWal(
-            self.config.wal_dir, fsync=self.config.wal_fsync
-        )
+        self.wal = IngestWal(self.config.wal_dir)
         self._committer = WalCommitter(
             self.wal, fsync_batch=self.config.fsync_batch
         )

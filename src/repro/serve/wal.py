@@ -528,9 +528,9 @@ class IngestWal:
         the new :attr:`durable_seq`.
 
         ``None`` drains everything pending.  One call is one fsync (or
-        zero, with ``fsync=False`` -- the benchmark's no-durability
-        baseline); group commit is the caller batching many logical
-        commits onto one call.
+        zero, with ``fsync=False`` -- tests' fast fake disk); group
+        commit is the caller batching many logical commits onto one
+        call.
         """
         if self.closed:
             raise WalError("sync on a closed WAL")

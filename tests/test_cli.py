@@ -327,3 +327,140 @@ class TestServiceVerbs:
         assert load["acked"] == sum(load["per_session"].values())
         # Pipelined connections batch: never more writes than frames.
         assert load["frames_per_write"] >= 1.0
+
+
+#: Per-process knobs with a value their rule refuses.
+BAD_SHARD_KNOBS = [
+    (["--workers", "0"], "workers"),
+    (["--queue-depth", "0"], "queue_depth"),
+    (["--fsync-batch", "0"], "fsync_batch"),
+    (["--idle-timeout", "-1"], "idle_timeout"),
+]
+
+
+class TestServeKnobs:
+    """``repro serve`` hands the flags it was given to ``api.serve``; the
+    config dataclasses own every default and rule."""
+
+    @pytest.mark.parametrize(
+        "flags, knob", BAD_SHARD_KNOBS + [(["--shard-procs", "0"], "shard_procs")]
+    )
+    def test_bad_knob_exits_2_with_one_line(self, capsys, tmp_path, flags, knob):
+        argv = ["serve", "--unix", str(tmp_path / "s.sock"), *flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and knob in err
+
+    @pytest.mark.parametrize("flags, knob", BAD_SHARD_KNOBS)
+    def test_bad_per_shard_knob_touches_no_disk(
+        self, capsys, tmp_path, flags, knob
+    ):
+        data = tmp_path / "D"
+        argv = [
+            "serve", "--unix", str(tmp_path / "r.sock"),
+            "--shard-procs", "2", "--data-dir", str(data), *flags,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert knob in capsys.readouterr().err
+        assert not data.exists()
+
+    @staticmethod
+    def _config_of(monkeypatch, argv):
+        """The config ``repro serve argv`` would deploy, captured where
+        ``api.serve`` hands its server to the handle."""
+        from repro import api
+
+        class Built(Exception):
+            pass
+
+        def capture(server):
+            raise Built(server.config)
+
+        monkeypatch.setattr(api, "ServerHandle", capture)
+        with pytest.raises(Built) as built:
+            main(argv)
+        return built.value.args[0]
+
+    def test_ledger_argv_shapes_build_the_same_configs(
+        self, monkeypatch, tmp_path
+    ):
+        """The frozen benchmark's two ``repro serve`` argv shapes
+        (``benchmarks/ledger/deploy.py``, ``Deployment.argv``) deploy
+        exactly these configs, field for field."""
+        from repro.serve.router import RouterConfig
+        from repro.serve.server import ServerConfig
+
+        sock = str(tmp_path / "s.sock")
+        base = ["serve", "--unix", sock, "--queue-depth", "1024", "--json"]
+        single = self._config_of(
+            monkeypatch,
+            base + ["--workers", "2", "--snapshot-dir", str(tmp_path / "snaps")],
+        )
+        assert single == ServerConfig(
+            host="127.0.0.1", port=7463, unix_path=sock, workers=2,
+            queue_depth=1024, idle_timeout=None,
+            snapshot_dir=str(tmp_path / "snaps"), wal_dir=None, fsync_batch=64,
+        )
+        sharded = self._config_of(
+            monkeypatch,
+            base + ["--shard-procs", "2", "--data-dir", str(tmp_path / "d")],
+        )
+        assert sharded == RouterConfig(
+            host="127.0.0.1", port=7463, unix_path=sock, shard_procs=2,
+            data_dir=str(tmp_path / "d"), replicas=64, workers=1,
+            queue_depth=1024, idle_timeout=None, fsync_batch=64,
+            shed_bytes=1 << 20, spawn_timeout=30.0, restart_backoff=0.2,
+            restart_backoff_cap=5.0, flap_window=30.0, flap_max_restarts=5,
+        )
+        assert not (tmp_path / "d").exists()
+
+    def test_docs_knob_table_is_the_dataclasses(self):
+        """docs/SERVICE.md's knob table lists exactly the config fields
+        with their defaults, and each CLI flag it names sets that field."""
+        import ast
+        import dataclasses
+        import itertools
+        from pathlib import Path
+
+        from repro.cli import build_parser
+        from repro.serve.router import RouterConfig
+        from repro.serve.server import ServerConfig
+
+        text = (
+            Path(__file__).resolve().parents[1] / "docs" / "SERVICE.md"
+        ).read_text(encoding="utf-8")
+        lines = text.split("### Knobs", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        table = itertools.takewhile(lambda l: l.startswith("|"), lines[start:])
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in list(table)[2:]
+        ]
+
+        def literal(cell):
+            value = ast.literal_eval(cell.strip("`"))
+            return type(value), value
+
+        def declared(config):
+            return {
+                f.name: (type(f.default), f.default)
+                for f in dataclasses.fields(config)
+            }
+
+        single = {r[0].strip("`"): literal(r[2]) for r in rows if r[2] != "—"}
+        sharded = {r[0].strip("`"): literal(r[3]) for r in rows if r[3] != "—"}
+        assert single == declared(ServerConfig)
+        assert sharded == declared(RouterConfig)
+
+        parser = build_parser()
+        bare = vars(parser.parse_args(["serve"]))
+        flags = {r[1].strip("`"): r[0].strip("`") for r in rows if r[1] != "—"}
+        for flag, field in flags.items():
+            given = vars(parser.parse_args(["serve", flag, "1"]))
+            assert {k for k in bare if bare[k] != given[k]} == {field}, flag
+        obs = {"trace", "metrics", "profile", "json", "command", "func"}
+        assert set(bare) - obs == set(flags.values())

@@ -179,6 +179,35 @@ class TestTransparentForwarding:
         assert summary["forwarded_bytes"] > 0
         assert summary["connections"] == 1
 
+    def test_latency_schedule_bounds_pipelined_p99(self, tmp_path):
+        """Twin pipelined runs, direct and through a seeded latency-only
+        schedule (2 ms + up to 1 ms per write): latency costs quantiles,
+        never correctness -- no error of any code, no disconnect, and an
+        ingest p99 within 0.25 s of the direct run's."""
+        from repro.serve.loadgen import run_load
+
+        config = ServerConfig(
+            unix_path=str(tmp_path / "srv.sock"), workers=2, queue_depth=1024
+        )
+        load = dict(
+            sessions=8, duration=12.0, window=64, query_every=100, seed=0,
+            request_timeout=10.0,
+        )
+        with serve_in_thread(config) as server:
+            direct = run_load(server.connect_address(), **load).as_doc()
+            proxy = _proxy_handle(
+                server.connect_address(),
+                ChaosConfig(seed=1337, latency_s=0.002, jitter_s=0.001),
+            )
+            try:
+                chaos = run_load(proxy.connect_address(), **load).as_doc()
+            finally:
+                proxy.close()
+        for run in (direct, chaos):
+            assert run["errors_by_code"] == {} and run["disconnects"] == 0
+            assert run["acked"] > 0
+        assert chaos["ingest_p99_s"] - direct["ingest_p99_s"] < 0.25
+
 
 class TestFaults:
     def test_reset_surfaces_as_connection_error(self, backend):

@@ -347,6 +347,27 @@ class TestApiFacade:
         with pytest.raises(SimulationError, match=knob):
             api.serve(config=config, **{knob: value})
 
+    @pytest.mark.parametrize(
+        "knobs, named",
+        [
+            (dict(shard_procs=2, data_dir="d", snapshot_dir="s"), "snapshot_dir"),
+            (dict(shard_procs=2, data_dir="d", wal_dir="w"), "wal_dir"),
+            (dict(shard_procs=2), "data_dir"),
+            (dict(data_dir="d"), "data_dir"),
+            (dict(shard_workers=2), "shard_workers"),
+        ],
+    )
+    def test_api_serve_refuses_before_touching_disk(
+        self, tmp_path, monkeypatch, knobs, named
+    ):
+        """A knob the chosen config lacks, or one its rules refuse, is a
+        SimulationError naming it -- raised before any directory or
+        process exists."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SimulationError, match=named):
+            api.serve(unix_path=str(tmp_path / "x.sock"), **knobs)
+        assert list(tmp_path.iterdir()) == []
+
     def test_api_connect_dead_socket_is_clean(self, tmp_path):
         started = time.monotonic()
         with pytest.raises(ConnectionError):

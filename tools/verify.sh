@@ -15,14 +15,17 @@ echo "== tier-1: pytest =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
 # The committed benchmark (BENCHMARK.json) is frozen and calls pinned
-# names of the program; run its self-test sizes here (about 10 s) so a
+# names of the program; run its self-test sizes here (about 15 s) so a
 # call it depends on breaks this gate, not the benchmark pipeline.  The
 # traced serve_deep pass drives IncrementalClosure through the bare
-# add_node()/add_edge(u, v) API on n=16 feeds.
-echo "== ledger: frozen benchmark smoke (offline_cell, serve_short + serve_deep traced) =="
+# add_node()/add_edge(u, v) API on n=16 feeds; serve_prod is the only
+# gate that runs the sharded `repro serve --shard-procs 2 --data-dir`
+# argv the benchmark depends on (plus its kill -9 and restart).
+echo "== ledger: frozen benchmark smoke (offline_cell, serve_short + serve_deep traced, serve_prod) =="
 python3 benchmarks/ledger/run.py --workload offline_cell --quick
 python3 benchmarks/ledger/run.py --workload serve_short --quick --trace 1
 python3 benchmarks/ledger/run.py --workload serve_deep --quick --trace 1
+python3 benchmarks/ledger/run.py --workload serve_prod --quick
 
 # Sharded stage (opt-in: spawns real shard subprocesses behind the
 # router).  REPRO_SHARDED=1 runs the multi-process differential suite
