@@ -11,7 +11,7 @@ paper-vs-measured record.  The most commonly used names are re-exported
 here; subpackages hold the full API:
 
 * :mod:`repro.events` -- computations, messages, checkpoint patterns;
-* :mod:`repro.clocks` -- Lamport/vector/matrix clocks, TDVs;
+* :mod:`repro.clocks` -- transitive dependency vectors (TDVs);
 * :mod:`repro.graph` -- R-graph and message-chain (Z-path) engines;
 * :mod:`repro.analysis` -- consistency, RDT, Z-cycles, min/max GCPs;
 * :mod:`repro.recovery` -- crashes, recovery lines, domino, logging;

@@ -459,7 +459,8 @@ def serve(
     acknowledged.  ``shard_procs=`` switches to multi-process scale-out:
     N ``repro serve`` shard processes (consistent-hash session
     ownership, each with its own WAL and snapshot store under
-    ``data_dir=``, which becomes required) behind an asyncio router;
+    ``data_dir=``, which becomes required) supervised by an asyncio
+    router whose ``ping`` publishes the shard table clients route by;
     a dead shard degrades only its key range (clients see retryable
     ``shard_down``) and is respawned after WAL replay.  See
     ``docs/SERVICE.md`` for the wire protocol, durability and sharding

@@ -809,8 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help=(
-            "scale out to N shard processes behind a router "
-            "(consistent-hash session ownership; requires --data-dir)"
+            "scale out to N shard processes under a router that clients "
+            "ask where each session lives (consistent-hash session "
+            "ownership; requires --data-dir)"
         ),
     )
     p.add_argument(

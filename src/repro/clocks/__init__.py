@@ -1,24 +1,19 @@
-"""Logical clock substrates: Lamport, vector, matrix clocks and TDVs."""
+"""Transitive dependency vectors: the offline TDV reference.
 
-from repro.clocks.lamport import LamportClock, lamport_timestamps
-from repro.clocks.matrix import MatrixClock
+(The Lamport, vector and matrix clocks the tests check against live in
+``tests/oracles``.)
+"""
+
 from repro.clocks.tdv import (
     TrackabilityOracle,
     event_tdvs,
     message_tdvs,
     tdv_snapshots,
 )
-from repro.clocks.vector import Causality, VectorClock, vector_timestamps
 
 __all__ = [
-    "Causality",
-    "LamportClock",
-    "MatrixClock",
     "TrackabilityOracle",
-    "VectorClock",
     "event_tdvs",
-    "lamport_timestamps",
     "message_tdvs",
     "tdv_snapshots",
-    "vector_timestamps",
 ]

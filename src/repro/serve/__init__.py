@@ -20,12 +20,14 @@ Layers
 * :mod:`repro.serve.wal` -- the durable ingest WAL (hash-chained
   append-only segments, fsync-batched group commit, crash recovery);
 * :mod:`repro.serve.shardmap` -- deterministic consistent-hash session
-  ownership for multi-process deployments;
-* :mod:`repro.serve.router` -- N shard processes behind one asyncio
-  router (per-shard WAL/snapshots, ``shard_down`` degradation,
-  snapshot-verified rebalance);
+  ownership for multi-process deployments, and the routing table
+  clients build from a router's ``ping``;
+* :mod:`repro.serve.router` -- N shard processes supervised by one
+  asyncio router (per-shard WAL/snapshots, respawn and parking,
+  snapshot-verified rebalance); it publishes the table, clients route;
 * :mod:`repro.serve.client` -- sync and async client libraries
-  (per-request deadlines, seeded retry backoff, circuit breaking);
+  (direct-to-shard routing, per-request deadlines, seeded retry
+  backoff, circuit breaking);
 * :mod:`repro.serve.loadgen` -- workload replay through N connections;
 * :mod:`repro.serve.chaosproxy` -- seeded wire-level fault injection
   (latency/jitter, throttling, fragmentation, resets, stalls,
@@ -67,7 +69,6 @@ from repro.serve.wire import (
     decode_frame,
     encode_frame,
     read_frame,
-    write_frame,
 )
 
 __all__ = [
@@ -104,5 +105,4 @@ __all__ = [
     "read_wal",
     "recover_sessions",
     "run_load",
-    "write_frame",
 ]

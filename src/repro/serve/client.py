@@ -15,9 +15,17 @@ shed ``overloaded`` frame -- retryable -- from a real fault), and plain
 :class:`ConnectionError` when the peer is gone or its framing is broken
 (``wire.FrameError`` never escapes either client).
 
+Clients route themselves: against a router (``ping`` answers ``role:
+router``) each session frame goes straight to its owning shard, by the
+:class:`~repro.serve.shardmap.ShardTable` the ``ping`` publishes.  Only
+frames that never reached the owner are resent -- ``moved`` and
+``shard_down`` refusals; a frame written on a connection that dies
+unanswered raises :class:`ConnectionError` (``docs/SERVICE.md``, "At
+least once, honestly").
+
 How :class:`AsyncClient` writes (Nagle-style coalescing, no knob):
 
-* **Idle => immediate.**  A ``submit`` that is the connection's only
+* **Idle => immediate.**  A ``submit`` that is its connection's only
   unanswered request is written before ``submit`` returns -- there is
   nothing to batch it with, so a window-1 caller pays no extra loop
   turn.
@@ -26,9 +34,9 @@ How :class:`AsyncClient` writes (Nagle-style coalescing, no knob):
   the transport as a single ``write`` -- a pipelined caller pays one
   syscall per burst, and the server finds a whole batch per ``recv``.
 * **Any wait => flush first.**  ``reply()`` on an unresolved future,
-  ``flush()``, ``call()`` and ``close()`` write the out-list before
+  ``flush()``, ``call()`` and ``close()`` write the out-lists before
   they wait, so nothing of ours sits queued while we wait for an answer
-  to it.  Submit order is wire order.
+  to it.  Submit order is wire order on every connection.
 
 ``flush()`` therefore means "everything submitted is with the transport
 now"; it additionally waits for the transport to drain only when the
@@ -46,7 +54,7 @@ Resilience semantics (the wire-chaos grid tortures all of these):
   returned without yielding or arming anything; otherwise one
   ``loop.call_later`` handle is armed for the wait and cancelled when
   the reply lands.  On expiry it fails the awaited future and aborts
-  the transport, which fails every other in-flight future too.
+  the transports, which fails every other in-flight future too.
 * **Seeded backoff.**  The sync client's transparent retry of
   :data:`RETRYABLE_CODES` uses jittered exponential backoff drawn from
   a seeded RNG (``retry_delay`` base, doubling per attempt, capped at
@@ -79,6 +87,7 @@ from typing import (
 )
 
 from repro.serve import wire
+from repro.serve.shardmap import DEGRADED, DOWN, UP, ShardTable
 from repro.types import ReproError
 
 #: ``("tcp", host, port)`` or ``("unix", path)``.
@@ -120,12 +129,13 @@ class CircuitOpen(ReproError):
 
 
 #: Error codes a sync :class:`Client` transparently retries: the frame
-#: was *refused before being applied* (the owning shard is restarting,
-#: or the session is mid-rebalance), so resending cannot double-apply.
-#: Deliberately excludes ``shard_degraded`` (terminal until an operator
-#: acts) and ``overloaded`` (shedding means *back off*, a policy the
-#: caller owns -- pass ``retry_codes`` to opt in).
-RETRYABLE_CODES = frozenset({"shard_down"})
+#: never reached the session's owner -- the peer refused it as not its
+#: own (``moved``; the client has re-pinged the router) or the owner
+#: could not be dialled (``shard_down``) -- so resending cannot
+#: double-apply.  Deliberately excludes ``shard_degraded`` (terminal
+#: until an operator acts) and ``overloaded`` (shedding means *back
+#: off*, a policy the caller owns -- pass ``retry_codes`` to opt in).
+RETRYABLE_CODES = frozenset({"shard_down", "moved"})
 
 
 def parse_address(spec: Union[str, Address]) -> Address:
@@ -163,12 +173,28 @@ def parse_address(spec: Union[str, Address]) -> Address:
     return ("tcp", host or "127.0.0.1", int(port))
 
 
+def format_address(address: Address) -> str:
+    """The textual form of ``address`` that :func:`parse_address` reads."""
+    if address[0] == "unix":
+        return f"unix:{address[1]}"
+    host = address[1]
+    return f"[{host}]:{address[2]}" if ":" in host else f"{host}:{address[2]}"
+
+
 def _raise_if_error(reply: Dict[str, object]) -> Dict[str, object]:
     if not reply.get("ok", False):
         raise ReplyError(
             str(reply.get("error", "error")), str(reply.get("detail", ""))
         )
     return reply
+
+
+def _unreachable(seq: object, shard: int, state: str) -> Dict[str, object]:
+    """The refusal of a frame whose owner has no connection: never
+    written, so retryable unless the router parked the shard."""
+    code = "shard_degraded" if state == DEGRADED else "shard_down"
+    detail = f"shard {shard} ({state}) could not be dialled; frame not sent"
+    return wire.error_reply(seq, code, detail)
 
 
 class _Requests:
@@ -188,19 +214,41 @@ class _Requests:
         return doc
 
 
+def _dial(address: Address, timeout: Optional[float]) -> socket.socket:
+    try:
+        if address[0] != "unix":
+            return socket.create_connection(address[1:], timeout=timeout)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(timeout)
+        sock.connect(address[1])
+        return sock
+    except ConnectionError:
+        raise
+    except OSError as exc:
+        # FileNotFoundError on a missing unix socket, EHOSTUNREACH...
+        # -- normalise so callers handle exactly one exception type.
+        raise ConnectionError(f"cannot connect to {address!r}: {exc}") from exc
+
+
 class Client(_Requests):
     """Blocking client: one request, one reply, in order.
 
     ``retries``/``retry_delay`` govern transparent retry of replies
     whose error code is in ``retry_codes`` (default
-    :data:`RETRYABLE_CODES`: ``shard_down`` from a sharded deployment
-    whose owning shard is restarting or whose session is
-    mid-rebalance).  These frames were refused *before* application,
-    so a resend cannot double-apply; a single-process server never
-    emits them, so the knobs are inert there.  Retry pacing is seeded
-    jittered exponential backoff (see the module docstring); the
-    optional circuit breaker (``circuit_threshold > 0``) fails fast
-    with :class:`CircuitOpen` while the service is demonstrably down.
+    :data:`RETRYABLE_CODES`: ``moved`` and ``shard_down`` from a sharded
+    deployment whose session moved or whose owning shard is
+    restarting).  Those frames never reached the owner, so a resend
+    cannot double-apply; a single-process server never emits them, so
+    the knobs are inert there.  Retry pacing is seeded jittered
+    exponential backoff (see the module docstring); the optional
+    circuit breaker (``circuit_threshold > 0``) fails fast with
+    :class:`CircuitOpen` while the service is demonstrably down.
+
+    Against a router (learnt from its first ``moved``), session frames
+    go to their owning shard over one socket per shard; a shard socket
+    that fails is dropped and the next call redials it, while the
+    dialled peer's socket keeps the invalidate-then-:meth:`reconnect`
+    rule.
     """
 
     def __init__(
@@ -223,6 +271,10 @@ class Client(_Requests):
         self._seq = 0
         self._buffer = wire.FrameBuffer()
         self._dead = False
+        #: The router's table once a ``moved`` refusal asked for it.
+        self._table: Optional[ShardTable] = None
+        #: Shard index -> (socket, buffer) of each shard dialled so far.
+        self._shards: Dict[int, Tuple[socket.socket, wire.FrameBuffer]] = {}
         self.retries = retries
         self.retry_delay = retry_delay
         self.backoff_cap = backoff_cap
@@ -253,23 +305,7 @@ class Client(_Requests):
             self.metrics.inc(name)
 
     def _dial(self) -> None:
-        try:
-            if self.address[0] == "unix":
-                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(self._timeout)
-                self._sock.connect(self.address[1])
-            else:
-                self._sock = socket.create_connection(
-                    (self.address[1], self.address[2]), timeout=self._timeout
-                )
-        except ConnectionError:
-            raise
-        except OSError as exc:
-            # FileNotFoundError on a missing unix socket, EHOSTUNREACH...
-            # -- normalise so callers handle exactly one exception type.
-            raise ConnectionError(
-                f"cannot connect to {self.address!r}: {exc}"
-            ) from exc
+        self._sock = _dial(self.address, self._timeout)
         self._dead = False
 
     # ------------------------------------------------------------------
@@ -284,13 +320,12 @@ class Client(_Requests):
         apart, because a crashed server replays its WAL *before*
         binding -- the socket appears only once recovery is complete.
         Raises the final :class:`ConnectionError` when it never comes
-        back.  Any reply buffered from the old connection is dropped.
+        back.  Any reply buffered from the old connection is dropped,
+        and so are the shard table and shard sockets.
         """
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._close_sockets()
         self._buffer = wire.FrameBuffer()
+        self._table = None
         last: Optional[ConnectionError] = None
         for attempt in range(max(1, retries)):
             if attempt:
@@ -323,54 +358,116 @@ class Client(_Requests):
     def call(self, doc: Dict[str, object]) -> Dict[str, object]:
         """Send one frame, wait for the matching reply (raw, may be ok=false).
 
-        A socket timeout mid-call leaves the conversation desynced (the
-        request may be half-sent, the reply half-received in
-        ``self._buffer``), so the connection is *invalidated* -- the
-        socket closed, the buffer dropped -- and a typed, retryable
-        :class:`RequestTimeout` raised.  Calling again before
-        :meth:`reconnect` raises :class:`ConnectionError` instead of
-        mis-parsing from mid-frame.
+        A session frame goes to its owner by the table; a ``moved``
+        refusal re-pings the router and resends at once when the fresh
+        table names another peer.  A socket timeout mid-call leaves the
+        conversation desynced (the request may be half-sent, the reply
+        half-received in ``self._buffer``), so the connection is
+        *invalidated* -- the socket closed, the buffer dropped -- and a
+        typed, retryable :class:`RequestTimeout` raised.  Calling again
+        before :meth:`reconnect` raises :class:`ConnectionError` instead
+        of mis-parsing from mid-frame.
         """
         if self._dead:
             raise ConnectionError(
                 "connection invalidated after a timeout; reconnect() first"
             )
+        shard = self._route(doc)
+        reply = self._call_at(shard, doc)
+        if reply.get("error") == "moved":
+            self._refresh()
+            target = self._route(doc)
+            if target != shard:
+                reply = self._call_at(target, doc)
+        return reply
+
+    def _route(self, doc: Dict[str, object]) -> Optional[int]:
+        """The shard that owns ``doc``'s session; None for the dialled peer."""
+        session = doc.get("session")
+        if self._table is None or doc.get("kind") not in wire.SESSION_KINDS:
+            return None
+        return self._table.layout.owner(session) if isinstance(session, str) else None
+
+    def _refresh(self) -> None:
+        """Ping the dialled peer; route by the table a router returns."""
+        self._seq += 1
+        self._table = ShardTable.from_ping(
+            self._call_at(None, {"kind": "ping", "seq": self._seq})
+        )
+
+    def _call_at(
+        self, shard: Optional[int], doc: Dict[str, object]
+    ) -> Dict[str, object]:
+        if shard is None:
+            return self._exchange(None, self._sock, self._buffer, doc)
+        if shard not in self._shards:
+            try:
+                sock = _dial(
+                    parse_address(self._table.addresses[shard]),  # type: ignore[union-attr]
+                    self._timeout,
+                )
+            except ConnectionError:
+                # Never written: the router's table says whether the
+                # shard is restarting (retry) or parked (do not).
+                self._refresh()
+                state = self._table.states[shard] if self._table else DOWN
+                return _unreachable(doc.get("seq"), shard, state)
+            self._shards[shard] = (sock, wire.FrameBuffer())
+        return self._exchange(shard, *self._shards[shard], doc)
+
+    def _exchange(
+        self,
+        shard: Optional[int],
+        sock: socket.socket,
+        buffer: wire.FrameBuffer,
+        doc: Dict[str, object],
+    ) -> Dict[str, object]:
+        """One frame out on ``sock``, its reply back; any transport
+        failure drops the connection it happened on."""
+        after = (
+            "connection invalidated, reconnect() to retry" if shard is None
+            else f"shard {shard} connection dropped, the next call redials"
+        )
         try:
-            wire.send_frame(self._sock, doc)
+            wire.send_frame(sock, doc)
             while True:
-                reply = wire.recv_frame(self._sock, self._buffer)
+                reply = wire.recv_frame(sock, buffer)
                 if reply is None:
-                    self._invalidate()
                     raise ConnectionError("server closed the connection")
                 if reply.get("seq") == doc["seq"]:
                     return reply
         except socket.timeout as exc:
-            self._invalidate()
+            self._lose(shard)
             raise RequestTimeout(
-                f"no reply within {self._timeout}s; connection invalidated, "
-                f"reconnect() to retry"
+                f"no reply within {self._timeout}s; {after}"
             ) from exc
         except wire.FrameError as exc:
             # A truncated or garbled frame (peer died mid-write, hostile
             # middlebox): the stream is untrustworthy from here on.
             # Normalised to ConnectionError so callers handle exactly
             # one retry-after-reconnect exception family.
-            self._invalidate()
+            self._lose(shard)
             raise ConnectionError(
-                f"broken framing from peer ({exc}); reconnect() to retry"
+                f"broken framing from peer ({exc}); {after}"
             ) from exc
         except ConnectionError:
-            self._invalidate()
+            self._lose(shard)
             raise
 
-    def _invalidate(self) -> None:
-        """Framing is no longer trustworthy: drop socket and buffer."""
+    def _lose(self, shard: Optional[int]) -> None:
+        """Framing is no longer trustworthy: drop that socket and buffer."""
+        if shard is not None:
+            self._shards.pop(shard)[0].close()
+            return
         self._dead = True
         self._buffer = wire.FrameBuffer()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._sock.close()
+
+    def _close_sockets(self) -> None:
+        for sock, _ in self._shards.values():
+            sock.close()
+        self._shards.clear()
+        self._sock.close()
 
     def request(self, kind: str, **fields: object) -> Dict[str, object]:
         self._check_circuit()
@@ -506,7 +603,7 @@ class Client(_Requests):
         try:
             self.bye()
         finally:
-            self._sock.close()
+            self._close_sockets()
 
     def __enter__(self) -> "Client":
         return self
@@ -518,6 +615,36 @@ class Client(_Requests):
         return f"<Client {self.address}>"
 
 
+async def _open_streams(
+    address: Address, timeout: Optional[float]
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    try:
+        if address[0] == "unix":
+            opening = asyncio.open_unix_connection(address[1])
+        else:
+            opening = asyncio.open_connection(address[1], address[2])
+        return await asyncio.wait_for(opening, timeout=timeout)
+    except ConnectionError:
+        raise
+    except (OSError, asyncio.TimeoutError) as exc:
+        raise ConnectionError(f"cannot connect to {address!r}: {exc}") from exc
+
+
+class _Link:
+    """One connection of an :class:`AsyncClient` (the peer, or a shard)."""
+
+    __slots__ = ("writer", "pending", "out", "reader_task", "closed")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        #: seq -> future of every request submitted here and unanswered.
+        self.pending: Dict[object, asyncio.Future] = {}
+        #: Encoded frames not yet handed to the transport, in order.
+        self.out: List[bytes] = []
+        self.reader_task: Optional[asyncio.Task] = None
+        self.closed = False
+
+
 class AsyncClient(_Requests):
     """Pipelining asyncio client; create via :meth:`connect`.
 
@@ -525,15 +652,21 @@ class AsyncClient(_Requests):
     every awaited reply (:meth:`call`, :meth:`reply`) and every
     :meth:`flush` that has to wait is bounded by it.  A deadline miss
     raises the same typed :class:`RequestTimeout` as the sync client
-    and invalidates the connection -- in-flight futures fail, later
+    and invalidates the client -- in-flight futures fail, later
     submits fail fast with :class:`ConnectionError` -- because a reply
     that arrives late would desync the pipelining bookkeeping.
     Reconnect via :meth:`connect`; ``timeout=None`` disables the
     deadline.
 
+    Against a router (:meth:`connect` pings the peer first) the client
+    holds one connection per shard.  A submit whose owner has no live
+    connection resolves at once to an unwritten ``shard_down`` (or
+    ``shard_degraded``) refusal; that, a ``moved`` reply or a dying shard
+    connection re-pings the router and re-dials in the background.
+
     Frames are coalesced Nagle-style (see the module docstring):
     ``frames_sent`` / ``writes`` count the frames handed to the
-    transport and the ``write`` calls that carried them.
+    transports and the ``write`` calls that carried them.
     """
 
     def __init__(
@@ -542,51 +675,114 @@ class AsyncClient(_Requests):
         writer: asyncio.StreamWriter,
         timeout: Optional[float] = 10.0,
     ) -> None:
-        self._reader = reader
-        self._writer = writer
         self._timeout = timeout
         self._seq = 0
         self._dead = False
-        self._pending: Dict[object, asyncio.Future] = {}
-        #: Encoded frames submitted but not yet handed to the transport,
-        #: in submit order.
-        self._out: List[bytes] = []
         self.frames_sent = 0
         self.writes = 0
         # get_running_loop, not the deprecated get_event_loop: the client
         # is only legal with the loop running (the reader task needs it).
         self._loop = asyncio.get_running_loop()
-        self._reader_task = self._loop.create_task(self._read_replies())
+        self._entry = self._start(reader, writer)
+        #: The router's table; None when the dialled peer is a server.
+        self._table: Optional[ShardTable] = None
+        self._shards: Dict[int, _Link] = {}
+        self._refreshing: Optional[asyncio.Task] = None
 
     @classmethod
     async def connect(
         cls, address: Union[str, Address], timeout: Optional[float] = 10.0
     ) -> "AsyncClient":
         addr = parse_address(address)
+        reader, writer = await _open_streams(addr, timeout)
+        try:  # the handshake: a router answers with its shard table
+            writer.write(wire.encode_frame({"kind": "ping", "seq": 0}))
+            pong = await asyncio.wait_for(wire.read_frame(reader), timeout)
+            if pong is None:
+                raise ConnectionError("peer closed the connection")
+        except (ConnectionError, OSError, wire.FrameError, asyncio.TimeoutError) as exc:
+            writer.close()
+            raise ConnectionError(f"no ping answer from {addr!r}: {exc!r}") from exc
+        client = cls(reader, writer, timeout=timeout)
+        table = ShardTable.from_ping(pong)
+        if table is not None:
+            await client._adopt(table)
+        return client
+
+    # ------------------------------------------------------------------
+    # connections and routing
+    # ------------------------------------------------------------------
+    def _start(self, reader: asyncio.StreamReader, writer) -> _Link:
+        link = _Link(writer)
+        link.reader_task = self._loop.create_task(self._read_replies(reader, link))
+        return link
+
+    async def _open(self, address: str) -> _Link:
+        return self._start(*await _open_streams(parse_address(address), self._timeout))
+
+    async def _adopt(self, table: ShardTable) -> None:
+        """Route by ``table``, dialling each shard it says is up and we
+        have no live connection to (an address changes only with its
+        process, whose old connection is closed by then)."""
+        wanted = [
+            shard for shard, state in enumerate(table.states)
+            if state == UP
+            and (shard not in self._shards or self._shards[shard].closed)
+        ]
+        opened = await asyncio.gather(
+            *(self._open(table.addresses[shard]) for shard in wanted),
+            return_exceptions=True,
+        )
+        for shard, link in zip(wanted, opened):
+            if isinstance(link, _Link):
+                self._shards[shard] = link
+        self._table = table
+
+    def _schedule_refresh(self) -> None:
+        """Re-ping the router and re-dial in the background, one at a
+        time; on failure the old table stays until the next refusal."""
+        if not self._dead and (
+            self._refreshing is None or self._refreshing.done()
+        ):
+            self._refreshing = self._loop.create_task(self._refresh())
+
+    async def _refresh(self) -> None:
         try:
-            if addr[0] == "unix":
-                opening = asyncio.open_unix_connection(addr[1])
-            else:
-                opening = asyncio.open_connection(addr[1], addr[2])
-            reader, writer = await asyncio.wait_for(opening, timeout=timeout)
-        except ConnectionError:
-            raise
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise ConnectionError(
-                f"cannot connect to {addr!r}: {exc}"
-            ) from exc
-        return cls(reader, writer, timeout=timeout)
+            table = ShardTable.from_ping(await self.reply(self.submit("ping")))
+        except (ReproError, ConnectionError):
+            return
+        if table is not None:
+            await self._adopt(table)
+
+    def _owner_link(
+        self, seq: int, session: object, future: "asyncio.Future"
+    ) -> Optional[_Link]:
+        """The connection for ``session``; None once ``future`` holds
+        the refusal of a frame never written."""
+        if not isinstance(session, str):
+            return self._entry  # the router answers bad_request
+        shard = self._table.layout.owner(session)  # type: ignore[union-attr]
+        link = self._shards.get(shard)
+        if link is not None and not link.closed:
+            return link
+        state = self._table.states[shard]  # type: ignore[union-attr]
+        future.set_result(_unreachable(seq, shard, state))
+        if state != DEGRADED:
+            self._schedule_refresh()
+        return None
 
     # ------------------------------------------------------------------
     # the read half
     # ------------------------------------------------------------------
-    async def _read_replies(self) -> None:
+    async def _read_replies(
+        self, reader: asyncio.StreamReader, link: _Link
+    ) -> None:
         error: BaseException = ConnectionError("server closed the connection")
         buffer = wire.FrameBuffer()
-        pending = self._pending
+        pending = link.pending
         try:
             while True:
-                data = await self._reader.read(65536)
+                data = await reader.read(65536)
                 if not data:
                     if buffer.pending():
                         raise wire.FrameError("closed mid-frame")
@@ -601,6 +797,8 @@ class AsyncClient(_Requests):
                         future = pending.pop(reply.get("seq"), None)
                         if future is not None and not future.done():
                             future.set_result(reply)
+                        if reply.get("error") == "moved":
+                            self._schedule_refresh()
         except wire.FrameError as exc:
             # Normalised like the sync client: callers handle exactly
             # one retry-after-reconnect exception family.
@@ -612,17 +810,22 @@ class AsyncClient(_Requests):
             error = exc
         except asyncio.CancelledError:
             error = ConnectionError("client closed")
-        self._fail_pending(error)
+        deliberate = link.closed
+        link.closed = True
+        self._fail_pending(link, error)
+        if not deliberate and link is not self._entry:
+            self._schedule_refresh()
 
-    def _fail_pending(self, error: BaseException) -> None:
-        for future in self._pending.values():
+    @staticmethod
+    def _fail_pending(link: _Link, error: BaseException) -> None:
+        for future in link.pending.values():
             if not future.done():
                 future.set_exception(error)
                 # A caller that already gave up on the connection never
                 # awaits these; read the exception back so their garbage
                 # collection stays silent.  Awaiting them still raises.
                 future.exception()
-        self._pending.clear()
+        link.pending.clear()
 
     # ------------------------------------------------------------------
     # the write half
@@ -631,9 +834,9 @@ class AsyncClient(_Requests):
         """Fire one request without waiting; resolves to the raw reply.
 
         This is the pipelining primitive: N submits then N awaits keeps
-        N frames in flight on one connection.  The frame is written
-        before ``submit`` returns when the connection is idle, and with
-        its neighbours -- one transport write for the burst -- otherwise.
+        N frames in flight.  The frame is written before ``submit``
+        returns when its connection is idle, and with its neighbours --
+        one transport write for the burst -- otherwise.
         """
         self._seq += 1
         seq = self._seq
@@ -647,28 +850,38 @@ class AsyncClient(_Requests):
             )
             future.exception()  # consumed here; awaiting still raises
             return future
+        link = self._entry
+        if self._table is not None and kind in wire.SESSION_KINDS:
+            link = self._owner_link(seq, fields.get("session"), future)
+            if link is None:
+                return future
+        if link.closed:
+            future.set_exception(ConnectionError("server closed the connection"))
+            future.exception()
+            return future
         try:
             frame = wire.encode_frame(self._frame(kind, seq, **fields))
         except Exception as exc:  # oversized or unencodable: never sent
             future.set_exception(ConnectionError(str(exc)))
             return future
-        self._pending[seq] = future
-        out = self._out
+        pending = link.pending
+        pending[seq] = future
+        out = link.out
         out.append(frame)
-        if len(self._pending) == 1:
-            # Idle: every earlier request has been answered, so there is
-            # nothing to coalesce with and deferring would only add a
-            # loop turn to the round trip.
-            self._write_out()
+        if len(pending) == 1:
+            # Idle: every earlier request on this connection has been
+            # answered, so there is nothing to coalesce with and
+            # deferring would only add a loop turn to the round trip.
+            self._write_out(link)
         elif len(out) == 1:
             # Busy: the first frame of a burst books the write for the
             # end of this loop turn; its neighbours ride along.
-            self._loop.call_soon(self._write_out)
+            self._loop.call_soon(self._write_out, link)
         return future
 
-    def _write_out(self) -> None:
-        """Hand every queued frame to the transport in one write."""
-        out = self._out
+    def _write_out(self, link: _Link) -> None:
+        """Hand every frame queued on ``link`` to its transport in one write."""
+        out = link.out
         if not out:
             return
         data = out[0] if len(out) == 1 else b"".join(out)
@@ -676,27 +889,40 @@ class AsyncClient(_Requests):
         self.writes += 1
         out.clear()
         try:
-            self._writer.write(data)
+            link.writer.write(data)
         except Exception as exc:  # connection already torn down
-            self._fail_pending(ConnectionError(str(exc)))
+            self._fail_pending(link, ConnectionError(str(exc)))
+
+    def _links(self) -> List[_Link]:
+        return [self._entry, *self._shards.values()]
+
+    def _write_all(self) -> None:
+        self._write_out(self._entry)
+        for link in self._shards.values():
+            self._write_out(link)
 
     async def flush(self) -> None:
         """Write every submitted frame now; honour transport backpressure.
 
-        Waits (under the deadline) only when the transport is actually
+        Waits (under the deadline) only when a transport is actually
         holding bytes the peer has not taken: a peer that stalls while
         our transport buffer is full would otherwise hang the drain
         forever.
         """
-        self._write_out()
-        if not self._writer.transport.get_write_buffer_size():
+        self._write_all()
+        busy = [
+            link for link in self._links()
+            if not link.closed and link.writer.transport.get_write_buffer_size()
+        ]
+        if not busy:
             return
         # drain() has no future of ours to fail, so the deadline fails a
         # stand-in; abort() in _invalidate is what wakes the drain.
         expired: asyncio.Future = self._loop.create_future()
         handle = self._arm(expired, "transport refused to drain")
         try:
-            await self._writer.drain()
+            for link in busy:
+                await link.writer.drain()
         finally:
             if handle is not None:
                 handle.cancel()
@@ -714,7 +940,7 @@ class AsyncClient(_Requests):
         """
         if future.done():
             return future.result()
-        self._write_out()  # about to wait: nothing of ours may sit queued
+        self._write_all()  # about to wait: nothing of ours may sit queued
         handle = self._arm(future, "no reply")
         try:
             return await future
@@ -733,9 +959,9 @@ class AsyncClient(_Requests):
         """The deadline passed with ``future`` still unresolved.
 
         The reply may yet arrive -- late, out of budget.  Frame
-        accounting can no longer be trusted, so the whole connection is
+        accounting can no longer be trusted, so the whole client is
         invalidated, failing every other in-flight future (the reader
-        task's cleanup does that).
+        tasks' cleanup does that).
         """
         if future.done():
             return
@@ -749,12 +975,15 @@ class AsyncClient(_Requests):
 
     def _invalidate(self) -> None:
         self._dead = True
-        self._out.clear()
-        self._reader_task.cancel()
-        # abort, not close: close() would wait for buffered bytes a
-        # stalled peer never takes, and a flush() parked in drain() is
-        # woken only by the connection actually going away.
-        self._writer.transport.abort()
+        if self._refreshing is not None:
+            self._refreshing.cancel()
+        for link in self._links():
+            link.out.clear()
+            link.reader_task.cancel()  # type: ignore[union-attr]
+            # abort, not close: close() would wait for buffered bytes a
+            # stalled peer never takes, and a flush() parked in drain()
+            # is woken only by the connection actually going away.
+            link.writer.transport.abort()
 
     async def call(self, kind: str, **fields: object) -> Dict[str, object]:
         future = self.submit(kind, **fields)
@@ -803,8 +1032,8 @@ class AsyncClient(_Requests):
     async def resume(self, session: str) -> Dict[str, object]:
         """Re-greet ``session``; see :meth:`Client.resume`.
 
-        The async client cannot redial in place (its reader task owns
-        the old transport) -- reconnect by creating a fresh client via
+        The async client cannot redial in place (its reader tasks own
+        the old transports) -- reconnect by creating a fresh client via
         :meth:`connect`, then ``resume`` to learn the recovered state.
         """
         return await self.hello(session)
@@ -814,12 +1043,16 @@ class AsyncClient(_Requests):
             await self.call("bye")
         except (ReproError, ConnectionError, OSError):
             pass
-        self._reader_task.cancel()
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        if self._refreshing is not None:
+            self._refreshing.cancel()
+        for link in self._links():
+            link.closed = True  # deliberate: schedules no refresh
+            link.reader_task.cancel()  # type: ignore[union-attr]
+            link.writer.close()
+        await asyncio.gather(
+            *(link.writer.wait_closed() for link in self._links()),
+            return_exceptions=True,
+        )
 
     async def __aenter__(self) -> "AsyncClient":
         return self
@@ -828,4 +1061,5 @@ class AsyncClient(_Requests):
         await self.close()
 
     def __repr__(self) -> str:
-        return f"<AsyncClient pending={len(self._pending)}>"
+        pending = sum(len(link.pending) for link in self._links())
+        return f"<AsyncClient pending={pending} shards={len(self._shards)}>"

@@ -1,47 +1,23 @@
-"""Multi-process scale-out: N shard processes behind one asyncio router.
+"""Multi-process scale-out: N shard processes and the router that runs them.
 
 The single-process :class:`~repro.serve.server.CheckpointServer` shards
 sessions across asyncio worker *tasks* -- true parallelism stops at the
-GIL.  This module promotes those shards to *processes*: the router
-accepts client connections, routes every frame to the shard process
-that owns its session (:class:`~repro.serve.shardmap.ShardMap`), and
-fans replies back.  Each shard is a stock ``repro serve`` daemon with
-its **own WAL directory and snapshot store** under
-``data_dir/shard-<k>/``, so the ack ⇒ durable contract of the ingest
-WAL holds per shard exactly as it does single-process.
+GIL.  This module promotes those shards to *processes*: each is a stock
+``repro serve`` daemon with its **own WAL directory and snapshot
+store** under ``data_dir/shard-<k>/``, so the ack ⇒ durable contract of
+the ingest WAL holds per shard exactly as it does single-process.
 
-Design rules the implementation leans on:
-
-* **Byte passthrough.**  Frames are forwarded verbatim in both
-  directions (:class:`~repro.serve.wire.RawFrameBuffer` finds the
-  boundaries; nothing is re-encoded), so a sharded deployment answers
-  byte-identically to a single-process one -- which is exactly what the
-  differential suite asserts.  The router decodes request payloads once
-  (it needs ``session``/``kind``/``seq`` to route) and reply payloads
-  once (to settle its in-flight bookkeeping); the bytes on the wire are
-  the shard's own.
-* **Per-(connection, shard) uplinks.**  Each client connection gets its
-  own connection to every shard it talks to, so client-chosen ``seq``
-  values never collide inside a shard connection and replies need no
-  rewriting.  Reply pumps forward only *whole frames* to the client --
-  error frames the router itself writes (``overloaded``,
-  ``shard_down``) may interleave with pump output, and a partial frame
-  in between would corrupt the stream.
-* **Failure is a key range, not the service.**  A shard process that
-  dies (or halts on ``wal_failure``) takes down only its sessions: the
-  router fails that shard's in-flight frames with ``shard_down``
-  (retryable -- the frame was refused, not half-applied), answers the
-  same for new frames, and the supervisor respawns the process, which
-  replays its WAL before binding.  Other shards never notice.
-* **Handoff is "snapshot, truncate, re-home".**  The ``rebalance``
-  admin verb quiesces a session, has the old owner write an
-  integrity-checked snapshot (advancing its WAL watermark and
-  truncating covered segments) and retire its live copy, copies the
-  snapshot into the new owner's store, and records the move as a
-  shardmap override persisted in ``data_dir/shardmap.json``.  When the
-  shard count changes across a restart the same discipline runs
-  offline for every session whose ring arc moved
-  (:meth:`Router._reconcile`).
+The router is not on the message path: it supervises the shards
+(respawn after WAL replay, parking a crash-looping one), places
+sessions (:class:`~repro.serve.shardmap.ShardMap`), and answers
+``ping`` -- which publishes the :class:`~repro.serve.shardmap.ShardTable`
+clients route by -- ``stats`` and ``rebalance``.  Each shard learns the
+layout from a ``layout`` frame before it is published ``up`` and on
+every rebalance, and refuses sessions it does not own with ``moved``.
+A live ``rebalance`` is "snapshot, truncate, re-home" (see
+:meth:`Router._rebalance`); when the shard count changes across a
+restart the same discipline runs offline (:meth:`Router._reconcile`).
+``docs/SERVICE.md`` ("Clients route themselves") has the contract.
 """
 
 from __future__ import annotations
@@ -51,21 +27,28 @@ import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.obs.jsonio import canonical_dumps
 from repro.serve import wire
-from repro.serve.client import AsyncClient, ReplyError
+from repro.serve.client import AsyncClient, ReplyError, format_address
 from repro.serve.server import ServerConfig
 from repro.serve.session import ServeSession
-from repro.serve.shardmap import DEFAULT_REPLICAS, ShardMap
+from repro.serve.shardmap import (
+    DEFAULT_REPLICAS,
+    DEGRADED,
+    DOWN,
+    UP,
+    ShardMap,
+    ShardTable,
+)
 from repro.serve.snapshots import SnapshotStore, snapshot_doc
 from repro.serve.wal import read_wal, recover_sessions
-from repro.types import SimulationError
+from repro.types import ReproError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -84,7 +67,9 @@ class RouterConfig:
     ``repro serve`` process, which always runs with its WAL under
     ``data_dir``.  They take :class:`ServerConfig`'s defaults and rules,
     except that ``workers`` defaults to 1: parallelism comes from
-    processes here, not loop tasks.
+    processes here, not loop tasks.  Shards listen where clients can
+    reach them if they reach the router: on Unix sockets under
+    ``data_dir`` beside a Unix router, on ``host`` beside a TCP one.
     """
 
     host: str = ServerConfig.host
@@ -97,9 +82,6 @@ class RouterConfig:
     queue_depth: int = ServerConfig.queue_depth
     idle_timeout: Optional[float] = ServerConfig.idle_timeout
     fsync_batch: int = ServerConfig.fsync_batch
-    #: Shed with ``overloaded`` once this many bytes sit unsent in a
-    #: shard uplink's transport buffer (the shard's pipe is backed up).
-    shed_bytes: int = 1 << 20
     #: How long one shard process may take to bind its socket (WAL
     #: replay happens before the bind, so recovery time counts).
     spawn_timeout: float = 30.0
@@ -135,16 +117,27 @@ class RouterConfig:
         )
 
 
+def _free_port(host: str) -> int:
+    """A port the kernel just handed out on ``host``, for a shard to bind."""
+    family = socket.getaddrinfo(host, 0, type=socket.SOCK_STREAM)[0][0]
+    with socket.socket(family, socket.SOCK_STREAM) as sock:
+        sock.bind((host, 0))
+        return sock.getsockname()[1]
+
+
 class _Shard:
     """One shard process and the router's view of it."""
 
     def __init__(self, index: int, directory: Path) -> None:
         self.index = index
         self.dir = directory
-        self.sock_path = directory / "serve.sock"
+        #: What ``ping`` tells clients to dial, set once the current
+        #: process holds its layout (a test may point it at a proxy).
+        self.address = ""
         self.proc: Optional[subprocess.Popen] = None
         self.up = asyncio.Event()
-        self.forwarded = 0
+        #: The router's connection (layouts, retires, stats) while up.
+        self.admin: Optional[AsyncClient] = None
         self.restarts = 0
         #: Terminal: the crash-loop trip wire fired; no more respawns.
         self.degraded = False
@@ -161,99 +154,10 @@ class _Shard:
         return self.dir / "snaps"
 
 
-class _Uplink:
-    """One connection from one client conn to one shard process."""
-
-    def __init__(
-        self,
-        shard: _Shard,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.shard = shard
-        self.reader = reader
-        self.writer = writer
-        #: seq-key (canonical JSON text of the request's seq) ->
-        #: session id, insertion-ordered; what ``shard_down`` answers
-        #: for when the shard dies mid-flight.
-        self.outstanding: Dict[str, str] = {}
-        self.pump: Optional[asyncio.Task] = None
-        self.closed = False
-
-
-class _ClientConn:
-    """Router-side state of one accepted client connection."""
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.uplinks: Dict[int, _Uplink] = {}
-        self.closing = False
-
-
-def _seq_key(seq: object) -> str:
-    """The canonical JSON text of a ``seq`` value (the bookkeeping key).
-
-    Request side computes it from the decoded value; the reply side
-    reads it straight off the reply bytes (:func:`_reply_seq_text`).
-    Canonical JSON guarantees both sides of the same value produce the
-    same text.
-    """
-    if type(seq) is int:  # the common case; excludes bool on purpose
-        return str(seq)
-    return canonical_dumps(seq)
-
-
-_NUMBER_START = frozenset(b"-0123456789")
-_VALUE_END = frozenset(b",}")
-
-
-def _reply_seq_text(payload: bytes) -> Optional[str]:
-    """The canonical text of a reply's top-level ``seq`` value, sliced
-    straight out of the payload without a JSON parse.
-
-    Sound for shard replies because they are canonically encoded: keys
-    are sorted, an unescaped ``"seq":`` byte run cannot occur inside a
-    string value (the quote would be escaped), and every reply key
-    sorting after ``"seq"`` carries a scalar -- so the *last* match is
-    the top-level one.  Returns None for exotic seq values (objects,
-    arrays, literals); the caller falls back to a full parse.  A miss
-    only staled bookkeeping either way: the frame is forwarded verbatim
-    regardless.
-    """
-    idx = payload.rfind(b'"seq":')
-    if idx < 0:
-        return None
-    start = idx + 6
-    if start >= len(payload):
-        return None
-    first = payload[start]
-    if first in _NUMBER_START:
-        end = start + 1
-        while end < len(payload) and payload[end] not in _VALUE_END:
-            end += 1
-        return payload[start:end].decode("ascii")
-    if first == 0x22:  # a string seq: scan to the closing quote
-        end = start + 1
-        while end < len(payload):
-            byte = payload[end]
-            if byte == 0x5C:  # backslash: skip the escaped character
-                end += 2
-                continue
-            if byte == 0x22:
-                return payload[start : end + 1].decode("ascii")
-            end += 1
-    return None
-
-
-#: Routing-cache backstop: a client spraying distinct session ids must
-#: not grow router memory without bound.
-_OWNER_CACHE_LIMIT = 65536
-
-
 class Router:
-    """The sharded front end; duck-compatible with
-    :class:`~repro.serve.server.CheckpointServer` for
-    :class:`~repro.serve.server.ServerHandle` (``start``/``stop``/
+    """The sharded deployment's supervisor and admin endpoint;
+    duck-compatible with :class:`~repro.serve.server.CheckpointServer`
+    for :class:`~repro.serve.server.ServerHandle` (``start``/``stop``/
     ``address``)."""
 
     def __init__(
@@ -270,18 +174,15 @@ class Router:
         # WAL, snapshots) must be absolute or it would re-resolve
         # under the child's cwd.
         self.data_dir = Path(config.data_dir).resolve()
-        self.shed_frames = 0
         self.reconciled_sessions = 0
         self._map = ShardMap(config.shard_procs, config.replicas)
-        #: session id -> shard index, memoizing the ring hash (one
-        #: sha256 per *frame* otherwise); cleared whenever overrides
-        #: change.
-        self._owner_cache: Dict[str, int] = {}
         self._shards: List[_Shard] = []
-        self._conns: Set[_ClientConn] = set()
-        self._conn_tasks: Set[asyncio.Task] = set()
+        #: Admin connections being served.
+        self._conns: Set[asyncio.Task] = set()
         self._supervisors: List[asyncio.Task] = []
-        self._migrating: Set[str] = set()
+        #: Held while the layout changes hands: one rebalance at a time,
+        #: and a respawned shard learns the layout the last one left.
+        self._moving = asyncio.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping = False
         self._stopped = False
@@ -317,7 +218,7 @@ class Router:
             await asyncio.gather(*(self._spawn(s) for s in self._shards))
         except BaseException:
             for shard in self._shards:
-                self._kill(shard)
+                await self._kill(shard)
             raise
         for shard in self._shards:
             task = asyncio.ensure_future(self._supervise(shard))
@@ -355,13 +256,14 @@ class Router:
             task.cancel()
         if self._supervisors:
             await asyncio.gather(*self._supervisors, return_exceptions=True)
-        for task in list(self._conn_tasks):
+        for task in list(self._conns):
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if self._conns:
+            await asyncio.gather(*self._conns, return_exceptions=True)
         summary: Dict[str, int] = {}
         loop = asyncio.get_running_loop()
         for shard in self._shards:
+            await self._close_admin(shard)
             drained = await loop.run_in_executor(None, self._drain_shard, shard)
             for sid, events in drained.items():
                 summary[sid] = max(summary.get(sid, 0), events)
@@ -385,26 +287,22 @@ class Router:
             proc.kill()
             out, _ = proc.communicate()
         shard.up.clear()
-        for line in reversed((out or b"").decode("utf-8", "replace").splitlines()):
-            line = line.strip()
-            if not line.startswith("{"):
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            sessions = doc.get("sessions")
-            if isinstance(sessions, dict):
-                return {str(k): int(v) for k, v in sessions.items()}
-        return {}
+        try:
+            sessions = json.loads(out)["sessions"]
+            return {str(k): int(v) for k, v in sessions.items()}
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return {}  # killed before it could drain: nothing to report
 
     # ------------------------------------------------------------------
     # shard processes
     # ------------------------------------------------------------------
-    def _shard_argv(self, shard: _Shard) -> List[str]:
+    def _shard_argv(self, shard: _Shard, listen: Address) -> List[str]:
+        if listen[0] == "unix":
+            where = ["--unix", listen[1]]
+        else:
+            where = ["--host", listen[1], "--port", str(listen[2])]
         argv = [
-            sys.executable, "-m", "repro", "serve",
-            "--unix", str(shard.sock_path),
+            sys.executable, "-m", "repro", "serve", *where,
             "--workers", str(self.config.workers),
             "--queue-depth", str(self.config.queue_depth),
             "--fsync-batch", str(self.config.fsync_batch),
@@ -417,13 +315,18 @@ class Router:
         return argv
 
     async def _spawn(self, shard: _Shard) -> None:
-        """Start one shard process and wait until its socket answers.
-
-        The daemon binds only after WAL replay, so "socket answers"
-        means "recovery is complete" -- the same contract clients rely
-        on when they reconnect after a crash.
+        """Start one shard process, wait until its socket answers (it
+        binds only after WAL replay), and hand it the layout before
+        publishing its address ``up``.  Until then it would own every
+        session, so no client may reach it: a Unix shard binds
+        ``spawn.sock``, renamed onto the published ``serve.sock``
+        afterwards; a TCP shard binds a fresh port, published then.
         """
         shard.dir.mkdir(parents=True, exist_ok=True)
+        if self.config.unix_path is not None:
+            listen: Address = ("unix", str(shard.dir / "spawn.sock"))
+        else:
+            listen = ("tcp", self.config.host, _free_port(self.config.host))
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH")
@@ -431,7 +334,7 @@ class Router:
             src_root if not existing else f"{src_root}{os.pathsep}{existing}"
         )
         shard.proc = subprocess.Popen(
-            self._shard_argv(shard),
+            self._shard_argv(shard, listen),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
@@ -451,20 +354,30 @@ class Router:
                     f"{(err or b'').decode('utf-8', 'replace')[-500:]}"
                 )
             try:
-                _, writer = await asyncio.open_unix_connection(
-                    str(shard.sock_path)
-                )
-            except (ConnectionError, OSError):
+                shard.admin = await AsyncClient.connect(listen)
+            except ConnectionError:
                 if loop.time() > deadline:
-                    self._kill(shard)
+                    await self._kill(shard)
                     raise SimulationError(
                         f"shard {shard.index} did not bind within "
                         f"{self.config.spawn_timeout}s"
                     )
                 await asyncio.sleep(0.05)
                 continue
-            writer.close()
             break
+        try:
+            async with self._moving:
+                await self._push_layout(shard, self._map)
+        except (ReproError, ConnectionError) as exc:
+            await self._kill(shard)
+            raise SimulationError(
+                f"shard {shard.index} refused its layout: {exc}"
+            ) from exc
+        if listen[0] == "unix":
+            published = str(shard.dir / "serve.sock")
+            os.replace(listen[1], published)  # atomic for connecting clients
+            listen = ("unix", published)
+        shard.address = format_address(listen)
         shard.up.set()
         self._trace("serve.shard.up", shard=shard.index, pid=shard.proc.pid)
         if self.metrics is not None:
@@ -473,31 +386,39 @@ class Router:
                 sum(1 for s in self._shards if s.up.is_set()),
             )
 
-    def _kill(self, shard: _Shard) -> None:
+    async def _push_layout(self, shard: _Shard, layout: ShardMap) -> None:
+        """Tell ``shard`` which sessions it owns under ``layout``."""
+        if shard.admin is None:
+            raise ConnectionError(f"shard {shard.index} is not connected")
+        await shard.admin.call(
+            "layout", layout=layout.to_doc(), shard=shard.index
+        )
+
+    async def _close_admin(self, shard: _Shard) -> None:
+        admin, shard.admin = shard.admin, None
+        if admin is not None:
+            await admin.close()
+
+    async def _kill(self, shard: _Shard) -> None:
         if shard.proc is not None and shard.proc.poll() is None:
             shard.proc.kill()
             shard.proc.communicate()
         shard.up.clear()
+        await self._close_admin(shard)
 
     async def _supervise(self, shard: _Shard) -> None:
         """Respawn a shard whose process died; WAL replay heals it.
 
-        Pacing is a capped exponential backoff: the first respawn after
-        a stretch of stable uptime waits ``restart_backoff``, and each
-        consecutive death doubles the wait up to ``restart_backoff_cap``
-        -- WAL replay is exactly the kind of work a tight respawn loop
-        would thrash.  A shard that keeps dying -- more than
+        Pacing is a capped exponential backoff (``restart_backoff``
+        doubling to ``restart_backoff_cap``; a full ``flap_window`` of
+        uptime forgives past deaths) -- WAL replay is exactly the work a
+        tight respawn loop would thrash.  More than
         ``flap_max_restarts`` deaths (failed respawns included) inside
-        ``flap_window`` seconds -- trips the crash-loop wire: it is
-        parked in a terminal ``shard_degraded`` state and never
-        respawned again, because a deterministic crash (corrupt WAL,
-        bad binary, poisoned session) would otherwise flap forever
-        while clients burn retry budgets against a shard that can never
-        come back.  Parking is visible: a ``serve.shard.flapping``
-        trace/metric fires, ``stats``/``ping`` report the shard as
-        degraded, and its key range answers a *non-retryable*
-        ``shard_degraded`` error so callers fail fast instead of
-        retrying into a wall.
+        ``flap_window`` trip the crash-loop wire: a deterministic crash
+        (corrupt WAL, bad binary, poisoned session) would flap forever,
+        so the shard is parked ``degraded`` for good, a
+        ``serve.shard.flapping`` trace/metric fires, and clients answer
+        its key range with the non-retryable ``shard_degraded``.
         """
         loop = asyncio.get_running_loop()
         consecutive = 0
@@ -530,6 +451,7 @@ class Router:
                     sum(1 for s in self._shards if s.up.is_set()),
                 )
             proc.communicate()  # reap; pipes are dead anyway
+            await self._close_admin(shard)
             while not self._stopping:
                 now = loop.time()
                 consecutive += 1
@@ -537,7 +459,7 @@ class Router:
                 keep = max(2, self.config.flap_max_restarts + 2)
                 del shard.restart_times[:-keep]
                 if self._flapping(shard, now):
-                    self._park(shard)
+                    await self._park(shard)
                     return
                 delay = min(
                     self.config.restart_backoff_cap,
@@ -550,9 +472,7 @@ class Router:
                     await self._spawn(shard)
                     break
                 except SimulationError:
-                    # Spawn failed (e.g. WAL corruption halting
-                    # recovery): the shard stays down, its key range
-                    # answers shard_down, and the failure counts toward
+                    # e.g. WAL corruption halting recovery: counts toward
                     # the crash-loop wire like any other death.
                     self._trace(
                         "serve.shard.respawn_failed", shard=shard.index
@@ -568,10 +488,10 @@ class Router:
         ]
         return len(recent) > limit
 
-    def _park(self, shard: _Shard) -> None:
+    async def _park(self, shard: _Shard) -> None:
         """Terminal: stop respawning a crash-looping shard."""
         shard.degraded = True
-        self._kill(shard)
+        await self._kill(shard)
         self._trace(
             "serve.shard.flapping",
             shard=shard.index,
@@ -586,315 +506,74 @@ class Router:
             )
 
     # ------------------------------------------------------------------
-    # client connections
+    # the admin endpoint
     # ------------------------------------------------------------------
     async def _serve_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = _ClientConn(writer)
-        self._conns.add(conn)
-        self._conn_tasks.add(asyncio.current_task())
+        task = asyncio.current_task()
+        self._conns.add(task)  # type: ignore[arg-type]
         try:
-            await self._read_loop(reader, conn)
-        except (wire.FrameError, ConnectionError, asyncio.CancelledError):
+            while not self._stopping:
+                doc = await wire.read_frame(reader)
+                if doc is None:
+                    return
+                writer.write(wire.encode_frame(await self._answer(doc)))
+                if doc.get("kind") == "bye":
+                    return
+        except (wire.FrameError, ConnectionError):
             pass
         finally:
-            conn.closing = True
-            for uplink in list(conn.uplinks.values()):
-                self._close_uplink(uplink)
-            conn.uplinks.clear()
-            self._conns.discard(conn)
-            self._conn_tasks.discard(asyncio.current_task())
-            if not writer.is_closing():
-                writer.close()
+            self._conns.discard(task)  # type: ignore[arg-type]
+            writer.close()
 
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, conn: _ClientConn
-    ) -> None:
-        buffer = wire.RawFrameBuffer()
-        while not self._stopping:
-            data = await reader.read(65536)
-            if not data:
-                if buffer.pending():
-                    raise wire.FrameError("connection closed mid-frame")
-                return
-            buffer.feed(data)
-            # Per-chunk batching: frames bound for the same shard are
-            # forwarded in one write, which is where most of the
-            # per-frame proxy overhead would otherwise go.
-            batches: Dict[int, List[bytes]] = {}
-            while True:
-                payload = buffer.next_payload()
-                if payload is None:
-                    break
-                try:
-                    doc = json.loads(payload)
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise wire.FrameError(
-                        f"undecodable frame payload: {exc}"
-                    ) from None
-                if not isinstance(doc, dict):
-                    raise wire.FrameError("frame payload must be an object")
-                if not await self._dispatch(doc, payload, conn, batches):
-                    await self._flush_batches(conn, batches)
-                    return
-            await self._flush_batches(conn, batches)
-
-    async def _flush_batches(
-        self, conn: _ClientConn, batches: Dict[int, List[bytes]]
-    ) -> None:
-        for shard_index, payloads in batches.items():
-            uplink = conn.uplinks.get(shard_index)
-            if uplink is None or uplink.closed:
-                # The uplink died between dispatch and flush; its pump
-                # already answered shard_down for these seqs.
-                continue
-            uplink.writer.write(
-                b"".join(wire.frame_prefix(p) + p for p in payloads)
-            )
-        batches.clear()
-
-    async def _dispatch(
-        self,
-        doc: Dict[str, object],
-        payload: bytes,
-        conn: _ClientConn,
-        batches: Dict[int, List[bytes]],
-    ) -> bool:
-        """Route one decoded frame; returns False to close the conn."""
+    async def _answer(self, doc: Dict[str, object]) -> Dict[str, object]:
         seq = doc.get("seq")
         kind = doc.get("kind")
-        if kind == "bye":
-            await self._flush_batches(conn, batches)
-            await self._quiesce_conn(conn)
-            self._reply(conn, {"ok": True, "seq": seq, "bye": True})
-            return False
-        if kind == "stats":
-            self._reply(conn, self._stats_reply(seq))
-            return True
         if kind == "ping":
-            self._reply(
-                conn,
-                {
-                    "ok": True,
-                    "seq": seq,
-                    "pong": True,
-                    "role": "router",
-                    "shards": len(self._shards),
-                    "shards_up": sum(
-                        1 for s in self._shards if s.up.is_set()
-                    ),
-                    "degraded": sorted(
-                        s.index for s in self._shards if s.degraded
-                    ),
-                },
-            )
-            return True
+            return self._ping_reply(seq)
+        if kind == "stats":
+            return await self._stats_reply(seq)
         if kind == "rebalance":
-            await self._flush_batches(conn, batches)
-            self._reply(conn, await self._rebalance(doc))
-            return True
-        if kind not in wire.KINDS:
-            self._reply(
-                conn,
-                wire.error_reply(seq, "bad_request", f"unknown kind {kind!r}"),
-            )
-            return True
+            return await self._rebalance(doc)
+        if kind == "bye":
+            return {"ok": True, "seq": seq, "bye": True}
+        if kind not in wire.SESSION_KINDS:
+            return wire.error_reply(seq, "bad_request", f"unknown kind {kind!r}")
         session_id = doc.get("session")
         if not isinstance(session_id, str) or not session_id:
-            self._reply(
-                conn,
-                wire.error_reply(seq, "bad_request", "missing session field"),
-            )
-            return True
-        if session_id in self._migrating:
-            self._reply(
-                conn,
-                wire.error_reply(
-                    seq, "shard_down", "session is re-homing; retry"
-                ),
-            )
-            return True
-        owner = self._owner_cache.get(session_id)
-        if owner is None:
-            if len(self._owner_cache) >= _OWNER_CACHE_LIMIT:
-                self._owner_cache.clear()
-            owner = self._map.owner(session_id)
-            self._owner_cache[session_id] = owner
-        shard = self._shards[owner]
-        if shard.degraded:
-            # Deliberately NOT retryable: the shard will never come
-            # back without operator action, so clients must fail fast
-            # instead of burning their retry budget against a wall.
-            self._reply(
-                conn,
-                wire.error_reply(
-                    seq,
-                    "shard_degraded",
-                    f"shard {shard.index} is crash-looping and has been "
-                    f"parked; operator action required",
-                ),
-            )
-            return True
-        if not shard.up.is_set():
-            self._reply(
-                conn,
-                wire.error_reply(
-                    seq,
-                    "shard_down",
-                    f"shard {shard.index} is restarting; retry",
-                ),
-            )
-            return True
-        uplink = conn.uplinks.get(shard.index)
-        if uplink is None or uplink.closed:
-            try:
-                uplink = await self._open_uplink(conn, shard)
-            except (ConnectionError, OSError):
-                self._reply(
-                    conn,
-                    wire.error_reply(
-                        seq,
-                        "shard_down",
-                        f"shard {shard.index} is unreachable; retry",
-                    ),
-                )
-                return True
-        transport_buffered = uplink.writer.transport.get_write_buffer_size()
-        if transport_buffered > self.config.shed_bytes:
-            self.shed_frames += 1
-            self._trace(
-                "serve.shard.shed",
-                shard=shard.index,
-                session=session_id,
-                seq=seq,
-            )
-            if self.metrics is not None:
-                self.metrics.inc("serve.shard.shed")
-            self._reply(
-                conn,
-                wire.error_reply(
-                    seq,
-                    "overloaded",
-                    f"shard {shard.index} pipe is backed up; retry",
-                ),
-            )
-            return True
-        uplink.outstanding[_seq_key(seq)] = session_id
-        shard.forwarded += 1
-        batches.setdefault(shard.index, []).append(payload)
-        return True
-
-    def _reply(self, conn: _ClientConn, doc: Dict[str, object]) -> None:
-        """One whole frame to the client in a single write (may
-        interleave with pump output, so partial writes are forbidden)."""
-        try:
-            conn.writer.write(wire.encode_frame(doc))
-        except (ConnectionError, OSError):
-            pass
-
-    # ------------------------------------------------------------------
-    # uplinks and reply pumps
-    # ------------------------------------------------------------------
-    async def _open_uplink(self, conn: _ClientConn, shard: _Shard) -> _Uplink:
-        reader, writer = await asyncio.open_unix_connection(
-            str(shard.sock_path)
+            return wire.error_reply(seq, "bad_request", "missing session field")
+        return wire.error_reply(
+            seq,
+            "moved",
+            "the router carries no session frames; ping it for the shard "
+            "table and send the frame to the owning shard",
         )
-        uplink = _Uplink(shard, reader, writer)
-        conn.uplinks[shard.index] = uplink
-        uplink.pump = asyncio.ensure_future(self._pump(conn, uplink))
-        return uplink
 
-    async def _pump(self, conn: _ClientConn, uplink: _Uplink) -> None:
-        """Forward shard replies to the client, whole frames only."""
-        buffer = wire.RawFrameBuffer()
-        try:
-            while True:
-                data = await uplink.reader.read(65536)
-                if not data:
-                    break
-                buffer.feed(data)
-                frames: List[bytes] = []
-                while True:
-                    payload = buffer.next_payload()
-                    if payload is None:
-                        break
-                    frames.append(wire.frame_prefix(payload))
-                    frames.append(payload)
-                    self._settle(uplink, payload)
-                if frames:
-                    conn.writer.write(b"".join(frames))
-                    await conn.writer.drain()
-        except (wire.FrameError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            return
-        finally:
-            self._fail_uplink(conn, uplink)
+    def _ping_reply(self, seq: object) -> Dict[str, object]:
+        shards = self._shards
+        reply: Dict[str, object] = {
+            "ok": True,
+            "seq": seq,
+            "pong": True,
+            "role": "router",
+            "shards": len(shards),
+            "shards_up": sum(1 for s in shards if s.up.is_set()),
+            "degraded": sorted(s.index for s in shards if s.degraded),
+        }
+        table = ShardTable(
+            self._map,
+            [s.address for s in shards],
+            [
+                DEGRADED if s.degraded else UP if s.up.is_set() else DOWN
+                for s in shards
+            ],
+        )
+        reply.update(table.ping_fields())
+        return reply
 
-    def _settle(self, uplink: _Uplink, payload: bytes) -> None:
-        """Mark one reply as no longer in flight."""
-        text = _reply_seq_text(payload)
-        if text is None:
-            try:
-                doc = json.loads(payload.decode("utf-8"))
-                text = _seq_key(doc.get("seq"))
-            except (UnicodeDecodeError, json.JSONDecodeError, AttributeError):
-                return  # forwarded verbatim regardless; bookkeeping only
-        uplink.outstanding.pop(text, None)
-
-    def _fail_uplink(self, conn: _ClientConn, uplink: _Uplink) -> None:
-        """The uplink is gone: answer ``shard_down`` for its in-flight
-        frames (refused-not-applied holds: the shard never acked them,
-        and un-acked WAL appends are torn-tail-repaired on replay)."""
-        if uplink.closed:
-            return
-        uplink.closed = True
-        if conn.uplinks.get(uplink.shard.index) is uplink:
-            del conn.uplinks[uplink.shard.index]
-        try:
-            uplink.writer.close()
-        except (ConnectionError, OSError):
-            pass
-        if conn.closing or self._stopping:
-            return
-        for seq_text in list(uplink.outstanding):
-            self._reply(
-                conn,
-                wire.error_reply(
-                    json.loads(seq_text),
-                    "shard_down",
-                    f"shard {uplink.shard.index} went away mid-request; retry",
-                ),
-            )
-        uplink.outstanding.clear()
-
-    def _close_uplink(self, uplink: _Uplink) -> None:
-        uplink.closed = True
-        if uplink.pump is not None:
-            uplink.pump.cancel()
-        try:
-            uplink.writer.close()
-        except (ConnectionError, OSError):
-            pass
-
-    async def _quiesce_conn(self, conn: _ClientConn, timeout: float = 30.0) -> None:
-        """Wait for every in-flight frame of one connection to settle."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while loop.time() < deadline:
-            live = [
-                u for u in conn.uplinks.values()
-                if u.outstanding and not u.closed and u.shard.up.is_set()
-            ]
-            if not live:
-                return
-            await asyncio.sleep(0.005)
-
-    # ------------------------------------------------------------------
-    # admin verbs
-    # ------------------------------------------------------------------
-    def _stats_reply(self, seq: object) -> Dict[str, object]:
+    async def _stats_reply(self, seq: object) -> Dict[str, object]:
+        pongs = await asyncio.gather(*(self._shard_pong(s) for s in self._shards))
         return {
             "ok": True,
             "seq": seq,
@@ -904,26 +583,36 @@ class Router:
                     "shard": s.index,
                     "up": s.up.is_set(),
                     "pid": s.proc.pid if s.proc is not None else None,
-                    "forwarded": s.forwarded,
+                    # Session frames the shard's current process answered.
+                    "forwarded": int(pong.get("answered", 0)),  # type: ignore[arg-type]
                     "restarts": s.restarts,
                     "degraded": s.degraded,
                 }
-                for s in self._shards
+                for s, pong in zip(self._shards, pongs)
             ],
-            "shed": self.shed_frames,
+            "shed": sum(int(pong.get("shed", 0)) for pong in pongs),  # type: ignore[arg-type]
             "connections": len(self._conns),
             "layout": self._map.to_doc(),
         }
 
+    async def _shard_pong(self, shard: _Shard) -> Dict[str, object]:
+        """The shard's own ``ping`` reply; empty when it is not up."""
+        try:
+            return await shard.admin.ping() if shard.up.is_set() else {}  # type: ignore[union-attr]
+        except (ReproError, ConnectionError):
+            return {}
+
     async def _rebalance(self, doc: Dict[str, object]) -> Dict[str, object]:
         """Move one session to an explicit target shard, live.
 
-        The protocol is "snapshot, truncate, re-home": quiesce the
-        session's in-flight frames, have the old owner snapshot + WAL
-        truncate + retire it, copy the snapshot into the new owner's
-        store (watermark reset -- the new owner's WAL knows nothing of
-        it), persist the override.  Frames arriving mid-move get
-        ``shard_down``, which sync clients transparently retry.
+        The protocol is "snapshot, truncate, re-home": push the new
+        layout to the old owner (from then on it refuses the session's
+        frames ``moved``), have it snapshot + WAL-truncate + retire the
+        session -- the retire queues behind every frame it already
+        accepted --, copy the snapshot into the new owner's store
+        (watermark reset: the new owner's WAL knows nothing of it), push
+        the layout to the new owner, persist the override.  Any failure
+        before the new owner has it hands the session back to the old.
         """
         seq = doc.get("seq")
         session_id = doc.get("session")
@@ -936,56 +625,52 @@ class Router:
                 "bad_request",
                 f"target must be a shard index 0..{len(self._shards) - 1}",
             )
-        source = self._map.owner(session_id)
-        if source == target:
-            return {
-                "ok": True, "seq": seq, "session": session_id,
-                "moved": False, "shard": target,
-            }
-        old = self._shards[source]
-        new = self._shards[target]
-        if not old.up.is_set() or not new.up.is_set():
-            return wire.error_reply(
-                seq, "shard_down", "both shards must be up to rebalance"
-            )
-        if session_id in self._migrating:
-            return wire.error_reply(
-                seq, "busy", f"session {session_id!r} is already re-homing"
-            )
-        self._migrating.add(session_id)
-        try:
-            await self._quiesce_session(session_id, source)
-            admin = await AsyncClient.connect(f"unix:{old.sock_path}")
+        async with self._moving:
+            source = self._map.owner(session_id)
+            if source == target:
+                return {
+                    "ok": True, "seq": seq, "session": session_id,
+                    "moved": False, "shard": target,
+                }
+            old = self._shards[source]
+            new = self._shards[target]
+            if not old.up.is_set() or not new.up.is_set():
+                return wire.error_reply(
+                    seq, "shard_down", "both shards must be up to rebalance"
+                )
+            overrides = dict(self._map.overrides)
+            if self._map.ring_owner(session_id) == target:
+                overrides.pop(session_id, None)
+            else:
+                overrides[session_id] = target
+            moved = ShardMap(self._map.shards, self._map.replicas, overrides)
             try:
-                snap_reply = await admin.call(
+                await self._push_layout(old, moved)
+                snap_reply = await old.admin.call(  # type: ignore[union-attr]
                     "snapshot", session=session_id, retire=True
                 )
-            finally:
-                await admin.close()
-            moved_doc = SnapshotStore(old.snaps_dir).load(session_id)
-            if moved_doc is None:
-                return wire.error_reply(
-                    seq, "internal", "owner wrote no snapshot"
+                moved_doc = SnapshotStore(old.snaps_dir).load(session_id)
+                if moved_doc is None:
+                    raise ReplyError("internal", "owner wrote no snapshot")
+                # The new owner's WAL starts clean.  The old copy stays in
+                # the source store on purpose: WAL segments there may have
+                # been truncated against its watermark, and removing it
+                # would tear the recovery chain.  The next full reconcile
+                # retires it (longest log wins).
+                SnapshotStore(new.snaps_dir).put(
+                    session_id, dict(moved_doc, wal_seq=-1)
                 )
-            moved_doc = dict(moved_doc)
-            moved_doc["wal_seq"] = -1  # the new owner's WAL starts clean
-            SnapshotStore(new.snaps_dir).put(session_id, moved_doc)
-            # The old copy stays in the source store on purpose: WAL
-            # segments there may have been truncated against its
-            # watermark, and removing it would tear the recovery chain.
-            # The next full reconcile retires it (longest log wins).
-            if self._map.ring_owner(session_id) == target:
-                self._map.overrides.pop(session_id, None)
-            else:
-                self._map.overrides[session_id] = target
-            self._owner_cache.clear()
+                await self._push_layout(new, moved)
+            except (ReproError, ConnectionError, OSError) as exc:
+                try:  # hand the session back to the old owner
+                    await self._push_layout(old, self._map)
+                except (ReproError, ConnectionError):
+                    pass  # it died: its respawn learns self._map
+                if isinstance(exc, ReplyError):
+                    return wire.error_reply(seq, exc.code, exc.detail)
+                return wire.error_reply(seq, "shard_down", str(exc))
+            self._map = moved
             self._map.save(self._layout_path())
-        except ReplyError as exc:
-            return wire.error_reply(seq, exc.code, exc.detail)
-        except (ConnectionError, OSError) as exc:
-            return wire.error_reply(seq, "shard_down", str(exc))
-        finally:
-            self._migrating.discard(session_id)
         self._trace(
             "serve.shard.rebalance",
             session=session_id,
@@ -1006,29 +691,6 @@ class Router:
             "digest": snap_reply.get("digest"),
         }
 
-    async def _quiesce_session(
-        self, session_id: str, shard_index: int, timeout: float = 10.0
-    ) -> None:
-        """Wait until no frame of ``session_id`` is in flight to
-        ``shard_index`` on any connection (new ones are already being
-        refused via ``_migrating``)."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while loop.time() < deadline:
-            inflight = any(
-                session_id in uplink.outstanding.values()
-                for conn in self._conns
-                for uplink in [conn.uplinks.get(shard_index)]
-                if uplink is not None and not uplink.closed
-            )
-            if not inflight:
-                return
-            await asyncio.sleep(0.005)
-        raise ConnectionError(
-            f"session {session_id!r} still has frames in flight after "
-            f"{timeout}s"
-        )
-
     # ------------------------------------------------------------------
     # offline layout reconciliation
     # ------------------------------------------------------------------
@@ -1039,7 +701,7 @@ class Router:
         Fast path: the stored layout matches ``shard_procs``, has no
         overrides, and no orphan shard directories exist -- per-shard
         WAL recovery then proceeds untouched inside each shard process
-        (this is the hot path PR 6's chaos grid exercises).
+        (this is the hot path the shard kill -9 test exercises).
 
         Full pass (shard count changed, overrides pending, or orphan
         directories): recover every session from every shard directory

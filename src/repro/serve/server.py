@@ -19,6 +19,9 @@ One event loop, many sessions, bounded memory:
   drains every shard queue -- every frame already read gets its reply,
   so no acknowledged frame is ever lost -- snapshots all live sessions
   and only then closes connections.
+* **Ownership, when sharded.**  After a router's ``layout`` frame, a
+  frame for a session this shard does not own is refused ``moved``; a
+  server that never got a layout owns every session.
 
 Blocking calls are banned inside this package's coroutines by
 ``tools/lint_determinism.py``; wall-clock use is confined to the event
@@ -36,7 +39,9 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.serve import wire
+from repro.serve.client import format_address
 from repro.serve.session import ServeSession, SessionError
+from repro.serve.shardmap import ShardMap
 from repro.serve.snapshots import SnapshotStore, restore_session
 from repro.serve.wal import IngestWal, WalCommitter, recover_sessions
 from repro.types import ReproError, SimulationError
@@ -86,9 +91,6 @@ class ServerConfig:
         if self.fsync_batch <= 0:
             raise SimulationError("fsync_batch must be positive")
 
-
-#: Frame kinds the dispatcher accepts (set: checked once per frame).
-_KNOWN_KINDS = frozenset(wire.KINDS)
 
 #: Outgoing bytes buffered before a worker awaits ``drain()``.  Writes
 #: are synchronous on the loop (whole frames, so they never interleave);
@@ -174,6 +176,11 @@ class CheckpointServer:
         self._tick = 0  # server-side trace clock (one per traced event)
         self.shed_frames = 0
         self.ingested_frames = 0
+        #: Session frames this server owned and answered (``ping``).
+        self.answered_frames = 0
+        #: A router's layout and this shard's index; None owns everything.
+        self._layout: Optional[ShardMap] = None
+        self._shard_index = 0
         # --- durable ingest WAL (built in start(); None = disabled) ---
         self.wal: Optional[IngestWal] = None
         self._committer: Optional[WalCommitter] = None
@@ -435,15 +442,20 @@ class CheckpointServer:
                     "role": "server",
                     "sessions": len(self.sessions),
                     "degraded": self._wal_failed is not None,
+                    "answered": self.answered_frames,
+                    "shed": self.shed_frames,
                 }
             )
+            return True
+        if kind == "layout":
+            await conn.reply(self._adopt_layout(doc))
             return True
         if self._wal_failed is not None:
             # Halted (see _fail_wal): refuse rather than accept frames
             # whose acks could never be made durable.
             await conn.reply(self._wal_failed_reply(doc))
             return False
-        if kind not in _KNOWN_KINDS:
+        if kind not in wire.SESSION_KINDS:
             await conn.reply(
                 wire.error_reply(seq, "bad_request", f"unknown kind {kind!r}")
             )
@@ -454,6 +466,20 @@ class CheckpointServer:
                 wire.error_reply(seq, "bad_request", "missing session field")
             )
             return True
+        # Before the queue and the store, so a session retired here is
+        # never restored from its leftover snapshot.  The retiring
+        # snapshot itself is how the router takes a session away.
+        if (
+            self._layout is not None
+            and self._layout.owner(session_id) != self._shard_index
+            and not (kind == "snapshot" and doc.get("retire"))
+        ):
+            await conn.reply(wire.error_reply(
+                seq, "moved", f"shard {self._shard_index} does not own "
+                f"session {session_id!r}; ping the router for its table",
+            ))
+            return True
+        self.answered_frames += 1
         queue = self._queues[self._shard_of(session_id)]
         try:
             conn.enqueue()
@@ -476,6 +502,20 @@ class CheckpointServer:
                     max(q.qsize() for q in self._queues),
                 )
         return True
+
+    def _adopt_layout(self, doc: Dict[str, object]) -> Dict[str, object]:
+        """Take the ownership a router pushes: ``layout`` is a
+        :meth:`ShardMap.to_doc` document, ``shard`` this process's index."""
+        seq, shard = doc.get("seq"), doc.get("shard")
+        try:
+            layout = ShardMap.from_doc(doc["layout"])  # type: ignore[arg-type]
+            if type(shard) is not int or not 0 <= shard < layout.shards:
+                raise ValueError(f"shard {shard!r} outside 0..{layout.shards - 1}")
+        except (KeyError, AttributeError, TypeError, ValueError, SimulationError) as exc:
+            return wire.error_reply(seq, "bad_request", f"bad layout: {exc}")
+        self._layout, self._shard_index = layout, shard
+        self._trace("serve.layout", shard=shard, overrides=len(layout.overrides))
+        return {"ok": True, "seq": seq, "shard": shard}
 
     # ------------------------------------------------------------------
     # shard workers
@@ -944,9 +984,7 @@ class ServerHandle:
 
     def connect_address(self) -> str:
         """The address in the textual form the clients parse."""
-        if self.address[0] == "unix":
-            return f"unix:{self.address[1]}"
-        return f"{self.address[1]}:{self.address[2]}"
+        return format_address(self.address)
 
     def close(self, timeout: float = 30.0) -> Dict[str, int]:
         """Gracefully drain and stop; returns per-session event counts."""

@@ -1,7 +1,7 @@
 """Consistent-hash shard ownership: which shard process owns a session.
 
-The router and every shard process must agree, forever and across
-restarts, on the mapping ``session id -> shard index``.  Anything
+The router, every shard process and every client must agree, forever
+and across restarts, on the mapping ``session id -> shard index``.  Anything
 ambient (dict iteration order, interpreter hash randomisation, wall
 clock) is therefore banned from the construction; the ring is a pure
 function of ``(shards, replicas)`` built from SHA-256, so two processes
@@ -25,6 +25,10 @@ cannot silently forget a migration.  The startup reconcile pass
 folds overrides back into ring placement by physically moving the
 sessions, then clears the table -- overrides are a migration in flight,
 not a second source of truth.
+
+:class:`ShardTable` is what clients route by: the layout plus each
+shard's address and supervision state, as the router's ``ping``
+publishes them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.jsonio import canonical_dumps
 from repro.types import SimulationError
@@ -163,3 +167,51 @@ class ShardMap:
             f"<ShardMap shards={self.shards} replicas={self.replicas} "
             f"overrides={len(self.overrides)}>"
         )
+
+
+#: A shard's state in a router's ``ping``: serving, restarting (its
+#: supervisor will respawn it), or parked for good (crash-looping).
+UP, DOWN, DEGRADED = "up", "down", "degraded"
+
+
+class ShardTable:
+    """A client's routing table, as a router's ``ping`` publishes it:
+    the layout, and per shard where to dial it and its state.  There is
+    no epoch: a shard's ``moved`` refusal is what tells a client its
+    table went stale."""
+
+    def __init__(
+        self, layout: ShardMap, addresses: Sequence[str], states: Sequence[str]
+    ) -> None:
+        if not len(addresses) == len(states) == layout.shards:
+            raise SimulationError(
+                f"{layout.shards} shards need one address and state each"
+            )
+        self.layout = layout
+        self.addresses = list(addresses)
+        self.states = list(states)
+
+    def ping_fields(self) -> Dict[str, object]:
+        """The fields a router adds to its ``ping`` reply."""
+        return {
+            "layout": self.layout.to_doc(),
+            "table": [
+                {"shard": k, "address": address, "state": state}
+                for k, (address, state) in enumerate(zip(self.addresses, self.states))
+            ],
+        }
+
+    @classmethod
+    def from_ping(cls, reply: Mapping[str, object]) -> Optional["ShardTable"]:
+        """The table in a ``ping`` reply; None unless a router sent it."""
+        if reply.get("role") != "router":
+            return None
+        try:
+            rows = sorted(reply["table"], key=lambda row: row["shard"])  # type: ignore[arg-type,index]
+            return cls(
+                ShardMap.from_doc(reply["layout"]),  # type: ignore[arg-type]
+                [str(row["address"]) for row in rows],
+                [str(row["state"]) for row in rows],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SimulationError(f"malformed router table: {exc!r}") from None

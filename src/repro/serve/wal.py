@@ -138,15 +138,28 @@ def _chain_digest(body: Dict[str, object]) -> str:
     return hashlib.sha256(canonical_bytes(body)).hexdigest()
 
 
+def _mint(
+    seq: int, session: str, idx: int, op: Dict[str, object], prev: str
+) -> Tuple[WalRecord, bytes]:
+    """One chained record and its line on disk.  The body is encoded
+    once: ``"digest"`` sorts before every body key, so the canonical
+    line is the body with the digest spliced in front."""
+    body = canonical_bytes(
+        {"seq": seq, "session": session, "idx": idx, "op": op, "prev": prev}
+    )
+    digest = hashlib.sha256(body).hexdigest()
+    line = b'{"digest":"' + digest.encode("ascii") + b'",' + body[1:] + b"\n"
+    record = WalRecord(
+        seq=seq, session=session, idx=idx, op=op, prev=prev, digest=digest
+    )
+    return record, line
+
+
 def make_record(
     seq: int, session: str, idx: int, op: Dict[str, object], prev: str
 ) -> WalRecord:
     """Mint one chained record (digest computed over the body)."""
-    body = {"seq": seq, "session": session, "idx": idx, "op": op, "prev": prev}
-    return WalRecord(
-        seq=seq, session=session, idx=idx, op=op, prev=prev,
-        digest=_chain_digest(body),
-    )
+    return _mint(seq, session, idx, op, prev)[0]
 
 
 def _record_from_doc(doc: Dict[str, object]) -> Optional[WalRecord]:
@@ -441,7 +454,8 @@ class IngestWal:
         self._prev = scan.prev
         self._next_seq = scan.next_seq
         self.durable_seq = self._next_seq - 1
-        self._pending: Deque[WalRecord] = deque()
+        #: Appended records with their encoded lines, oldest first.
+        self._pending: Deque[Tuple[WalRecord, bytes]] = deque()
         self._file = None
         self._segment_path: Optional[Path] = None
         self._segment_count = 0
@@ -490,10 +504,10 @@ class IngestWal:
         """Buffer one record; durable only after a later :meth:`sync`."""
         if self.closed:
             raise WalError("append on a closed WAL")
-        record = make_record(self._next_seq, session, idx, dict(op), self._prev)
+        record, line = _mint(self._next_seq, session, idx, dict(op), self._prev)
         self._prev = record.digest
         self._next_seq += 1
-        self._pending.append(record)
+        self._pending.append((record, line))
         return record
 
     # ------------------------------------------------------------------
@@ -541,13 +555,13 @@ class IngestWal:
             return self.durable_seq
         wrote = False
         for _ in range(count):
-            record = self._pending.popleft()
+            record, line = self._pending.popleft()
             if self._file is None or self._segment_count >= self.segment_records:
                 if self._file is not None:
                     self._fsync_file()
                     self._file.close()
                 self._open_segment(record.seq, record.prev)
-            self._file.write(canonical_bytes(record.as_doc()) + b"\n")
+            self._file.write(line)
             self._segment_count += 1
             self.durable_seq = record.seq
             wrote = True

@@ -16,9 +16,9 @@ any protocol state of its own.
 
 The codec is sans-IO at its core (:class:`RawFrameBuffer` splits byte
 chunks into frames, :class:`FrameBuffer` decodes them) with thin
-adapters for asyncio streams (:func:`read_frame` / :func:`write_frame`)
-and blocking sockets (:func:`recv_frame` / :func:`send_frame`); client
-and server share it, so neither can drift from the other.
+adapters for asyncio streams (:func:`read_frame`) and blocking sockets
+(:func:`recv_frame` / :func:`send_frame`); clients, servers and the
+router share it, so none can drift from the others.
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ KINDS = (
     "snapshot",
     "ping",
     "bye",
+    "layout",
 )
+
+#: The kinds that name a ``session`` and go to the shard that owns it;
+#: the rest are answered by whichever peer receives them.
+SESSION_KINDS = frozenset(KINDS) - {"ping", "bye", "layout"}
 
 #: Hard ceiling on one frame's payload size (1 MiB): a malformed or
 #: hostile length prefix must not make the server allocate unbounded
@@ -78,11 +83,8 @@ class RawFrameBuffer:
 
     The one reassembly loop of the wire.  It owns no socket and never
     blocks, which lets one implementation serve asyncio readers,
-    blocking sockets and tests alike.  The shard router uses it
-    directly: forwarding frames verbatim needs frame boundaries (to
-    route whole frames) but not a decoded document for every byte it
-    moves, so callers decode only the payloads they actually need to
-    inspect and re-frame with :func:`frame_prefix` when forwarding.
+    blocking sockets and tests alike; callers that need boundaries but
+    not documents use it directly.
     """
 
     __slots__ = ("_buf", "_pos")
@@ -164,14 +166,6 @@ class FrameBuffer:
         return self._raw.pending()
 
 
-def frame_prefix(payload: bytes) -> bytes:
-    """The 4-byte length prefix for one raw payload (the router's
-    re-framing primitive: ``frame_prefix(p) + p`` is the wire frame)."""
-    if len(payload) > MAX_FRAME:
-        raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME}")
-    return _LEN.pack(len(payload))
-
-
 # ----------------------------------------------------------------------
 # asyncio stream adapters
 # ----------------------------------------------------------------------
@@ -197,12 +191,6 @@ async def read_frame(reader) -> Optional[Dict[str, object]]:
     except asyncio.IncompleteReadError:
         raise FrameError("connection closed inside a frame payload") from None
     return decode_frame(payload)
-
-
-async def write_frame(writer, doc: object) -> None:
-    """Write one frame to an ``asyncio.StreamWriter`` and drain."""
-    writer.write(encode_frame(doc))
-    await writer.drain()
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,28 @@
 """kill -9 one shard of a sharded deployment; the rest keep serving.
 
 The sharded promise is the single-process durability contract *scoped
-to a key range*: SIGKILL-ing one shard process mid-commit must
+to a key range*.  With clients dialling each session's shard directly,
+SIGKILL-ing one shard process mid-commit must
 
-* degrade only the sessions that shard owns (requests for them get the
-  retryable ``shard_down`` code while every other session keeps acking
-  at 100%),
-* lose no acked frame of the victim -- after the supervisor respawns
-  the shard and its WAL replays, the session's recovered log is an
-  exact prefix of what the driver sent, at least as long as the acked
-  count, and
+* degrade only the sessions that shard owns: the frame in flight on
+  the dead connection raises ``ConnectionError`` (its fate is unknown:
+  the shard may have made it durable before dying), every later frame
+  for the victim is refused unwritten with ``shard_down`` until the
+  supervisor's respawn, and every other session keeps acking at 100%;
+* lose no acked frame of the victim -- after the respawn and WAL
+  replay, the session's recovered log is an exact prefix of what the
+  driver sent, at least as long as the acked count; and
 * stay differentially honest -- the revived session's query answers are
   byte-identical to an offline replay of that recovered prefix.
 
-The driver uses a non-retrying client on purpose: every ``shard_down``
-is surfaced, so the test does its own bookkeeping of which frames have
-an unknown fate (in flight when the shard died) instead of letting the
-client paper over the outage.
+The driver uses a non-retrying client on purpose: every refusal is
+surfaced, so the test keeps its own books of which frame has an unknown
+fate instead of letting the client paper over the outage, and resumes
+with ``hello`` to learn it, as the at-least-once rule asks callers to.
 
-Gating: spawns and murders real subprocesses, so ``REPRO_CHAOS=1``
-only.  ``REPRO_CHAOS_SHARD_CELLS`` caps the cell count (default 2).
+Seed 0 runs in the default suite; further cells spawn and murder more
+subprocesses, so they run only with ``REPRO_CHAOS=1``
+(``REPRO_CHAOS_SHARD_CELLS`` caps the cell count, default 2).
 """
 
 import os
@@ -37,7 +40,7 @@ from repro.serve.session import offline_answers
 from repro.serve.snapshots import SnapshotStore
 from repro.serve.wal import read_wal, recover_sessions
 
-pytestmark = [
+gated = [
     pytest.mark.tier2,
     pytest.mark.skipif(
         os.environ.get("REPRO_CHAOS") != "1",
@@ -52,7 +55,10 @@ VICTIM = 0
 
 def _budgeted_seeds():
     budget = int(os.environ.get("REPRO_CHAOS_SHARD_CELLS", "2"))
-    return list(range(max(1, min(budget, 6))))
+    return [
+        seed if seed == 0 else pytest.param(seed, marks=gated)
+        for seed in range(max(1, min(budget, 6)))
+    ]
 
 
 def _session_per_shard(layout, seed):
@@ -118,54 +124,51 @@ def test_shard_kill9_degrades_only_its_key_range(tmp_path, seed):
         )
         kill_thread.start()
 
-        # Stream until the outage surfaces on the victim.  Every reply
-        # for a *healthy* session must stay ok=true throughout -- a
-        # shard_down there would mean the blast radius escaped the
-        # victim's key range.
+        # Stream until the victim's connection dies under a frame.  Its
+        # fate is unknown, so it stays in ``sent`` without an ack; a
+        # healthy session losing its connection would mean the blast
+        # radius escaped the victim's key range.
         order = sorted(loads)
-        victim_down = False
         deadline = time.monotonic() + 30.0
         op_i = 0
-        while not victim_down:
+        while True:
             assert time.monotonic() < deadline, "kill never surfaced"
             sid = order[op_i % len(order)]
             op_i += 1
             try:
                 _drive_one(client, rng, sid, loads[sid])
-            except ReplyError as exc:
-                assert sid == victim_sid, (
-                    f"healthy session {sid} degraded during the outage: "
-                    f"{exc.code}"
-                )
-                assert exc.code == "shard_down"
-                victim_down = True
+            except ConnectionError:
+                assert sid == victim_sid, f"healthy session {sid} lost its shard"
+                break
         kill_thread.join(timeout=5.0)
 
-        # While the victim is down (or respawning), the other shards
-        # keep acking at 100%.
-        for _ in range(40):
-            for sid in order:
-                if sid == victim_sid:
-                    continue
-                _drive_one(client, rng, sid, loads[sid])
-
-        # The supervisor respawns the shard; it binds only after WAL
-        # replay, so "up again" means recovery is complete.
+        # Until the respawn, the victim's frames are refused unwritten
+        # while the other shards keep acking at 100%.  ``hello`` is the
+        # probe because it is also how the caller resumes: it applies
+        # nothing, and once the shard is back it reports what survived.
+        refused = healthy = 0
         deadline = time.monotonic() + 30.0
         while True:
-            stats = client.call({"kind": "stats", "seq": "respawn-poll"})
-            row = stats["shards"][VICTIM]
-            if row["up"] and row["restarts"] >= 1:
-                assert row["pid"] != victim_pid
+            for sid in order:
+                if sid != victim_sid:
+                    _drive_one(client, rng, sid, loads[sid])
+                    healthy += 1
+            try:
+                greeting = client.hello(victim_sid)
                 break
-            assert time.monotonic() < deadline, f"no respawn: {row}"
-            time.sleep(0.2)
+            except ReplyError as exc:
+                assert exc.code == "shard_down"
+                refused += 1
+            assert time.monotonic() < deadline, "victim never respawned"
+            time.sleep(0.05)
+        assert refused >= 1 and healthy >= 2 * refused
+        row = client.call({"kind": "stats", "seq": "respawn"})["shards"][VICTIM]
+        assert row["up"] and row["restarts"] >= 1 and row["pid"] != victim_pid
 
         # No acked frame died with the shard: the revived session holds
-        # a sent-prefix at least as long as the acked count.  Frames in
-        # flight at the kill have an unknown fate, hence <= sent.
+        # a sent-prefix at least as long as the acked count.  The frame
+        # in flight at the kill has an unknown fate, hence <= sent.
         load = loads[victim_sid]
-        greeting = client.resume(victim_sid)
         assert greeting["recovered"] is True
         events = int(greeting["events"])
         assert load["acked"] <= events <= len(load["sent"]), (

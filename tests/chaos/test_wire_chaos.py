@@ -342,9 +342,9 @@ def _budgeted_grid():
     ("seed", "profile"), _budgeted_grid(), ids=lambda v: str(v)
 )
 def test_sharded_deployment_survives_wire_chaos(tmp_path, seed, profile):
-    """The full multi-process deployment behind the proxy: seeded
-    faults on the router's front door, audited differentially against
-    the per-shard WALs after shutdown."""
+    """The full multi-process deployment with a proxy in front of each
+    shard -- the wire every session frame crosses -- audited
+    differentially against the per-shard WALs after shutdown."""
     data_dir = tmp_path / "data"
     crashed = (seed % 3,)
     with api.serve(
@@ -352,18 +352,28 @@ def test_sharded_deployment_survives_wire_chaos(tmp_path, seed, profile):
         shard_procs=2,
         data_dir=str(data_dir),
     ) as handle:
-        proxy = ServerHandle(ChaosProxy(
-            handle.connect_address(),
-            ChaosConfig(seed=seed, **PROFILES[profile]),
-        ))
+        shards = handle.server._shards
+        direct = [shard.address for shard in shards]
+        proxies = [
+            ServerHandle(ChaosProxy(
+                address,
+                ChaosConfig(seed=seed * len(direct) + k, **PROFILES[profile]),
+            ))
+            for k, address in enumerate(direct)
+        ]
+        # Clients dial what the router's ping publishes.
+        for shard, proxy in zip(shards, proxies):
+            shard.address = proxy.connect_address()
         try:
             driver = run_cell(
-                proxy.connect_address(), handle.connect_address(),
+                handle.connect_address(), handle.connect_address(),
                 seed=seed, sessions=3, ops=90, timeout=0.75,
             )
         finally:
-            summary = proxy.close()
-        assert summary["connections"] >= 1
+            summaries = [proxy.close() for proxy in proxies]
+            for shard, address in zip(shards, direct):
+                shard.address = address
+        assert sum(s["connections"] for s in summaries) >= 1
         online, events = audit_online(
             handle.connect_address(), driver.loads, crashed
         )
@@ -433,9 +443,13 @@ def test_crash_looping_shard_is_parked_not_respawned_forever(tmp_path):
             time.sleep(0.05)
         assert kills > config.flap_max_restarts
 
-        # Terminal and honest: the parked key range answers a typed,
-        # non-retryable error immediately -- no hang, no silent retry.
+        # Terminal and honest: the victim's connection died with its
+        # first process (fate unknown), and then the parked key range
+        # answers a typed, non-retryable error immediately -- no hang,
+        # no silent retry.
         started = time.monotonic()
+        with pytest.raises(ConnectionError):
+            client.checkpoint(victim_sid, pid=0)
         with pytest.raises(ReplyError) as err:
             client.checkpoint(victim_sid, pid=0)
         assert err.value.code == "shard_degraded"

@@ -10,7 +10,8 @@ from repro.analysis import (
     min_consistent_gcp,
     min_gcp_rdt,
 )
-from repro.clocks import Causality, tdv_snapshots
+from repro.clocks import tdv_snapshots
+from tests.oracles.vector import Causality
 from repro.events import PatternBuilder, figure1_pattern, random_pattern
 from repro.types import AnalysisError, CheckpointId as C
 

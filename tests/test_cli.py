@@ -413,7 +413,7 @@ class TestServeKnobs:
             host="127.0.0.1", port=7463, unix_path=sock, shard_procs=2,
             data_dir=str(tmp_path / "d"), replicas=64, workers=1,
             queue_depth=1024, idle_timeout=None, fsync_batch=64,
-            shed_bytes=1 << 20, spawn_timeout=30.0, restart_backoff=0.2,
+            spawn_timeout=30.0, restart_backoff=0.2,
             restart_backoff_cap=5.0, flap_window=30.0, flap_max_restarts=5,
         )
         assert not (tmp_path / "d").exists()

@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.clocks import (
-    Causality,
-    LamportClock,
-    MatrixClock,
-    TrackabilityOracle,
-    VectorClock,
-    lamport_timestamps,
-    tdv_snapshots,
-    vector_timestamps,
-)
+from repro.clocks import TrackabilityOracle, tdv_snapshots
 from repro.events import PatternBuilder, figure1_pattern, random_pattern
 from repro.types import CheckpointId
+from tests.oracles.lamport import LamportClock, lamport_timestamps
+from tests.oracles.matrix import MatrixClock
+from tests.oracles.vector import Causality, VectorClock, vector_timestamps
 
 
 @pytest.fixture

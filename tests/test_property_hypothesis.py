@@ -25,7 +25,8 @@ from repro.analysis import (
     useless_checkpoints,
     useless_checkpoints_rgraph,
 )
-from repro.clocks import Causality, tdv_snapshots, vector_timestamps
+from repro.clocks import tdv_snapshots
+from tests.oracles.vector import Causality, vector_timestamps
 from repro.core import protocol_factory
 from repro.events import PatternBuilder, validate_history
 from repro.graph import RGraph, ZPathAnalyzer

@@ -18,6 +18,7 @@ from repro.serve.client import (
     RequestTimeout,
     parse_address,
 )
+from repro.serve.shardmap import ShardMap, ShardTable
 from repro.types import ReproError
 
 
@@ -97,11 +98,14 @@ class _ScriptedServer:
     """A threaded unix-socket peer whose per-connection behaviour is a
     plain function -- the cheapest way to script wire-level misbehaviour
     (stalls, partial frames, scripted error codes) a real server never
-    produces on cue."""
+    produces on cue.  Unless ``handshake`` is off, the ``ping`` that
+    ``AsyncClient.connect`` opens with is answered before the handler
+    runs."""
 
-    def __init__(self, path, handler):
+    def __init__(self, path, handler, handshake=True):
         self.path = str(path)
         self._handler = handler
+        self._handshake = handshake
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(self.path)
         self._listener.listen(8)
@@ -126,6 +130,8 @@ class _ScriptedServer:
 
     def _run_handler(self, index, conn):
         try:
+            if self._handshake:
+                _answer_handshake(conn)
             self._handler(index, conn)
         except OSError:
             pass
@@ -145,6 +151,27 @@ class _ScriptedServer:
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def _answer_handshake(conn):
+    """``AsyncClient.connect`` opens with ``ping`` (seq 0): answer it as
+    a plain server does, so each handler scripts only what follows.  Any
+    other first frame is left unread for the handler."""
+    peek = socket.MSG_PEEK | socket.MSG_WAITALL
+    head = conn.recv(4, peek)
+    if len(head) < 4:
+        return
+    size = 4 + int.from_bytes(head, "big")
+    frame = conn.recv(size, peek)
+    if len(frame) < size:
+        return
+    try:
+        doc = wire.decode_frame(frame[4:])
+    except wire.FrameError:
+        return
+    if doc.get("kind") == "ping" and doc.get("seq") == 0:
+        conn.recv(size, socket.MSG_WAITALL)
+        wire.send_frame(conn, {"ok": True, "seq": 0, "pong": True, "role": "server"})
 
 
 def _serve_ok(conn):
@@ -270,6 +297,112 @@ class TestShardDownRetry:
             client._sock.close()
 
 
+def _router_handler(shard_address, state, pings):
+    """A scripted router publishing one shard: ``ping`` gets the table,
+    any session frame the router's ``moved``."""
+    table = ShardTable(ShardMap(1), [shard_address], [state])
+
+    def handler(index, conn):
+        buffer = wire.FrameBuffer()
+        while True:
+            doc = wire.recv_frame(conn, buffer)
+            if doc is None:
+                return
+            if doc["kind"] == "ping":
+                pings.append(doc["seq"])
+                reply = {"ok": True, "seq": doc["seq"], "role": "router"}
+                reply.update(table.ping_fields())
+            else:
+                reply = wire.error_reply(doc["seq"], "moved", "dial the owner")
+            wire.send_frame(conn, reply)
+
+    return handler
+
+
+class TestOnlyUnwrittenFramesAreRetried:
+    """At-least-once, honestly: a frame the owner may have applied is
+    never resent; one that never reached it is."""
+
+    def test_frame_on_a_connection_that_dies_is_sent_once(self, tmp_path):
+        copies = []
+
+        def shard(index, conn):
+            doc = wire.recv_frame(conn, wire.FrameBuffer())
+            if doc is not None:
+                copies.append(doc)
+            conn.close()  # accepted, maybe applied, never answered
+
+        shard_path = tmp_path / "shard.sock"
+        router_path = tmp_path / "router.sock"
+        pings = []
+        with _ScriptedServer(shard_path, shard), _ScriptedServer(
+            router_path, _router_handler(f"unix:{shard_path}", "up", pings),
+            handshake=False,
+        ):
+            client = Client(f"unix:{router_path}", retries=5, retry_delay=0.01)
+            with pytest.raises(ConnectionError):
+                client.checkpoint("s", pid=0)
+            time.sleep(0.1)  # nothing further may arrive
+            assert [doc["kind"] for doc in copies] == ["checkpoint"]
+            client.close()
+
+    def test_refused_dial_to_a_down_shard_backs_off_then_raises(self, tmp_path):
+        from repro.obs import Tracer
+
+        router_path = tmp_path / "router.sock"
+        pings = []
+        tracer = Tracer()
+        handler = _router_handler(f"unix:{tmp_path}/gone.sock", "down", pings)
+        with _ScriptedServer(router_path, handler, handshake=False):
+            client = Client(
+                f"unix:{router_path}", retries=2, retry_delay=0.01,
+                tracer=tracer,
+            )
+            with pytest.raises(ReplyError) as err:
+                client.checkpoint("s", pid=0)
+            assert err.value.code == "shard_down"
+            retries = [e for e in tracer.events if e.kind == "serve.client.retry"]
+            assert [e.fields["code"] for e in retries] == ["shard_down"] * 2
+            # One ping for the router's first refusal, one per failed dial.
+            assert len(pings) == 1 + 3
+            client.close()
+
+    def test_parked_shard_fails_fast(self, tmp_path):
+        router_path = tmp_path / "router.sock"
+        pings = []
+        handler = _router_handler(f"unix:{tmp_path}/gone.sock", "degraded", pings)
+        with _ScriptedServer(router_path, handler, handshake=False):
+            client = Client(f"unix:{router_path}", retries=5, retry_delay=0.01)
+            with pytest.raises(ReplyError) as err:
+                client.checkpoint("s", pid=0)
+            assert err.value.code == "shard_degraded"
+            assert len(pings) == 2  # the first refusal, the one failed dial
+            client.close()
+
+    def test_async_client_refuses_unconnected_owner_without_writing(
+        self, tmp_path
+    ):
+        router_path = tmp_path / "router.sock"
+        pings = []
+        handler = _router_handler(f"unix:{tmp_path}/gone.sock", "down", pings)
+
+        async def scenario():
+            client = await AsyncClient.connect(f"unix:{router_path}", timeout=2.0)
+            assert client._table is not None and client._shards == {}
+            frames = client.frames_sent
+            future = client.submit("checkpoint", session="s", pid=0)
+            assert future.done()  # never queued, never written
+            assert (await client.reply(future))["error"] == "shard_down"
+            assert client.frames_sent == frames
+            await client._refreshing  # the refusal re-pinged the router
+            await client.close()
+
+        with _ScriptedServer(router_path, handler, handshake=False):
+            asyncio.run(scenario())
+        # The connect handshake, then the refresh after the refusal.
+        assert pings == [0, 2]
+
+
 class TestResumeAcrossRestart:
     """``Client.resume`` against a WAL-backed server restarting
     mid-conversation: the re-greet lands on the recovered session."""
@@ -317,8 +450,8 @@ class TestAsyncClientLoopApi:
                 await client.flush()
                 reply = await future
             assert reply["ok"] is True
-            client._reader_task.cancel()
-            client._writer.close()
+            client._entry.reader_task.cancel()
+            client._entry.writer.close()
 
         with _ScriptedServer(path, handler):
             asyncio.run(scenario())
@@ -569,13 +702,14 @@ class TestBrokenFraming:
 def _record_writes(client):
     """Log every chunk the client hands its transport, still sending it."""
     chunks = []
-    send = client._writer.write
+    writer = client._entry.writer
+    send = writer.write
 
     def write(data):
         chunks.append(bytes(data))
         send(data)
 
-    client._writer.write = write
+    writer.write = write
     return chunks
 
 

@@ -190,8 +190,8 @@ class TestBackpressure:
                     queue.task_done()
             first.cancel()
             second.cancel()
-            client._reader_task.cancel()
-            client._writer.close()
+            client._entry.reader_task.cancel()
+            client._entry.writer.close()
             await server.stop()
 
         asyncio.run(scenario())
@@ -538,3 +538,66 @@ class TestPing:
                 assert err.value.code == "wal_failure"
                 reply = client.ping()
                 assert reply["ok"] is True and reply["degraded"] is True
+
+
+class TestLayout:
+    """The ``layout`` frame a router pushes: from then on the server owns
+    only its sessions, refusing the rest ``moved`` before applying them."""
+
+    @staticmethod
+    def _split(layout, shard):
+        """One session id this shard owns, one it does not."""
+        ids = [f"own-{i}" for i in range(64)]
+        mine = next(s for s in ids if layout.owner(s) == shard)
+        other = next(s for s in ids if layout.owner(s) != shard)
+        return mine, other
+
+    def test_ownership_is_enforced_before_apply(self, tmp_path):
+        from repro.serve.shardmap import ShardMap
+
+        layout = ShardMap(2)
+        mine, other = self._split(layout, 1)
+        config = ServerConfig(unix_path=str(tmp_path / "own.sock"))
+        with serve_in_thread(config) as handle:
+            with Client(handle.connect_address(), retries=0) as client:
+                client.hello(other, n=2)  # no layout yet: owns everything
+                client.checkpoint(other, pid=0)
+                reply = client.request(
+                    "layout", layout=layout.to_doc(), shard=1
+                )
+                assert reply["shard"] == 1
+                answered = client.ping()["answered"]
+                for op in (
+                    lambda: client.checkpoint(other, pid=1),
+                    lambda: client.hello(other, n=2),
+                    lambda: client.query(other, "rdt_status"),
+                ):
+                    with pytest.raises(ReplyError) as err:
+                        op()
+                    assert err.value.code == "moved"
+                assert client.ping()["answered"] == answered
+                # The router's retiring snapshot hands the session over.
+                retired = client.request("snapshot", session=other, retire=True)
+                assert retired["events"] == 1 and retired["retired"] is True
+                client.hello(mine, n=2)
+                assert client.ping()["answered"] == answered + 2
+            assert handle.server.sessions.keys() == {mine}
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"layout": {"version": 9, "shards": 2}, "shard": 0},
+            {"layout": {"version": 1, "shards": 2}, "shard": 2},
+            {"layout": {"version": 1, "shards": 2}, "shard": True},
+            {"layout": "ring", "shard": 0},
+        ],
+    )
+    def test_bad_layout_is_refused(self, tmp_path, fields):
+        config = ServerConfig(unix_path=str(tmp_path / "bad.sock"))
+        with serve_in_thread(config) as handle:
+            with Client(handle.connect_address(), retries=0) as client:
+                with pytest.raises(ReplyError) as err:
+                    client.request("layout", **fields)
+                assert err.value.code == "bad_request"
+                client.hello("still-mine", n=2)  # nothing was adopted

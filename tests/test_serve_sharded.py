@@ -1,20 +1,24 @@
 """Multi-process differential: sharded serve equals offline replay.
 
-The router forwards frames verbatim between clients and stock
-``repro serve`` shard processes, so a sharded deployment must answer
+Clients route themselves: each session frame goes straight to the stock
+``repro serve`` shard process that owns it, by the table the router's
+``ping`` publishes, so a sharded deployment must answer
 *byte-identically* to a single-process offline replay of the same
-ingest stream.  Each cell drives one generated trace through the live
-router, reconstructs the ingest log client-side (the entry formats are
-the session's own: ``checkpoint/pid``, ``send/src/dst``,
+ingest stream.  Each cell drives one generated trace through the
+deployment, reconstructs the ingest log client-side (the entry formats
+are the session's own: ``checkpoint/pid``, ``send/src/dst``,
 ``deliver/msg_id`` with the server-assigned id) and compares every
-analysis query against :func:`offline_answers` under canonical JSON.
+analysis query against :func:`offline_answers` under canonical JSON --
+over a Unix router and over a TCP one.
 
 On top of the differential ride the scale-out behaviours themselves:
-the ``stats``/``rebalance`` admin verbs, persisted shardmap overrides,
-and the full "snapshot, truncate, re-home" reconcile when the shard
-count changes across a restart.
+the admin contract (``ping``'s table, ``stats``), ``moved`` refusals,
+``rebalance``, persisted shardmap overrides, and the full "snapshot,
+truncate, re-home" reconcile when the shard count changes across a
+restart.
 """
 
+import asyncio
 import random
 
 import pytest
@@ -22,9 +26,9 @@ import pytest
 from repro import api
 from repro.core.registry import PROTOCOLS
 from repro.obs.jsonio import canonical_dumps
-from repro.serve.client import Client, ReplyError
+from repro.serve.client import AsyncClient, Client, ReplyError
 from repro.serve.session import offline_answers
-from repro.serve.shardmap import ShardMap
+from repro.serve.shardmap import ShardMap, ShardTable
 from repro.sim.generate import generate_trace
 from repro.sim.trace import TraceOpKind
 from repro.workloads import WORKLOADS
@@ -41,21 +45,36 @@ _GRID = sorted((w, p) for w in WORKLOADS for p in PROTOCOLS)
 CELL_PARAMS = [
     (w, p, _rng.randrange(1 << 16)) for w, p in _rng.sample(_GRID, CELLS)
 ]
+CELL_IDS = [f"{w}-{p}-{s}" for w, p, s in CELL_PARAMS]
+
+
+def _serve(root, name, transport, **knobs):
+    """A sharded deployment behind a Unix or an ephemeral TCP router."""
+    if transport == "unix":
+        knobs["unix_path"] = str(root / f"{name}.sock")
+    return api.serve(**knobs)
 
 
 @pytest.fixture(scope="module")
 def handle(tmp_path_factory):
     root = tmp_path_factory.mktemp("sharded")
-    with api.serve(
-        unix_path=str(root / "router.sock"),
-        shard_procs=SHARDS,
-        data_dir=str(root / "data"),
+    with _serve(
+        root, "router", "unix", shard_procs=SHARDS, data_dir=str(root / "data")
+    ) as h:
+        yield h
+
+
+@pytest.fixture(scope="module")
+def tcp_handle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sharded-tcp")
+    with _serve(
+        root, "router", "tcp", shard_procs=SHARDS, data_dir=str(root / "data")
     ) as h:
         yield h
 
 
 def drive_and_log(client, session_id, protocol, trace):
-    """Stream one trace through the live router; return the ingest log
+    """Stream one trace through the deployment; return the ingest log
     the shard must have recorded, reconstructed client-side.
 
     The reconstruction is what makes a *multi-process* differential
@@ -90,12 +109,7 @@ def query_all(client, session_id, crashed):
     }
 
 
-@pytest.mark.parametrize(
-    "workload,protocol,seed",
-    CELL_PARAMS,
-    ids=[f"{w}-{p}-{s}" for w, p, s in CELL_PARAMS],
-)
-def test_sharded_equals_offline(handle, workload, protocol, seed):
+def _differential(handle, workload, protocol, seed):
     trace = generate_trace(
         N, WORKLOADS[workload](), duration=12.0, seed=seed, basic_rate=0.2
     )
@@ -107,6 +121,16 @@ def test_sharded_equals_offline(handle, workload, protocol, seed):
     assert len(log) == len(trace.ops)
     offline = offline_answers(session_id, N, protocol, log, crashed=crashed)
     assert canonical_dumps(online) == canonical_dumps(offline)
+
+
+@pytest.mark.parametrize("workload,protocol,seed", CELL_PARAMS, ids=CELL_IDS)
+def test_sharded_equals_offline(handle, workload, protocol, seed):
+    _differential(handle, workload, protocol, seed)
+
+
+@pytest.mark.parametrize("workload,protocol,seed", CELL_PARAMS, ids=CELL_IDS)
+def test_sharded_equals_offline_over_tcp(tcp_handle, workload, protocol, seed):
+    _differential(tcp_handle, workload, protocol, seed)
 
 
 def test_cells_cover_many_workloads_and_protocols():
@@ -129,6 +153,136 @@ def test_sessions_actually_spread_across_shards(handle):
     busy = [s for s in shards if s["forwarded"] > 0]
     assert len(busy) >= 2, f"all traffic on one shard: {shards}"
     assert stats["layout"]["shards"] == SHARDS
+
+
+def _session_on(router, shard, prefix):
+    """A session id the router's layout homes on ``shard``."""
+    i = 0
+    while router._map.owner(f"{prefix}-{i}") != shard:
+        i += 1
+    return f"{prefix}-{i}"
+
+
+class TestAdminContract:
+    """What the frozen benchmark and operators read off the router."""
+
+    @pytest.mark.parametrize("which", ["unix", "tcp"])
+    def test_ping_publishes_the_table(self, request, which):
+        handle = request.getfixturevalue(
+            "handle" if which == "unix" else "tcp_handle"
+        )
+        router = handle.server
+        with Client(handle.connect_address()) as client:
+            reply = client.ping()
+        assert (reply["role"], reply["shards"], reply["shards_up"]) == (
+            "router", SHARDS, SHARDS
+        )
+        assert reply["degraded"] == []
+        assert reply["layout"] == router._map.to_doc()
+        assert reply["table"] == [
+            {"shard": k, "address": router._shards[k].address, "state": "up"}
+            for k in range(SHARDS)
+        ]
+        scheme = "unix:" if which == "unix" else "127.0.0.1:"
+        assert all(row["address"].startswith(scheme) for row in reply["table"])
+        table = ShardTable.from_ping(reply)
+        assert table.layout == router._map and table.states == ["up"] * SHARDS
+
+    def test_stats_rows_and_totals(self, handle):
+        router = handle.server
+        with Client(handle.connect_address()) as client:
+            stats = client.call({"kind": "stats", "seq": "contract"})
+        assert stats["ok"] is True and stats["router"] is True
+        assert [row["shard"] for row in stats["shards"]] == list(range(SHARDS))
+        for row, shard in zip(stats["shards"], router._shards):
+            assert row["pid"] == shard.proc.pid
+            assert row["restarts"] == 0 and row["degraded"] is False
+            assert isinstance(row["forwarded"], int)
+        assert stats["shed"] == 0
+        assert stats["layout"] == router._map.to_doc()
+
+    def test_forwarded_counts_the_session_frames_each_shard_answered(
+        self, handle
+    ):
+        router = handle.server
+        homes = {k: _session_on(router, k, f"count-{k}") for k in (0, 2)}
+        with Client(handle.connect_address()) as client:
+            before = client.call({"kind": "stats", "seq": 1})["shards"]
+            frames = {0: 0, 1: 0, 2: 0}
+            for k, sid in homes.items():
+                client.hello(sid, n=2)
+                for _ in range(3 + k):
+                    client.checkpoint(sid, pid=0)
+                client.query(sid, "rdt_status")
+                frames[k] = 1 + (3 + k) + 1
+            after = client.call({"kind": "stats", "seq": 2})["shards"]
+        delta = {
+            k: after[k]["forwarded"] - before[k]["forwarded"]
+            for k in range(SHARDS)
+        }
+        assert delta == frames
+        assert sum(delta.values()) == sum(frames.values())
+
+
+class TestMoved:
+    """Shards enforce ownership; clients follow the refusal."""
+
+    def test_non_owner_refuses_before_apply(self, handle):
+        router = handle.server
+        sid = _session_on(router, 0, "moved-refused")
+        with Client(handle.connect_address()) as client:
+            client.hello(sid, n=2)
+            # Straight to a shard that does not own the session: a
+            # role-server peer, so the client has no table to follow.
+            with Client(router._shards[1].address, retries=0) as stray:
+                answered = stray.ping()["answered"]
+                with pytest.raises(ReplyError) as err:
+                    stray.checkpoint(sid, pid=0)
+                assert err.value.code == "moved"
+                with pytest.raises(ReplyError, match="moved"):
+                    stray.hello(sid, n=2)
+                assert stray.ping()["answered"] == answered
+            assert client.query(sid, "rdt_status")["events"] == 0
+
+    def test_sync_client_follows_a_rebalance_it_did_not_see(self, handle):
+        router = handle.server
+        sid = _session_on(router, 0, "moved-follow")
+        with Client(handle.connect_address()) as client:
+            client.hello(sid, n=2)
+            client.checkpoint(sid, pid=0)
+            assert client._table.layout.owner(sid) == 0
+            with Client(handle.connect_address()) as admin:
+                assert admin.request(
+                    "rebalance", session=sid, target=1
+                )["moved"] is True
+            # The stale table still says shard 0, which answers moved;
+            # the client re-pings the router and resends to shard 1.
+            assert client.checkpoint(sid, pid=1)["ok"] is True
+            assert client._table.layout.owner(sid) == 1
+            assert client.query(sid, "rdt_status")["events"] == 2
+
+    def test_async_client_hands_moved_back_and_refreshes(self, handle):
+        router = handle.server
+        sid = _session_on(router, 0, "moved-async")
+
+        async def scenario():
+            client = await AsyncClient.connect(handle.connect_address())
+            try:
+                await client.hello(sid, n=2)
+                with Client(handle.connect_address()) as admin:
+                    admin.request("rebalance", session=sid, target=2)
+                refused = await client.reply(
+                    client.submit("checkpoint", session=sid, pid=0)
+                )
+                assert refused["error"] == "moved"
+                await client._refreshing
+                assert client._table.layout.owner(sid) == 2
+                await client.checkpoint(sid, pid=0)
+                return (await client.query(sid, "rdt_status"))["events"]
+            finally:
+                await client.close()
+
+        assert asyncio.run(scenario()) == 1
 
 
 class TestRebalance:
@@ -215,19 +369,25 @@ class TestRebalance:
                 )
 
 
+class TestRebalanceOverTcp(TestRebalance):
+    @pytest.fixture
+    def handle(self, tcp_handle):
+        return tcp_handle
+
+
 class TestResizeAcrossRestart:
     """Changing ``shard_procs`` across a restart triggers the offline
     reconcile: every session is re-homed to its new ring owner with an
     integrity-checked snapshot, old WALs are retired, and the layout
     file converges to the pure ring."""
 
+    transport = "unix"
+
     def test_sessions_survive_shard_count_change(self, tmp_path):
         data_dir = str(tmp_path / "data")
         logs = {}
-        with api.serve(
-            unix_path=str(tmp_path / "a.sock"),
-            shard_procs=3,
-            data_dir=data_dir,
+        with _serve(
+            tmp_path, "a", self.transport, shard_procs=3, data_dir=data_dir
         ) as h:
             with Client(h.connect_address()) as client:
                 for i in range(4):
@@ -241,10 +401,8 @@ class TestResizeAcrossRestart:
                     )
                     logs[sid] = drive_and_log(client, sid, "bhmr", trace)
 
-        with api.serve(
-            unix_path=str(tmp_path / "b.sock"),
-            shard_procs=2,
-            data_dir=data_dir,
+        with _serve(
+            tmp_path, "b", self.transport, shard_procs=2, data_dir=data_dir
         ) as h:
             layout = ShardMap.load(h.server._layout_path())
             assert layout is not None
@@ -265,10 +423,8 @@ class TestResizeAcrossRestart:
         and clears the override table."""
         data_dir = str(tmp_path / "data")
         sid = "fold-me"
-        with api.serve(
-            unix_path=str(tmp_path / "a.sock"),
-            shard_procs=3,
-            data_dir=data_dir,
+        with _serve(
+            tmp_path, "a", self.transport, shard_procs=3, data_dir=data_dir
         ) as h:
             with Client(h.connect_address()) as client:
                 client.hello(sid, n=2)
@@ -289,16 +445,18 @@ class TestResizeAcrossRestart:
             }
 
         # Same shard count, but pending overrides: full reconcile runs.
-        with api.serve(
-            unix_path=str(tmp_path / "b.sock"),
-            shard_procs=3,
-            data_dir=data_dir,
+        with _serve(
+            tmp_path, "b", self.transport, shard_procs=3, data_dir=data_dir
         ) as h:
             assert ShardMap.load(h.server._layout_path()).overrides == {}
             with Client(h.connect_address()) as client:
                 greeting = client.resume(sid)
                 assert greeting["events"] == 1
                 assert client.query(sid, "rdt_status")["events"] == 1
+
+
+class TestResizeAcrossRestartOverTcp(TestResizeAcrossRestart):
+    transport = "tcp"
 
 
 def test_relative_data_dir_works(tmp_path, monkeypatch):
@@ -331,10 +489,24 @@ class TestRouterErrorPaths:
             reply = client.call({"kind": "checkpoint", "seq": 1, "pid": 0})
             assert reply["ok"] is False and reply["error"] == "bad_request"
 
+    def test_session_frames_are_refused_moved_at_the_router(self, handle):
+        """The router carries no session frame: a peer that sends one
+        there (the sync client's first frame does) is told ``moved``."""
+        import socket
+
+        from repro.serve import wire
+
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.connect(handle.address[1])
+            wire.send_frame(
+                sock, {"kind": "checkpoint", "seq": 1, "session": "s", "pid": 0}
+            )
+            reply = wire.recv_frame(sock, wire.FrameBuffer())
+        assert reply["ok"] is False and reply["error"] == "moved"
+
     def test_shard_errors_pass_through_verbatim(self, handle):
-        """A session-level error is the shard's reply, forwarded
-        byte-for-byte -- same code and detail a single-process server
-        would produce."""
+        """A session-level error is the shard's own reply -- same code
+        and detail a single-process server would produce."""
         with Client(handle.connect_address()) as client:
             client.hello("err-s", n=2)
             with pytest.raises(ReplyError) as err:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.jsonio import canonical_bytes
 from repro.serve.wal import (
     GENESIS,
     IngestWal,
@@ -90,6 +91,47 @@ class TestIngestWal:
         records = read_wal(tmp_path)
         assert [r.seq for r in records] == list(range(6))
         assert records[5].prev == records[4].digest
+
+    @given(
+        appends=st.lists(
+            st.tuples(
+                # Quotes, backslashes, control and non-ASCII characters
+                # all escape differently in canonical JSON.
+                st.text(min_size=1, max_size=10),
+                st.integers(min_value=-1, max_value=2**40),
+                st.dictionaries(
+                    st.text(max_size=6),
+                    st.one_of(
+                        st.integers(), st.text(max_size=6), st.booleans(),
+                        st.none(), st.lists(st.integers(), max_size=3),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_line_is_the_records_canonical_json(
+        self, tmp_path_factory, appends
+    ):
+        """Lines are built from the digest's one encoding of the body;
+        they must be the record documents' canonical bytes exactly."""
+        directory = tmp_path_factory.mktemp("lines")
+        wal = IngestWal(directory, segment_records=5, fsync=False)
+        records = [wal.append(*args) for args in appends]
+        assert wal.pending() == len(records)
+        wal.close()
+        lines = [
+            line + b"\n"
+            for path in sorted(directory.glob("wal-*.log"))
+            for line in path.read_bytes().splitlines()[1:]  # past the header
+        ]
+        assert lines == [
+            canonical_bytes(record.as_doc()) + b"\n" for record in records
+        ]
+        assert read_wal(directory) == records
 
     def test_closed_wal_rejects_writes(self, tmp_path):
         wal = fill(tmp_path, 1)

@@ -110,7 +110,7 @@ class TestFrameBuffer:
 
 
 class TestRawFrameBuffer:
-    """The router's passthrough splitter: boundaries without decoding."""
+    """The splitter under FrameBuffer: boundaries without decoding."""
 
     def test_payloads_are_verbatim_bytes(self):
         docs = [{"seq": i, "kind": "checkpoint"} for i in range(5)]
@@ -136,16 +136,6 @@ class TestRawFrameBuffer:
         buffer.feed(struct.pack(">I", wire.MAX_FRAME + 1) + b"x")
         with pytest.raises(wire.FrameError, match="exceeds"):
             buffer.next_payload()
-
-    def test_frame_prefix_reframes(self):
-        doc = {"seq": 3, "kind": "send"}
-        frame = wire.encode_frame(doc)
-        payload = frame[4:]
-        assert wire.frame_prefix(payload) + payload == frame
-
-    def test_frame_prefix_polices_max(self):
-        with pytest.raises(wire.FrameError, match="exceeds"):
-            wire.frame_prefix(b"x" * (wire.MAX_FRAME + 1))
 
 
 class TestErrorReply:
@@ -236,4 +226,6 @@ class TestAdversarialFragmentation:
                 payloads.append(payload)
             i += take
         assert [wire.decode_frame(p) for p in payloads] == docs
-        assert stream == b"".join(wire.frame_prefix(p) + p for p in payloads)
+        assert stream == b"".join(
+            struct.pack(">I", len(p)) + p for p in payloads
+        )

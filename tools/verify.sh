@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "== lint: determinism + async blocking-call rules =="
 python tools/lint_determinism.py
 
+echo "== lint: no src/ module reachable only from tests =="
+python tools/lint_imports.py
+
 echo "== tier-1: pytest =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
@@ -27,23 +30,13 @@ python3 benchmarks/ledger/run.py --workload serve_short --quick --trace 1
 python3 benchmarks/ledger/run.py --workload serve_deep --quick --trace 1
 python3 benchmarks/ledger/run.py --workload serve_prod --quick
 
-# Sharded stage (opt-in: spawns real shard subprocesses behind the
-# router).  REPRO_SHARDED=1 runs the multi-process differential suite
-# plus one sharded kill -9 chaos cell.
-if [ "${REPRO_SHARDED:-0}" = "1" ]; then
-    echo "== sharded: multi-process differential suite =="
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m pytest tests/test_serve_sharded.py -x -q
-    echo "== sharded: kill -9 one shard mid-commit (1 cell) =="
-    REPRO_CHAOS=1 REPRO_CHAOS_SHARD_CELLS=1 \
-        PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m pytest tests/chaos/test_shard_kill9.py -x -q
-fi
-
-# Chaos stage (opt-in: spawns real server subprocesses and kill -9s
-# them).  REPRO_CHAOS=1 enables it; REPRO_CHAOS_CELLS picks how many
-# randomized (seed, fsync-batch, kill-mode) cells run -- the default
-# below is a small smoke budget, 54 is the full grid.
+# The sharded differential suite and one kill -9-a-shard cell run in
+# the tier-1 suite above.  Chaos stage (opt-in: spawns real server
+# subprocesses and kill -9s them).  REPRO_CHAOS=1 enables it;
+# REPRO_CHAOS_CELLS picks how many randomized (seed, fsync-batch,
+# kill-mode) cells run -- the default below is a small smoke budget,
+# 54 is the full grid -- and REPRO_CHAOS_SHARD_CELLS how many
+# kill-one-shard cells (default 2).
 if [ "${REPRO_CHAOS:-0}" = "1" ]; then
     echo "== chaos: kill -9 durability grid (${REPRO_CHAOS_CELLS:-6} cells) =="
     REPRO_CHAOS=1 REPRO_CHAOS_CELLS="${REPRO_CHAOS_CELLS:-6}" \
