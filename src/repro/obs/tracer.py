@@ -30,8 +30,9 @@ from typing import Dict, Iterator, List, Optional, TextIO, Union
 
 from repro.obs.jsonio import canonical_dumps, jsonable
 
-#: The event vocabulary emitted by the instrumented layers (informative,
-#: not enforced -- user code may emit its own kinds).
+#: The event vocabulary emitted by the instrumented layers.  User code
+#: may emit its own kinds; every literal kind this package emits must be
+#: here and in docs/OBSERVABILITY.md (``tests/test_obs_trace_kinds.py``).
 KINDS = (
     "sim.step",         # scheduler processed one event
     "sim.send",         # trace generation recorded a send
@@ -60,6 +61,31 @@ KINDS = (
     "serve.snapshot",   # session snapshotted on request
     "serve.evict",      # idle session snapshotted and dropped from RAM
     "serve.restore",    # evicted session replayed back to live state
+    "serve.stop.degraded",  # shutdown after a WAL failure skipped snapshots
+    "serve.layout",     # a router handed this shard its layout
+    "serve.retire",     # a rebalance retired this shard's live session copy
+    "serve.wal.commit",    # group-commit fsync done (durable watermark)
+    "serve.wal.failed",    # a group commit failed; the server halts intake
+    "serve.wal.rotate",    # a new WAL segment file was opened
+    "serve.wal.truncate",  # snapshot-covered segments reclaimed
+    "serve.wal.recover",   # startup rebuilt one session from WAL + snapshot
+    "serve.wal.repair",    # startup dropped a torn (never-acked) WAL tail
+    "serve.router.start",  # router bound its address with its shards up
+    "serve.router.stop",   # router drained and stopped its shards
+    "serve.shard.spawn",   # a shard process was launched
+    "serve.shard.up",      # a shard holds its layout and is published up
+    "serve.shard.down",    # the supervisor saw a shard process die
+    "serve.shard.respawn_failed",  # a respawn attempt failed
+    "serve.shard.flapping",  # crash-loop trip wire fired; shard parked
+    "serve.shard.rebalance",  # a live snapshot-and-re-home completed
+    "serve.shard.reconcile",  # startup re-homed sessions to a new layout
+    "serve.chaos.start",   # chaos proxy bound (seed, upstream)
+    "serve.chaos.stop",    # chaos proxy stopped (connection/fault totals)
+    "serve.chaos.conn",    # chaos proxy accepted a connection (its plan)
+    "serve.chaos.fault",   # a scheduled wire fault fired
+    "serve.chaos.upstream_refused",  # the proxy could not dial upstream
+    "serve.client.retry",    # a refused-unwritten frame, about to back off
+    "serve.client.circuit",  # circuit breaker open/half_open/closed
 )
 
 

@@ -25,9 +25,11 @@ Layers
 * :mod:`repro.serve.router` -- N shard processes supervised by one
   asyncio router (per-shard WAL/snapshots, respawn and parking,
   snapshot-verified rebalance); it publishes the table, clients route;
-* :mod:`repro.serve.client` -- sync and async client libraries
-  (direct-to-shard routing, per-request deadlines, seeded retry
-  backoff, circuit breaking);
+* :mod:`repro.serve.clientcore` -- the sans-IO request core both
+  clients share (direct-to-shard routing, unwritten refusals, seeded
+  retry backoff, circuit breaking);
+* :mod:`repro.serve.client` -- the sync and async clients over it
+  (sockets, per-request deadlines, pipelining);
 * :mod:`repro.serve.loadgen` -- workload replay through N connections;
 * :mod:`repro.serve.chaosproxy` -- seeded wire-level fault injection
   (latency/jitter, throttling, fragmentation, resets, stalls,
@@ -43,6 +45,7 @@ from repro.serve.client import (
     AsyncClient,
     CircuitOpen,
     Client,
+    FrameTooLarge,
     ReplyError,
     RequestTimeout,
     parse_address,
@@ -81,6 +84,7 @@ __all__ = [
     "Client",
     "FrameBuffer",
     "FrameError",
+    "FrameTooLarge",
     "ReplyError",
     "RequestTimeout",
     "IngestWal",

@@ -9,19 +9,27 @@ Two flavours over the same wire format:
   are matched to replies by their ``seq`` field, so many can be in
   flight per connection.  This is what the load generator drives.
 
+Both are transports over one sans-IO
+:class:`~repro.serve.clientcore.RequestCore`, which makes every
+decision that is not I/O, so they connect the same way (dial, then
+``ping``), speak the same verbs and take the same knobs.
+
 Both raise :class:`ReplyError` when the server answers ``ok: false``
 (the reply's error code is on the exception, so callers can tell a
-shed ``overloaded`` frame -- retryable -- from a real fault), and plain
+shed ``overloaded`` frame -- retryable -- from a real fault), plain
 :class:`ConnectionError` when the peer is gone or its framing is broken
-(``wire.FrameError`` never escapes either client).
+(``wire.FrameError`` never escapes either client), and
+:class:`FrameTooLarge` for a request over ``wire.MAX_FRAME``, which is
+never written.
 
-Clients route themselves: against a router (``ping`` answers ``role:
-router``) each session frame goes straight to its owning shard, by the
-:class:`~repro.serve.shardmap.ShardTable` the ``ping`` publishes.  Only
-frames that never reached the owner are resent -- ``moved`` and
-``shard_down`` refusals; a frame written on a connection that dies
-unanswered raises :class:`ConnectionError` (``docs/SERVICE.md``, "At
-least once, honestly").
+Clients route themselves: against a router each session frame goes
+straight to its owning shard.  Only frames that never reached the owner
+(``moved``, ``shard_down``) are resent, and only by the retrying calls
+(:meth:`Client.request`, :meth:`AsyncClient.call`); a frame written on a
+connection that dies unanswered raises :class:`ConnectionError`
+(``docs/SERVICE.md``, "At least once, honestly").  ``AsyncClient.submit``
+/ ``reply`` never resend: a resend behind later pipelined frames would
+reorder a session.
 
 How :class:`AsyncClient` writes (Nagle-style coalescing, no knob):
 
@@ -42,100 +50,41 @@ How :class:`AsyncClient` writes (Nagle-style coalescing, no knob):
 now"; it additionally waits for the transport to drain only when the
 transport is actually holding bytes the peer has not taken.
 
-Resilience semantics (the wire-chaos grid tortures all of these):
-
-* **Deadlines.**  Every call on both clients is bounded: the sync
-  client by its socket timeout, the async client by a per-request
-  ``timeout`` applied to every awaited reply (not just the dial).  A
-  deadline miss raises the typed, retryable :class:`RequestTimeout`
-  and *invalidates* the connection -- the request may be half-sent or
-  its reply half-received, so the framing can no longer be trusted.
-  The async deadline is O(1) per wait: a reply that already arrived is
-  returned without yielding or arming anything; otherwise one
-  ``loop.call_later`` handle is armed for the wait and cancelled when
-  the reply lands.  On expiry it fails the awaited future and aborts
-  the transports, which fails every other in-flight future too.
-* **Seeded backoff.**  The sync client's transparent retry of
-  :data:`RETRYABLE_CODES` uses jittered exponential backoff drawn from
-  a seeded RNG (``retry_delay`` base, doubling per attempt, capped at
-  ``backoff_cap``, uniform jitter in [0.5x, 1x)) with a bounded retry
-  budget (``retries``), so a restarting shard is neither hammered nor
-  waited on forever -- and a chaos cell replays identically.
-* **Circuit breaking.**  Opt-in via ``circuit_threshold``: after that
-  many *consecutive* transport-level failures (timeouts, connection
-  errors, exhausted retryable refusals) the circuit opens and calls
-  fail fast with :class:`CircuitOpen` for ``circuit_cooldown`` seconds;
-  the first call after the cooldown is a half-open probe that closes
-  the circuit on success and re-opens it on failure.
+**Deadlines.**  Every call on both clients is bounded -- the sync client by
+its socket timeout, the async client by a per-request ``timeout``
+applied to every awaited reply (not just the dial).  A deadline miss
+raises the typed, retryable :class:`RequestTimeout` and *invalidates*
+the connection -- the request may be half-sent or its reply
+half-received, so the framing can no longer be trusted -- until the
+caller reconnects (``Client.reconnect()``, or a fresh
+``AsyncClient.connect()``).  The async deadline is O(1) per wait: a reply that
+already arrived is returned without yielding or arming anything;
+otherwise one ``loop.call_later`` handle is armed for the wait and
+cancelled when the reply lands.  On expiry it fails the awaited future
+and aborts the transports, which fails every other in-flight future
+too.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import socket
 import time
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.serve import wire
-from repro.serve.shardmap import DEGRADED, DOWN, UP, ShardTable
+from repro.serve.clientcore import (
+    HANDSHAKE,
+    CircuitOpen,
+    FrameTooLarge,
+    ReplyError,
+    RequestCore,
+    RequestTimeout,
+)
 from repro.types import ReproError
 
 #: ``("tcp", host, port)`` or ``("unix", path)``.
 Address = Union[Tuple[str, str, int], Tuple[str, str]]
-
-
-class ReplyError(ReproError):
-    """The server answered ``ok: false``; ``code`` is its error code."""
-
-    def __init__(self, code: str, detail: str) -> None:
-        super().__init__(f"{code}: {detail}")
-        self.code = code
-        self.detail = detail
-
-
-class RequestTimeout(ReproError):
-    """The server did not answer within the socket timeout.
-
-    Retryable -- but only through :meth:`Client.reconnect` (or
-    :meth:`Client.resume`): the request may be half-sent or its reply
-    half-received, so the connection's framing can no longer be
-    trusted.  The client invalidates the connection when raising this;
-    calling again without reconnecting raises :class:`ConnectionError`.
-    """
-
-
-class CircuitOpen(ReproError):
-    """The client's circuit breaker is open: recent calls failed at the
-    transport level, so this call failed fast without touching the
-    socket.  Retryable after the cooldown -- the next call past it is a
-    half-open probe."""
-
-    def __init__(self, remaining_s: float) -> None:
-        super().__init__(
-            f"circuit open after consecutive transport failures; "
-            f"probe allowed in {remaining_s:.3f}s"
-        )
-        self.remaining_s = remaining_s
-
-
-#: Error codes a sync :class:`Client` transparently retries: the frame
-#: never reached the session's owner -- the peer refused it as not its
-#: own (``moved``; the client has re-pinged the router) or the owner
-#: could not be dialled (``shard_down``) -- so resending cannot
-#: double-apply.  Deliberately excludes ``shard_degraded`` (terminal
-#: until an operator acts) and ``overloaded`` (shedding means *back
-#: off*, a policy the caller owns -- pass ``retry_codes`` to opt in).
-RETRYABLE_CODES = frozenset({"shard_down", "moved"})
 
 
 def parse_address(spec: Union[str, Address]) -> Address:
@@ -161,6 +110,8 @@ def parse_address(spec: Union[str, Address]) -> Address:
             f"bad address {spec!r}; want host:port, [v6-host]:port "
             f"or unix:/path"
         )
+    if int(port) > 65535:
+        raise ValueError(f"bad address {spec!r}; port {port} is above 65535")
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]
         if not host:
@@ -181,37 +132,43 @@ def format_address(address: Address) -> str:
     return f"[{host}]:{address[2]}" if ":" in host else f"{host}:{address[2]}"
 
 
-def _raise_if_error(reply: Dict[str, object]) -> Dict[str, object]:
-    if not reply.get("ok", False):
-        raise ReplyError(
-            str(reply.get("error", "error")), str(reply.get("detail", ""))
-        )
-    return reply
+class _Verbs:
+    """The request vocabulary, declared once: each verb is the retrying
+    call's reply (:meth:`Client.request`; an awaitable of
+    :meth:`AsyncClient.call`'s), or one field of it."""
 
+    def _ask(self, kind: str, key: Optional[str] = None, **fields: object) -> Any:
+        reply = self.request(kind, **fields)  # type: ignore[attr-defined]
+        return reply if key is None else reply[key]
 
-def _unreachable(seq: object, shard: int, state: str) -> Dict[str, object]:
-    """The refusal of a frame whose owner has no connection: never
-    written, so retryable unless the router parked the shard."""
-    code = "shard_degraded" if state == DEGRADED else "shard_down"
-    detail = f"shard {shard} ({state}) could not be dialled; frame not sent"
-    return wire.error_reply(seq, code, detail)
+    def hello(
+        self, session: str, n: Optional[int] = None, protocol: Optional[str] = None
+    ) -> Any:
+        return self._ask("hello", session=session, n=n, protocol=protocol)
 
+    def checkpoint(self, session: str, pid: int) -> Any:
+        return self._ask("checkpoint", session=session, pid=pid)
 
-class _Requests:
-    """The request vocabulary, shared by the sync and async clients.
+    def send(self, session: str, src: int, dst: int) -> Any:
+        return self._ask("send", session=session, src=src, dst=dst)
 
-    Subclasses provide ``call(doc) -> reply`` (sync or async); this
-    mixin only builds the frames, so the two clients can never drift
-    apart on schema.
-    """
+    def deliver(self, session: str, msg_id: int) -> Any:
+        return self._ask("deliver", session=session, msg_id=msg_id)
 
-    @staticmethod
-    def _frame(kind: str, seq: int, **fields: object) -> Dict[str, object]:
-        doc: Dict[str, object] = {"kind": kind, "seq": seq}
-        for key, value in fields.items():
-            if value is not None:
-                doc[key] = value
-        return doc
+    def query(
+        self, session: str, what: str, crashed: Optional[Sequence[int]] = None
+    ) -> Any:
+        """The query's ``result``, not the whole reply."""
+        crashed = list(crashed) if crashed is not None else None
+        return self._ask("query", "result", session=session, what=what, crashed=crashed)
+
+    def snapshot(self, session: str) -> Any:
+        return self._ask("snapshot", session=session)
+
+    def ping(self) -> Any:
+        """Health probe: answered even by a degraded (WAL-failed)
+        server or a router with dead shards; the reply says which."""
+        return self._ask("ping")
 
 
 def _dial(address: Address, timeout: Optional[float]) -> socket.socket:
@@ -230,90 +187,53 @@ def _dial(address: Address, timeout: Optional[float]) -> socket.socket:
         raise ConnectionError(f"cannot connect to {address!r}: {exc}") from exc
 
 
-class Client(_Requests):
+#: A blocking connection: the socket and the replies it buffered.
+_Conn = Tuple[socket.socket, wire.FrameBuffer]
+
+
+class Client(_Verbs):
     """Blocking client: one request, one reply, in order.
 
-    ``retries``/``retry_delay`` govern transparent retry of replies
-    whose error code is in ``retry_codes`` (default
-    :data:`RETRYABLE_CODES`: ``moved`` and ``shard_down`` from a sharded
-    deployment whose session moved or whose owning shard is
-    restarting).  Those frames never reached the owner, so a resend
-    cannot double-apply; a single-process server never emits them, so
-    the knobs are inert there.  Retry pacing is seeded jittered
-    exponential backoff (see the module docstring); the optional
-    circuit breaker (``circuit_threshold > 0``) fails fast with
-    :class:`CircuitOpen` while the service is demonstrably down.
-
-    Against a router (learnt from its first ``moved``), session frames
-    go to their owning shard over one socket per shard; a shard socket
-    that fails is dropped and the next call redials it, while the
-    dialled peer's socket keeps the invalidate-then-:meth:`reconnect`
-    rule.
+    ``knobs`` are the :class:`~repro.serve.clientcore.RequestCore`
+    keyword arguments (retry budget, backoff, breaker, tracer,
+    metrics).  Against a router, session frames go to their owning
+    shard over one socket per shard.
     """
 
     def __init__(
-        self,
-        address: Union[str, Address],
-        timeout: Optional[float] = 10.0,
-        *,
-        retries: int = 8,
-        retry_delay: float = 0.25,
-        backoff_cap: float = 2.0,
-        backoff_seed: int = 0,
-        retry_codes: Optional[Iterable[str]] = None,
-        circuit_threshold: int = 0,
-        circuit_cooldown: float = 1.0,
-        tracer=None,
-        metrics=None,
+        self, address: Union[str, Address], timeout: Optional[float] = 10.0, **knobs: Any
     ) -> None:
         self.address = parse_address(address)
         self._timeout = timeout
-        self._seq = 0
-        self._buffer = wire.FrameBuffer()
-        self._dead = False
-        #: The router's table once a ``moved`` refusal asked for it.
-        self._table: Optional[ShardTable] = None
-        #: Shard index -> (socket, buffer) of each shard dialled so far.
-        self._shards: Dict[int, Tuple[socket.socket, wire.FrameBuffer]] = {}
-        self.retries = retries
-        self.retry_delay = retry_delay
-        self.backoff_cap = backoff_cap
-        self.retry_codes: FrozenSet[str] = (
-            frozenset(retry_codes) if retry_codes is not None else RETRYABLE_CODES
-        )
-        self.circuit_threshold = circuit_threshold
-        self.circuit_cooldown = circuit_cooldown
-        self.tracer = tracer
-        self.metrics = metrics
-        self._rng = random.Random(f"client-backoff:{backoff_seed}")
-        self._clock = 0  # trace event ordering, not wall time
-        self._circuit_failures = 0
-        self._circuit_open_until: Optional[float] = None
-        self._circuit_half_open = False
-        self._dial()
+        self._core = RequestCore(**knobs)
+        #: Shard index -> connection, for each shard dialled so far.
+        self._shards: Dict[int, _Conn] = {}
+        self._connect()
 
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def _trace(self, kind: str, **fields: object) -> None:
-        if self.tracer is not None:
-            self._clock += 1
-            self.tracer.event(kind, self._clock, **fields)
+    def _connect(self) -> None:
+        """Dial the peer and make the handshake."""
+        self._entry: _Conn = (_dial(self.address, self._timeout), wire.FrameBuffer())
+        try:
+            self._refresh(HANDSHAKE)
+        except (RequestTimeout, ConnectionError) as exc:
+            raise ConnectionError(f"no ping answer from {self.address!r}: {exc}") from exc
+        self._core.invalid = None
 
-    def _inc(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name)
-
-    def _dial(self) -> None:
-        self._sock = _dial(self.address, self._timeout)
-        self._dead = False
+    def _refresh(self, ping: Mapping[str, object]) -> None:
+        """Ping the dialled peer; route by the table a router answers
+        with, dialling the shards the core asks for."""
+        pong = self._exchange(None, ping)
+        for shard, address in self._core.adopt(pong, self._shards):
+            try:
+                sock = _dial(parse_address(address), self._timeout)
+            except ConnectionError:
+                continue  # its frames are refused unwritten until a refresh
+            self._shards[shard] = (sock, wire.FrameBuffer())
 
     # ------------------------------------------------------------------
     # recovery-aware reconnect
     # ------------------------------------------------------------------
-    def reconnect(
-        self, retries: int = 20, delay: float = 0.25
-    ) -> None:
+    def reconnect(self, retries: int = 20, delay: float = 0.25) -> None:
         """Redial a server that went away (e.g. is restarting).
 
         Retries the dial up to ``retries`` times, ``delay`` seconds
@@ -321,22 +241,16 @@ class Client(_Requests):
         binding -- the socket appears only once recovery is complete.
         Raises the final :class:`ConnectionError` when it never comes
         back.  Any reply buffered from the old connection is dropped,
-        and so are the shard table and shard sockets.
+        and so are the shard sockets; the table is re-learnt from the
+        handshake.  Until a dial succeeds, every call refuses at once.
         """
-        self._close_sockets()
-        self._buffer = wire.FrameBuffer()
-        self._table = None
-        last: Optional[ConnectionError] = None
-        for attempt in range(max(1, retries)):
-            if attempt:
-                time.sleep(delay)
+        self._close_sockets("reconnect() failed")
+        for _ in range(retries - 1):
             try:
-                self._dial()
-                return
-            except ConnectionError as exc:
-                last = exc
-        assert last is not None
-        raise last
+                return self._connect()
+            except ConnectionError:
+                time.sleep(delay)
+        self._connect()
 
     def resume(self, session: str) -> Dict[str, object]:
         """Reconnect (if needed) and re-greet ``session``.
@@ -356,80 +270,42 @@ class Client(_Requests):
 
     # ------------------------------------------------------------------
     def call(self, doc: Dict[str, object]) -> Dict[str, object]:
-        """Send one frame, wait for the matching reply (raw, may be ok=false).
+        """Send one frame, wait for the matching reply (raw, may be
+        ok=false); never resent.
 
-        A session frame goes to its owner by the table; a ``moved``
-        refusal re-pings the router and resends at once when the fresh
-        table names another peer.  A socket timeout mid-call leaves the
-        conversation desynced (the request may be half-sent, the reply
-        half-received in ``self._buffer``), so the connection is
-        *invalidated* -- the socket closed, the buffer dropped -- and a
-        typed, retryable :class:`RequestTimeout` raised.  Calling again
-        before :meth:`reconnect` raises :class:`ConnectionError` instead
-        of mis-parsing from mid-frame.
+        A session frame goes to its owner by the table, or is refused
+        unwritten when the owner has no connection even after a re-ping;
+        a ``moved`` reply re-pings the peer before it is returned.  A
+        transport failure drops the connection it happened on; the
+        dialled peer's stays invalidated until :meth:`reconnect`.
         """
-        if self._dead:
-            raise ConnectionError(
-                "connection invalidated after a timeout; reconnect() first"
-            )
-        shard = self._route(doc)
-        reply = self._call_at(shard, doc)
-        if reply.get("error") == "moved":
-            self._refresh()
-            target = self._route(doc)
-            if target != shard:
-                reply = self._call_at(target, doc)
+        core = self._core
+        if core.invalid is not None:
+            raise core.invalidated()
+        shard = core.owner(doc.get("kind"), doc.get("session"))
+        if shard is not None and shard not in self._shards:
+            # No connection to the owner: the table may be stale, and a
+            # blocking client can re-ping (dialling it if up) first.
+            self._refresh(core.frame("ping"))
+            if shard not in self._shards:
+                return core.unreachable(doc.get("seq"), shard)
+        reply = self._exchange(shard, doc)
+        if core.stale(reply):
+            self._refresh(core.frame("ping"))
         return reply
 
-    def _route(self, doc: Dict[str, object]) -> Optional[int]:
-        """The shard that owns ``doc``'s session; None for the dialled peer."""
-        session = doc.get("session")
-        if self._table is None or doc.get("kind") not in wire.SESSION_KINDS:
-            return None
-        return self._table.layout.owner(session) if isinstance(session, str) else None
-
-    def _refresh(self) -> None:
-        """Ping the dialled peer; route by the table a router returns."""
-        self._seq += 1
-        self._table = ShardTable.from_ping(
-            self._call_at(None, {"kind": "ping", "seq": self._seq})
-        )
-
-    def _call_at(
-        self, shard: Optional[int], doc: Dict[str, object]
-    ) -> Dict[str, object]:
-        if shard is None:
-            return self._exchange(None, self._sock, self._buffer, doc)
-        if shard not in self._shards:
-            try:
-                sock = _dial(
-                    parse_address(self._table.addresses[shard]),  # type: ignore[union-attr]
-                    self._timeout,
-                )
-            except ConnectionError:
-                # Never written: the router's table says whether the
-                # shard is restarting (retry) or parked (do not).
-                self._refresh()
-                state = self._table.states[shard] if self._table else DOWN
-                return _unreachable(doc.get("seq"), shard, state)
-            self._shards[shard] = (sock, wire.FrameBuffer())
-        return self._exchange(shard, *self._shards[shard], doc)
-
     def _exchange(
-        self,
-        shard: Optional[int],
-        sock: socket.socket,
-        buffer: wire.FrameBuffer,
-        doc: Dict[str, object],
+        self, shard: Optional[int], doc: Mapping[str, object]
     ) -> Dict[str, object]:
-        """One frame out on ``sock``, its reply back; any transport
-        failure drops the connection it happened on."""
-        after = (
-            "connection invalidated, reconnect() to retry" if shard is None
-            else f"shard {shard} connection dropped, the next call redials"
-        )
+        """One frame out to ``shard`` (None: the dialled peer), its reply
+        back; any transport failure drops the connection it happened on."""
         try:
-            wire.send_frame(sock, doc)
+            data = wire.encode_frame(doc)
+        except wire.FrameError as exc:
+            raise FrameTooLarge(exc) from None
+        sock, buffer = self._entry if shard is None else self._shards[shard]
+        try:
+            sock.sendall(data)
             while True:
                 reply = wire.recv_frame(sock, buffer)
                 if reply is None:
@@ -437,165 +313,60 @@ class Client(_Requests):
                 if reply.get("seq") == doc["seq"]:
                     return reply
         except socket.timeout as exc:
-            self._lose(shard)
             raise RequestTimeout(
-                f"no reply within {self._timeout}s; {after}"
+                self._drop(shard, f"no reply within {self._timeout}s")
             ) from exc
         except wire.FrameError as exc:
             # A truncated or garbled frame (peer died mid-write, hostile
             # middlebox): the stream is untrustworthy from here on.
             # Normalised to ConnectionError so callers handle exactly
             # one retry-after-reconnect exception family.
-            self._lose(shard)
             raise ConnectionError(
-                f"broken framing from peer ({exc}); {after}"
+                self._drop(shard, f"broken framing from peer ({exc})")
             ) from exc
-        except ConnectionError:
-            self._lose(shard)
-            raise
+        except ConnectionError as exc:
+            raise ConnectionError(self._drop(shard, str(exc) or repr(exc))) from exc
 
-    def _lose(self, shard: Optional[int]) -> None:
-        """Framing is no longer trustworthy: drop that socket and buffer."""
+    def _drop(self, shard: Optional[int], cause: str) -> str:
+        """Close the connection ``cause`` broke; the error's text."""
         if shard is not None:
             self._shards.pop(shard)[0].close()
-            return
-        self._dead = True
-        self._buffer = wire.FrameBuffer()
-        self._sock.close()
+            return f"{cause}; shard {shard} connection dropped"
+        self._close_sockets(cause)
+        return f"{cause}; connection invalidated, reconnect() first"
 
-    def _close_sockets(self) -> None:
-        for sock, _ in self._shards.values():
+    def _close_sockets(self, cause: str) -> None:
+        """Close every connection; calls refuse until a reconnect."""
+        self._core.invalidate(cause)
+        for sock, _ in [self._entry, *self._shards.values()]:
             sock.close()
         self._shards.clear()
-        self._sock.close()
 
     def request(self, kind: str, **fields: object) -> Dict[str, object]:
-        self._check_circuit()
-        self._seq += 1
-        doc = self._frame(kind, self._seq, **fields)
+        """Send one request and return its ok reply; raise the rest.
+
+        Refusals of frames that never reached the owner are resent
+        within the retry budget, after the pause ``RequestCore.settle``
+        picks; the circuit breaker sees every transport-level failure.
+        """
+        core = self._core
+        core.admit(time.monotonic())
         attempt = 0
         while True:
             try:
-                reply = self.call(doc)
+                reply = self.call(core.frame(kind, **fields))
             except (RequestTimeout, ConnectionError):
-                self._record_failure()
+                core.failed(time.monotonic())
                 raise
-            try:
-                result = _raise_if_error(reply)
-            except ReplyError as exc:
-                if exc.code not in self.retry_codes or attempt >= self.retries:
-                    if exc.code in self.retry_codes:
-                        # Budget exhausted on a transport-level refusal:
-                        # that is a service-health signal the breaker
-                        # must see.  Application errors are not.
-                        self._record_failure()
-                    else:
-                        self._record_success()
-                    raise
-                attempt += 1
-                delay = self._backoff_delay(attempt)
-                self._trace(
-                    "serve.client.retry",
-                    op=kind,
-                    code=exc.code,
-                    attempt=attempt,
-                    delay_s=round(delay, 6),
-                )
-                self._inc("serve.client.retries")
-                time.sleep(delay)
-                continue
-            self._record_success()
-            return result
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """Jittered exponential backoff for retry ``attempt`` (1-based):
-        ``min(cap, base * 2^(attempt-1))`` scaled by a seeded uniform
-        jitter in [0.5, 1.0) so synchronized clients fan out."""
-        base = min(self.backoff_cap, self.retry_delay * (2 ** (attempt - 1)))
-        return base * (0.5 + self._rng.random() / 2.0)
-
-    # ------------------------------------------------------------------
-    # circuit breaker (opt-in: circuit_threshold > 0)
-    # ------------------------------------------------------------------
-    def _check_circuit(self) -> None:
-        if self.circuit_threshold <= 0 or self._circuit_open_until is None:
-            return
-        now = time.monotonic()
-        if now < self._circuit_open_until:
-            self._inc("serve.client.circuit_rejected")
-            raise CircuitOpen(self._circuit_open_until - now)
-        # Cooldown elapsed: half-open, let exactly this call probe.
-        self._circuit_open_until = None
-        self._circuit_half_open = True
-        self._trace("serve.client.circuit", state="half_open")
-
-    def _record_failure(self) -> None:
-        self._circuit_failures += 1
-        if self.circuit_threshold <= 0:
-            return
-        if self._circuit_half_open or (
-            self._circuit_failures >= self.circuit_threshold
-        ):
-            self._circuit_open_until = time.monotonic() + self.circuit_cooldown
-            self._circuit_half_open = False
-            self._trace(
-                "serve.client.circuit",
-                state="open",
-                failures=self._circuit_failures,
-                cooldown_s=self.circuit_cooldown,
-            )
-            self._inc("serve.client.circuit_open")
-
-    def _record_success(self) -> None:
-        self._circuit_failures = 0
-        if self._circuit_half_open:
-            self._circuit_half_open = False
-            self._trace("serve.client.circuit", state="closed")
-
-    # -- the vocabulary -------------------------------------------------
-    def hello(
-        self,
-        session: str,
-        n: Optional[int] = None,
-        protocol: Optional[str] = None,
-    ) -> Dict[str, object]:
-        return self.request("hello", session=session, n=n, protocol=protocol)
-
-    def checkpoint(self, session: str, pid: int) -> Dict[str, object]:
-        return self.request("checkpoint", session=session, pid=pid)
-
-    def send(self, session: str, src: int, dst: int) -> Dict[str, object]:
-        return self.request("send", session=session, src=src, dst=dst)
-
-    def deliver(self, session: str, msg_id: int) -> Dict[str, object]:
-        return self.request("deliver", session=session, msg_id=msg_id)
-
-    def query(
-        self,
-        session: str,
-        what: str,
-        crashed: Optional[Sequence[int]] = None,
-    ) -> Dict[str, object]:
-        reply = self.request(
-            "query",
-            session=session,
-            what=what,
-            crashed=list(crashed) if crashed is not None else None,
-        )
-        return reply["result"]  # type: ignore[return-value]
-
-    def snapshot(self, session: str) -> Dict[str, object]:
-        return self.request("snapshot", session=session)
-
-    def ping(self) -> Dict[str, object]:
-        """Health probe: answered even by a degraded (WAL-failed)
-        server or a router with dead shards; the reply says which."""
-        return self.request("ping")
+            delay = core.settle(kind, reply, attempt, time.monotonic())
+            if delay is None:
+                return reply
+            attempt += 1
+            time.sleep(delay)
 
     def bye(self) -> None:
-        self._seq += 1
         try:
-            self.call(self._frame("bye", self._seq))
+            self.call(self._core.frame("bye"))
         except (ReproError, ConnectionError, OSError):
             pass
 
@@ -603,7 +374,7 @@ class Client(_Requests):
         try:
             self.bye()
         finally:
-            self._close_sockets()
+            self._close_sockets("close()")
 
     def __enter__(self) -> "Client":
         return self
@@ -645,24 +416,18 @@ class _Link:
         self.closed = False
 
 
-class AsyncClient(_Requests):
+class AsyncClient(_Verbs):
     """Pipelining asyncio client; create via :meth:`connect`.
 
-    ``timeout`` is a *per-request deadline*, not just a dial guard:
-    every awaited reply (:meth:`call`, :meth:`reply`) and every
-    :meth:`flush` that has to wait is bounded by it.  A deadline miss
-    raises the same typed :class:`RequestTimeout` as the sync client
-    and invalidates the client -- in-flight futures fail, later
-    submits fail fast with :class:`ConnectionError` -- because a reply
-    that arrives late would desync the pipelining bookkeeping.
-    Reconnect via :meth:`connect`; ``timeout=None`` disables the
-    deadline.
+    ``timeout`` is a *per-request deadline* (module docstring,
+    "Deadlines"), not just a dial guard: every awaited reply
+    (:meth:`call`, :meth:`reply`) and every :meth:`flush` that has to
+    wait is bounded by it; ``None`` disables it.
 
-    Against a router (:meth:`connect` pings the peer first) the client
-    holds one connection per shard.  A submit whose owner has no live
-    connection resolves at once to an unwritten ``shard_down`` (or
-    ``shard_degraded``) refusal; that, a ``moved`` reply or a dying shard
-    connection re-pings the router and re-dials in the background.
+    Against a router the client holds one connection per shard, dialled
+    whenever it adopts a table.  A submit whose owner has no live
+    connection resolves at once to its unwritten refusal; that or a
+    ``moved`` reply re-pings the router in the background.
 
     Frames are coalesced Nagle-style (see the module docstring):
     ``frames_sent`` / ``writes`` count the frames handed to the
@@ -670,116 +435,94 @@ class AsyncClient(_Requests):
     """
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        timeout: Optional[float] = 10.0,
+        self, address: Address, timeout: Optional[float], core: RequestCore
     ) -> None:
+        self.address = address
         self._timeout = timeout
-        self._seq = 0
-        self._dead = False
+        self._core = core
         self.frames_sent = 0
         self.writes = 0
         # get_running_loop, not the deprecated get_event_loop: the client
         # is only legal with the loop running (the reader task needs it).
         self._loop = asyncio.get_running_loop()
-        self._entry = self._start(reader, writer)
-        #: The router's table; None when the dialled peer is a server.
-        self._table: Optional[ShardTable] = None
+        self._entry: _Link
         self._shards: Dict[int, _Link] = {}
         self._refreshing: Optional[asyncio.Task] = None
 
     @classmethod
     async def connect(
-        cls, address: Union[str, Address], timeout: Optional[float] = 10.0
+        cls, address: Union[str, Address], timeout: Optional[float] = 10.0, **knobs: Any
     ) -> "AsyncClient":
-        addr = parse_address(address)
-        reader, writer = await _open_streams(addr, timeout)
-        try:  # the handshake: a router answers with its shard table
-            writer.write(wire.encode_frame({"kind": "ping", "seq": 0}))
-            pong = await asyncio.wait_for(wire.read_frame(reader), timeout)
-            if pong is None:
-                raise ConnectionError("peer closed the connection")
-        except (ConnectionError, OSError, wire.FrameError, asyncio.TimeoutError) as exc:
-            writer.close()
-            raise ConnectionError(f"no ping answer from {addr!r}: {exc!r}") from exc
-        client = cls(reader, writer, timeout=timeout)
-        table = ShardTable.from_ping(pong)
-        if table is not None:
-            await client._adopt(table)
+        """Dial ``address`` and make the handshake; ``knobs`` as
+        :class:`Client` takes them."""
+        client = cls(parse_address(address), timeout, RequestCore(**knobs))
+        await client._connect()
         return client
 
     # ------------------------------------------------------------------
     # connections and routing
     # ------------------------------------------------------------------
+    async def _connect(self) -> None:
+        """Dial the peer and make the handshake; adopt a router's table."""
+        self._entry = link = self._start(*await _open_streams(self.address, self._timeout))
+        self._core.invalid = None
+        link.pending[0] = handshake = self._loop.create_future()
+        link.writer.write(wire.encode_frame(HANDSHAKE))  # not a counted frame
+        try:
+            pong = await self.reply(handshake)
+        except (RequestTimeout, ConnectionError) as exc:
+            link.writer.close()
+            raise ConnectionError(f"no ping answer from {self.address!r}: {exc}") from exc
+        await self._adopt(pong)
+
     def _start(self, reader: asyncio.StreamReader, writer) -> _Link:
         link = _Link(writer)
         link.reader_task = self._loop.create_task(self._read_replies(reader, link))
         return link
 
-    async def _open(self, address: str) -> _Link:
-        return self._start(*await _open_streams(parse_address(address), self._timeout))
-
-    async def _adopt(self, table: ShardTable) -> None:
-        """Route by ``table``, dialling each shard it says is up and we
-        have no live connection to (an address changes only with its
-        process, whose old connection is closed by then)."""
-        wanted = [
-            shard for shard, state in enumerate(table.states)
-            if state == UP
-            and (shard not in self._shards or self._shards[shard].closed)
-        ]
+    async def _adopt(self, pong: Dict[str, object]) -> None:
+        """Route by ``pong``'s table, dialling what the core asks for (an
+        address changes only with its process, whose old connection is
+        closed by then)."""
+        live = [shard for shard, link in self._shards.items() if not link.closed]
+        wanted = self._core.adopt(pong, live)
         opened = await asyncio.gather(
-            *(self._open(table.addresses[shard]) for shard in wanted),
+            *(_open_streams(parse_address(address), self._timeout) for _, address in wanted),
             return_exceptions=True,
         )
-        for shard, link in zip(wanted, opened):
-            if isinstance(link, _Link):
-                self._shards[shard] = link
-        self._table = table
+        for (shard, _), streams in zip(wanted, opened):
+            if not isinstance(streams, BaseException):
+                self._shards[shard] = self._start(*streams)
 
     def _schedule_refresh(self) -> None:
         """Re-ping the router and re-dial in the background, one at a
         time; on failure the old table stays until the next refusal."""
-        if not self._dead and (
+        if self._core.invalid is None and (
             self._refreshing is None or self._refreshing.done()
         ):
             self._refreshing = self._loop.create_task(self._refresh())
 
     async def _refresh(self) -> None:
         try:
-            table = ShardTable.from_ping(await self.reply(self.submit("ping")))
+            pong = await self.reply(self.submit("ping"))
         except (ReproError, ConnectionError):
             return
-        if table is not None:
-            await self._adopt(table)
+        await self._adopt(pong)
 
-    def _owner_link(
-        self, seq: int, session: object, future: "asyncio.Future"
-    ) -> Optional[_Link]:
-        """The connection for ``session``; None once ``future`` holds
-        the refusal of a frame never written."""
-        if not isinstance(session, str):
-            return self._entry  # the router answers bad_request
-        shard = self._table.layout.owner(session)  # type: ignore[union-attr]
-        link = self._shards.get(shard)
-        if link is not None and not link.closed:
-            return link
-        state = self._table.states[shard]  # type: ignore[union-attr]
-        future.set_result(_unreachable(seq, shard, state))
-        if state != DEGRADED:
-            self._schedule_refresh()
-        return None
+    async def _refreshed(self) -> None:
+        """Wait out the refresh in flight, if any (it handles its own
+        failure, so only its completion matters)."""
+        if self._refreshing is not None and not self._refreshing.done():
+            await asyncio.wait((self._refreshing,))
 
     # ------------------------------------------------------------------
     # the read half
     # ------------------------------------------------------------------
-    async def _read_replies(
-        self, reader: asyncio.StreamReader, link: _Link
-    ) -> None:
+    async def _read_replies(self, reader: asyncio.StreamReader, link: _Link) -> None:
         error: BaseException = ConnectionError("server closed the connection")
         buffer = wire.FrameBuffer()
         pending = link.pending
+        stale = self._core.stale
         try:
             while True:
                 data = await reader.read(65536)
@@ -797,23 +540,21 @@ class AsyncClient(_Requests):
                         future = pending.pop(reply.get("seq"), None)
                         if future is not None and not future.done():
                             future.set_result(reply)
-                        if reply.get("error") == "moved":
+                        if stale(reply):
                             self._schedule_refresh()
         except wire.FrameError as exc:
             # Normalised like the sync client: callers handle exactly
             # one retry-after-reconnect exception family.
-            error = ConnectionError(
-                f"broken framing from peer ({exc}); reconnect via "
-                f"AsyncClient.connect()"
-            )
+            error = ConnectionError(f"broken framing from peer ({exc})")
         except (ConnectionError, OSError) as exc:
             error = exc
         except asyncio.CancelledError:
             error = ConnectionError("client closed")
-        deliberate = link.closed
         link.closed = True
         self._fail_pending(link, error)
-        if not deliberate and link is not self._entry:
+        if link is self._entry:  # a no-op once close() invalidated the core
+            self._core.invalidate(str(error) or repr(error))
+        else:  # its next frame would have no connection: re-ping now
             self._schedule_refresh()
 
     @staticmethod
@@ -836,36 +577,32 @@ class AsyncClient(_Requests):
         This is the pipelining primitive: N submits then N awaits keeps
         N frames in flight.  The frame is written before ``submit``
         returns when its connection is idle, and with its neighbours --
-        one transport write for the burst -- otherwise.
+        one transport write for the burst -- otherwise.  It is never
+        resent.
         """
-        self._seq += 1
-        seq = self._seq
         future: asyncio.Future = self._loop.create_future()
-        if self._dead:
-            future.set_exception(
-                ConnectionError(
-                    "connection invalidated after a timeout; reconnect via "
-                    "AsyncClient.connect()"
-                )
-            )
+        core = self._core
+        if core.invalid is not None:
+            future.set_exception(core.invalidated())
             future.exception()  # consumed here; awaiting still raises
             return future
+        doc = core.frame(kind, **fields)
         link = self._entry
-        if self._table is not None and kind in wire.SESSION_KINDS:
-            link = self._owner_link(seq, fields.get("session"), future)
-            if link is None:
-                return future
-        if link.closed:
-            future.set_exception(ConnectionError("server closed the connection"))
-            future.exception()
-            return future
+        if core.table is not None:  # routed; a server's peer skips this
+            shard = core.owner(kind, fields.get("session"))
+            if shard is not None:
+                link = self._shards.get(shard)  # type: ignore[assignment]
+                if link is None or link.closed:  # refused unwritten; re-ping
+                    future.set_result(core.unreachable(doc["seq"], shard))
+                    self._schedule_refresh()
+                    return future
         try:
-            frame = wire.encode_frame(self._frame(kind, seq, **fields))
-        except Exception as exc:  # oversized or unencodable: never sent
-            future.set_exception(ConnectionError(str(exc)))
+            frame = wire.encode_frame(doc)
+        except wire.FrameError as exc:
+            future.set_exception(FrameTooLarge(exc))
             return future
         pending = link.pending
-        pending[seq] = future
+        pending[doc["seq"]] = future
         out = link.out
         out.append(frame)
         if len(pending) == 1:
@@ -917,7 +654,7 @@ class AsyncClient(_Requests):
         if not busy:
             return
         # drain() has no future of ours to fail, so the deadline fails a
-        # stand-in; abort() in _invalidate is what wakes the drain.
+        # stand-in; the abort in _expire is what wakes the drain.
         expired: asyncio.Future = self._loop.create_future()
         handle = self._arm(expired, "transport refused to drain")
         try:
@@ -948,9 +685,7 @@ class AsyncClient(_Requests):
             if handle is not None:
                 handle.cancel()
 
-    def _arm(
-        self, future: "asyncio.Future", what: str
-    ) -> Optional[asyncio.TimerHandle]:
+    def _arm(self, future: "asyncio.Future", what: str) -> Optional[asyncio.TimerHandle]:
         if self._timeout is None:
             return None
         return self._loop.call_later(self._timeout, self._expire, future, what)
@@ -965,16 +700,11 @@ class AsyncClient(_Requests):
         """
         if future.done():
             return
-        future.set_exception(
-            RequestTimeout(
-                f"{what} within {self._timeout}s; connection invalidated, "
-                f"reconnect via AsyncClient.connect()"
-            )
-        )
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._dead = True
+        cause = f"{what} within {self._timeout}s"
+        future.set_exception(RequestTimeout(
+            f"{cause}; connection invalidated, reconnect via AsyncClient.connect()"
+        ))
+        self._core.invalidate(cause)
         if self._refreshing is not None:
             self._refreshing.cancel()
         for link in self._links():
@@ -986,48 +716,34 @@ class AsyncClient(_Requests):
             link.writer.transport.abort()
 
     async def call(self, kind: str, **fields: object) -> Dict[str, object]:
-        future = self.submit(kind, **fields)
-        await self.flush()
-        return _raise_if_error(await self.reply(future))
+        """Send one request and return its ok reply, with
+        :meth:`Client.request`'s retry, backoff and breaker.  Like the
+        sync client it routes by the freshest table: it waits out a
+        refresh in flight before it sends, and the one a refusal asked
+        for before that refusal is resent or raised."""
+        core, loop = self._core, self._loop
+        core.admit(loop.time())
+        await self._refreshed()
+        attempt = 0
+        while True:
+            future = self.submit(kind, **fields)
+            try:
+                await self.flush()
+                reply = await self.reply(future)
+            except (RequestTimeout, ConnectionError):
+                core.failed(loop.time())
+                raise
+            if core.stale(reply):
+                await self._refreshed()
+            delay = core.settle(kind, reply, attempt, loop.time())
+            if delay is None:
+                return reply
+            attempt += 1
+            await asyncio.sleep(delay)
 
-    # -- the vocabulary -------------------------------------------------
-    async def hello(
-        self,
-        session: str,
-        n: Optional[int] = None,
-        protocol: Optional[str] = None,
-    ) -> Dict[str, object]:
-        return await self.call("hello", session=session, n=n, protocol=protocol)
-
-    async def checkpoint(self, session: str, pid: int) -> Dict[str, object]:
-        return await self.call("checkpoint", session=session, pid=pid)
-
-    async def send(self, session: str, src: int, dst: int) -> Dict[str, object]:
-        return await self.call("send", session=session, src=src, dst=dst)
-
-    async def deliver(self, session: str, msg_id: int) -> Dict[str, object]:
-        return await self.call("deliver", session=session, msg_id=msg_id)
-
-    async def query(
-        self,
-        session: str,
-        what: str,
-        crashed: Optional[Sequence[int]] = None,
-    ) -> Dict[str, object]:
-        reply = await self.call(
-            "query",
-            session=session,
-            what=what,
-            crashed=list(crashed) if crashed is not None else None,
-        )
-        return reply["result"]  # type: ignore[return-value]
-
-    async def snapshot(self, session: str) -> Dict[str, object]:
-        return await self.call("snapshot", session=session)
-
-    async def ping(self) -> Dict[str, object]:
-        """Health probe; see :meth:`Client.ping`."""
-        return await self.call("ping")
+    async def _ask(self, kind: str, key: Optional[str] = None, **fields: object) -> Any:
+        reply = await self.call(kind, **fields)
+        return reply if key is None else reply[key]
 
     async def resume(self, session: str) -> Dict[str, object]:
         """Re-greet ``session``; see :meth:`Client.resume`.
@@ -1038,21 +754,24 @@ class AsyncClient(_Requests):
         """
         return await self.hello(session)
 
-    async def close(self) -> None:
-        try:
-            await self.call("bye")
-        except (ReproError, ConnectionError, OSError):
-            pass
+    async def _close_links(self) -> None:
+        self._core.invalidate("close()")
         if self._refreshing is not None:
             self._refreshing.cancel()
         for link in self._links():
-            link.closed = True  # deliberate: schedules no refresh
             link.reader_task.cancel()  # type: ignore[union-attr]
             link.writer.close()
         await asyncio.gather(
             *(link.writer.wait_closed() for link in self._links()),
             return_exceptions=True,
         )
+
+    async def close(self) -> None:
+        try:
+            await self.call("bye")
+        except (ReproError, ConnectionError, OSError):
+            pass
+        await self._close_links()
 
     async def __aenter__(self) -> "AsyncClient":
         return self

@@ -354,7 +354,9 @@ class Router:
                     f"{(err or b'').decode('utf-8', 'replace')[-500:]}"
                 )
             try:
-                shard.admin = await AsyncClient.connect(listen)
+                # No retry budget: a refusal on the admin link (a shard
+                # answering ``moved`` mid-rebalance) must fail fast.
+                shard.admin = await AsyncClient.connect(listen, retries=0)
             except ConnectionError:
                 if loop.time() > deadline:
                     await self._kill(shard)

@@ -1,5 +1,6 @@
 """Tier-1 wiring of the import-graph lint (``tools/lint_imports.py``):
-no module under ``src/repro`` may be reachable only from tests."""
+no module under ``src/repro`` may be reachable only from tests, and the
+sans-IO modules may not import I/O."""
 
 import importlib.util
 from pathlib import Path
@@ -53,7 +54,7 @@ def test_a_package_reexport_is_not_a_caller(lint, tmp_path):
         "src/repro/pkg/used.py": "def helper():\n    pass\n",
         "src/repro/api.py": "from repro.pkg import helper\n",
     })
-    assert [f.split(": ")[1] for f in lint.check(root, library={})] == [
+    assert [f.split(": ")[1] for f in lint.check(root, library={}, sans_io=())] == [
         "repro.pkg.oracle is reachable only from tests -- move it under "
         "tests/ or give it a caller"
     ]
@@ -61,26 +62,26 @@ def test_a_package_reexport_is_not_a_caller(lint, tmp_path):
 
 def test_a_name_defined_in_a_package_walks_its_init(lint, tmp_path):
     root = _tree(tmp_path, {"src/repro/api.py": "from repro.pkg import REGISTRY\n"})
-    assert lint.check(root, library={}) == []
+    assert lint.check(root, library={}, sans_io=()) == []
 
 
 def test_imports_resolve_through_reexports_to_the_defining_module(lint, tmp_path):
     root = _tree(tmp_path, {
         "src/repro/api.py": "def serve():\n    from repro.pkg import reference\n",
     })
-    assert lint.check(root, library={}) == []
+    assert lint.check(root, library={}, sans_io=()) == []
 
 
 @pytest.mark.parametrize("directory", ["examples", "benchmarks", "tools"])
 def test_non_test_code_outside_src_is_a_caller(lint, tmp_path, directory):
     root = _tree(tmp_path, {f"{directory}/demo.py": "import repro.pkg.oracle\n"})
-    assert lint.check(root, library={}) == []
+    assert lint.check(root, library={}, sans_io=()) == []
 
 
 def test_library_entry_points_are_roots_and_must_exist(lint, tmp_path):
     root = _tree(tmp_path, {})
-    assert lint.check(root, library={"repro.pkg.oracle": "public"}) == []
-    assert lint.check(root, library={
+    assert lint.check(root, library={"repro.pkg.oracle": "public"}, sans_io=()) == []
+    assert lint.check(root, sans_io=(), library={
         "repro.pkg.oracle": "public", "repro.gone": "stale",
     }) == ["LIBRARY_ENTRY_POINTS names repro.gone, which does not exist"]
 
@@ -90,4 +91,41 @@ def test_relative_imports_are_followed(lint, tmp_path):
         "src/repro/api.py": "from .pkg import sub\n",
         "src/repro/pkg/sub.py": "from . import oracle\n",
     })
-    assert lint.check(root, library={}) == []
+    assert lint.check(root, library={}, sans_io=()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import socket\n",
+        "from asyncio import sleep\n",
+        "import select as poller\n",
+        "def clock():\n    import time\n    return time.monotonic()\n",
+    ],
+)
+def test_a_sans_io_module_may_not_import_io(lint, tmp_path, source):
+    root = _tree(tmp_path, {"src/repro/pkg/oracle.py": source})
+    findings = lint.check(root, library={"repro.pkg.oracle": "public"},
+                          sans_io=("repro.pkg.oracle",))
+    assert len(findings) == 1
+    assert "sans-IO module repro.pkg.oracle imports" in findings[0]
+
+
+def test_a_sans_io_module_may_import_pure_modules(lint, tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/pkg/oracle.py": "import random\nimport timeit\nfrom repro import api\n",
+    })
+    assert lint.check(root, library={"repro.pkg.oracle": "public"},
+                      sans_io=("repro.pkg.oracle",)) == []
+
+
+def test_sans_io_modules_must_exist(lint, tmp_path):
+    root = _tree(tmp_path, {})
+    assert lint.check(root, library={"repro.pkg.oracle": "public"},
+                      sans_io=("repro.gone",)) == [
+        "SANS_IO names repro.gone, which does not exist"
+    ]
+
+
+def test_the_request_core_is_sans_io(lint):
+    assert "repro.serve.clientcore" in lint.SANS_IO

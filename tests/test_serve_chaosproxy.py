@@ -209,11 +209,25 @@ class TestTransparentForwarding:
         assert chaos["ingest_p99_s"] - direct["ingest_p99_s"] < 0.25
 
 
+#: Bytes the connect handshake moves in its larger direction: a plain
+#: server's ``ping`` reply (the request is 27 bytes).
+HANDSHAKE_BYTES = len(wire.encode_frame({
+    "answered": 0, "degraded": False, "ok": True, "pong": True,
+    "role": "server", "seq": 0, "sessions": 0, "shed": 0,
+}))
+
+
+def _after_handshake(low, high):
+    """Fault offsets counted from the end of the connect handshake, so
+    the fault lands on the frames the test sends, not on ``Client()``."""
+    return (low + HANDSHAKE_BYTES, high + HANDSHAKE_BYTES)
+
+
 class TestFaults:
     def test_reset_surfaces_as_connection_error(self, backend):
         proxy = _proxy_handle(
             backend.connect_address(),
-            ChaosConfig(seed=5, reset_rate=1.0, fault_after=(30, 60)),
+            ChaosConfig(seed=5, reset_rate=1.0, fault_after=_after_handshake(30, 60)),
         )
         try:
             client = Client(proxy.connect_address(), timeout=2.0, retries=0)
@@ -229,7 +243,7 @@ class TestFaults:
 
         proxy = _proxy_handle(
             backend.connect_address(),
-            ChaosConfig(seed=5, stall_rate=1.0, fault_after=(10, 40)),
+            ChaosConfig(seed=5, stall_rate=1.0, fault_after=_after_handshake(10, 40)),
         )
         try:
             client = Client(proxy.connect_address(), timeout=0.5, retries=0)
@@ -247,7 +261,7 @@ class TestFaults:
     def test_truncate_surfaces_as_connection_error(self, backend):
         proxy = _proxy_handle(
             backend.connect_address(),
-            ChaosConfig(seed=9, truncate_rate=1.0, fault_after=(30, 60)),
+            ChaosConfig(seed=9, truncate_rate=1.0, fault_after=_after_handshake(30, 60)),
         )
         try:
             client = Client(proxy.connect_address(), timeout=2.0, retries=0)

@@ -14,6 +14,7 @@ from repro.serve.client import (
     AsyncClient,
     CircuitOpen,
     Client,
+    FrameTooLarge,
     ReplyError,
     RequestTimeout,
     parse_address,
@@ -37,7 +38,8 @@ class TestParseAddress:
         assert parse_address(("unix", "/p")) == ("unix", "/p")
 
     @pytest.mark.parametrize(
-        "bad", ["", "no-port", "host:notaport", "unix:", ("weird", 1)]
+        "bad",
+        ["", "no-port", "host:notaport", "unix:", ("weird", 1), "127.0.0.1:70000"],
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
@@ -184,11 +186,89 @@ def _serve_ok(conn):
         wire.send_frame(conn, {"ok": True, "seq": doc["seq"], "echo": doc["kind"]})
 
 
+class _Blocking:
+    """A client of either flavour behind one blocking surface, so a test
+    runs against both: ``request`` is the retrying call
+    (:meth:`Client.request`, :meth:`AsyncClient.call`), ``raw`` sends
+    one frame and returns its raw reply (:meth:`Client.call`,
+    ``AsyncClient.submit`` + ``reply``), and every other method is the
+    client's own, run to completion on a private loop for the async
+    flavour."""
+
+    def __init__(self, flavour, address, **knobs):
+        self._loop = None if flavour == "sync" else asyncio.new_event_loop()
+        if self._loop is None:
+            self.client = Client(address, **knobs)
+        else:
+            self.client = self._run(AsyncClient.connect(address, **knobs))
+
+    def _run(self, result):
+        return result if self._loop is None else self._loop.run_until_complete(result)
+
+    @property
+    def core(self):
+        return self.client._core
+
+    def request(self, kind, **fields):
+        call = self.client.request if self._loop is None else self.client.call
+        return self._run(call(kind, **fields))
+
+    def raw(self, kind, **fields):
+        if self._loop is None:
+            return self.client.call(self.core.frame(kind, **fields))
+        return self._run(self.client.reply(self.client.submit(kind, **fields)))
+
+    def __getattr__(self, name):
+        method = getattr(self.client, name)
+        return lambda *args, **kwargs: self._run(method(*args, **kwargs))
+
+    def reconnect(self, retries, delay):
+        """:meth:`Client.reconnect`.  An async client cannot redial in
+        place, so a fresh one is connected over the same core (its seqs
+        and breaker); if that fails, the closed one stays."""
+        if self._loop is None:
+            return self.client.reconnect(retries=retries, delay=delay)
+        old = self.client
+        self._run(old._close_links())
+
+        async def redial():
+            fresh = AsyncClient(old.address, old._timeout, old._core)
+            await fresh._connect()
+            return fresh
+
+        self.client = self._run(redial())
+
+    def shutdown(self):
+        """Drop the sockets without a ``bye`` (a scripted peer may be
+        stalled or gone) and release the loop."""
+        if self._loop is None:
+            self.client._close_sockets("close()")
+            return
+        self._run(self.client._close_links())
+        self._loop.close()
+
+
+@pytest.fixture
+def connect(request):
+    """Open clients of the test class's ``flavour`` (``sync`` unless an
+    ``...Async`` twin says otherwise); shut them down at teardown."""
+    flavour = getattr(request.cls, "flavour", "sync")
+    opened = []
+
+    def open_client(address, **knobs):
+        opened.append(_Blocking(flavour, address, **knobs))
+        return opened[-1]
+
+    yield open_client
+    for client in opened:
+        client.shutdown()
+
+
 class TestTimeoutInvalidation:
     """Satellite regression: a socket timeout mid-frame must not leave
     the next call parsing from the middle of an abandoned reply."""
 
-    def test_timeout_raises_typed_error_and_invalidates(self, tmp_path):
+    def test_timeout_raises_typed_error_and_invalidates(self, tmp_path, connect):
         stalled = threading.Event()
 
         def handler(index, conn):
@@ -205,30 +285,52 @@ class TestTimeoutInvalidation:
 
         path = tmp_path / "stall.sock"
         with _ScriptedServer(path, handler):
-            client = Client(f"unix:{path}", timeout=0.3)
+            client = connect(f"unix:{path}", timeout=0.3)
             with pytest.raises(RequestTimeout, match="reconnect"):
-                client.call({"kind": "query", "seq": 1})
+                client.raw("query")
             # The connection is invalidated, not silently reused: a
             # second call must refuse rather than mis-parse.
             with pytest.raises(ConnectionError, match="invalidated"):
-                client.call({"kind": "query", "seq": 2})
+                client.raw("query")
             stalled.set()
             # reconnect() makes the client whole again -- fresh socket,
             # fresh buffer, no leftover partial frame.
             client.reconnect(retries=3, delay=0.05)
-            reply = client.call({"kind": "query", "seq": 3})
-            assert reply == {"ok": True, "seq": 3, "echo": "query"}
-            client._sock.close()
+            reply = client.raw("query")
+            assert reply == {"ok": True, "seq": client.core.seq, "echo": "query"}
+
+    def test_failed_reconnect_refuses_at_once(self, tmp_path, connect):
+        """The peer is gone and the redial fails: the next call is a
+        prompt ``ConnectionError``, not a write into a closed socket."""
+        path = tmp_path / "gone.sock"
+        server = _ScriptedServer(path, lambda index, conn: _serve_ok(conn))
+        client = connect(f"unix:{path}", timeout=5.0)
+        server.close()
+        os.unlink(path)  # nothing listens there any more
+        with pytest.raises(ConnectionError):
+            client.reconnect(retries=1, delay=0.01)
+        started = time.monotonic()
+        with pytest.raises(ConnectionError, match="invalidated"):
+            client.raw("query")
+        with pytest.raises(ConnectionError, match="invalidated"):
+            client.request("query")
+        assert time.monotonic() - started < 1.0
 
     def test_timeout_is_a_repro_error(self):
         assert issubclass(RequestTimeout, ReproError)
 
 
-class TestShardDownRetry:
-    """``shard_down`` replies are refused-before-apply: the sync client
-    retries them transparently up to ``retries`` times."""
+class TestTimeoutInvalidationAsync(TestTimeoutInvalidation):
+    """The same tests against :class:`AsyncClient`."""
 
-    def test_retries_until_shard_returns(self, tmp_path):
+    flavour = "async"
+
+
+class TestShardDownRetry:
+    """``shard_down`` replies are refused-before-apply: the retrying call
+    resends them transparently up to ``retries`` times."""
+
+    def test_retries_until_shard_returns(self, tmp_path, connect):
         down_for = 3
         seen = []
 
@@ -251,12 +353,11 @@ class TestShardDownRetry:
 
         path = tmp_path / "down.sock"
         with _ScriptedServer(path, handler):
-            client = Client(f"unix:{path}", retries=5, retry_delay=0.01)
+            client = connect(f"unix:{path}", retries=5, retry_delay=0.01)
             assert client.request("snapshot", session="s")["ok"] is True
             assert len(seen) == down_for + 1
-            client._sock.close()
 
-    def test_retries_exhausted_raise(self, tmp_path):
+    def test_retries_exhausted_raise(self, tmp_path, connect):
         def handler(index, conn):
             buffer = wire.FrameBuffer()
             while True:
@@ -269,12 +370,11 @@ class TestShardDownRetry:
 
         path = tmp_path / "dead.sock"
         with _ScriptedServer(path, handler):
-            client = Client(f"unix:{path}", retries=2, retry_delay=0.01)
+            client = connect(f"unix:{path}", retries=2, retry_delay=0.01)
             with pytest.raises(ReplyError, match="shard_down"):
                 client.request("snapshot", session="s")
-            client._sock.close()
 
-    def test_non_retryable_errors_pass_through(self, tmp_path):
+    def test_non_retryable_errors_pass_through(self, tmp_path, connect):
         calls = []
 
         def handler(index, conn):
@@ -290,17 +390,23 @@ class TestShardDownRetry:
 
         path = tmp_path / "bad.sock"
         with _ScriptedServer(path, handler):
-            client = Client(f"unix:{path}", retries=5, retry_delay=0.01)
+            client = connect(f"unix:{path}", retries=5, retry_delay=0.01)
             with pytest.raises(ReplyError, match="bad_request"):
                 client.request("snapshot", session="s")
             assert len(calls) == 1  # no retry on a real fault
-            client._sock.close()
 
 
-def _router_handler(shard_address, state, pings):
+class TestShardDownRetryAsync(TestShardDownRetry):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
+
+
+def _router_handler(shard_address, state, pings, frames=None):
     """A scripted router publishing one shard: ``ping`` gets the table,
-    any session frame the router's ``moved``."""
-    table = ShardTable(ShardMap(1), [shard_address], [state])
+    any session frame the router's ``moved``, anything else ``ok``.
+    ``state`` is the shard's state, or a function returning it at each
+    ``ping``; ``frames`` (when given) records every frame's kind."""
 
     def handler(index, conn):
         buffer = wire.FrameBuffer()
@@ -308,12 +414,18 @@ def _router_handler(shard_address, state, pings):
             doc = wire.recv_frame(conn, buffer)
             if doc is None:
                 return
+            if frames is not None:
+                frames.append(doc["kind"])
             if doc["kind"] == "ping":
                 pings.append(doc["seq"])
+                now = state() if callable(state) else state
+                table = ShardTable(ShardMap(1), [shard_address], [now])
                 reply = {"ok": True, "seq": doc["seq"], "role": "router"}
                 reply.update(table.ping_fields())
-            else:
+            elif doc["kind"] in wire.SESSION_KINDS:
                 reply = wire.error_reply(doc["seq"], "moved", "dial the owner")
+            else:
+                reply = {"ok": True, "seq": doc["seq"]}
             wire.send_frame(conn, reply)
 
     return handler
@@ -323,7 +435,7 @@ class TestOnlyUnwrittenFramesAreRetried:
     """At-least-once, honestly: a frame the owner may have applied is
     never resent; one that never reached it is."""
 
-    def test_frame_on_a_connection_that_dies_is_sent_once(self, tmp_path):
+    def test_frame_on_a_connection_that_dies_is_sent_once(self, tmp_path, connect):
         copies = []
 
         def shard(index, conn):
@@ -339,14 +451,16 @@ class TestOnlyUnwrittenFramesAreRetried:
             router_path, _router_handler(f"unix:{shard_path}", "up", pings),
             handshake=False,
         ):
-            client = Client(f"unix:{router_path}", retries=5, retry_delay=0.01)
+            client = connect(f"unix:{router_path}", retries=5, retry_delay=0.01)
             with pytest.raises(ConnectionError):
                 client.checkpoint("s", pid=0)
             time.sleep(0.1)  # nothing further may arrive
             assert [doc["kind"] for doc in copies] == ["checkpoint"]
             client.close()
 
-    def test_refused_dial_to_a_down_shard_backs_off_then_raises(self, tmp_path):
+    def test_refused_dial_to_a_down_shard_backs_off_then_raises(
+        self, tmp_path, connect
+    ):
         from repro.obs import Tracer
 
         router_path = tmp_path / "router.sock"
@@ -354,7 +468,7 @@ class TestOnlyUnwrittenFramesAreRetried:
         tracer = Tracer()
         handler = _router_handler(f"unix:{tmp_path}/gone.sock", "down", pings)
         with _ScriptedServer(router_path, handler, handshake=False):
-            client = Client(
+            client = connect(
                 f"unix:{router_path}", retries=2, retry_delay=0.01,
                 tracer=tracer,
             )
@@ -363,44 +477,135 @@ class TestOnlyUnwrittenFramesAreRetried:
             assert err.value.code == "shard_down"
             retries = [e for e in tracer.events if e.kind == "serve.client.retry"]
             assert [e.fields["code"] for e in retries] == ["shard_down"] * 2
-            # One ping for the router's first refusal, one per failed dial.
+            # One ping for the connect handshake, one per refused
+            # attempt (the down shard is never dialled).
             assert len(pings) == 1 + 3
             client.close()
 
-    def test_parked_shard_fails_fast(self, tmp_path):
+    def test_parked_shard_fails_fast(self, tmp_path, connect):
         router_path = tmp_path / "router.sock"
         pings = []
         handler = _router_handler(f"unix:{tmp_path}/gone.sock", "degraded", pings)
         with _ScriptedServer(router_path, handler, handshake=False):
-            client = Client(f"unix:{router_path}", retries=5, retry_delay=0.01)
+            client = connect(f"unix:{router_path}", retries=5, retry_delay=0.01)
             with pytest.raises(ReplyError) as err:
                 client.checkpoint("s", pid=0)
             assert err.value.code == "shard_degraded"
-            assert len(pings) == 2  # the first refusal, the one failed dial
+            # The handshake, and the one re-ping the refusal asked for:
+            # a parked shard's refusal is terminal, never retried.
+            assert len(pings) == 2
             client.close()
 
     def test_async_client_refuses_unconnected_owner_without_writing(
-        self, tmp_path
+        self, tmp_path, connect
     ):
+        """The owner has no connection (the table says it is down): the
+        frame is refused unwritten and the refusal re-pings the router."""
+        router_path = tmp_path / "router.sock"
+        pings, frames = [], []
+        handler = _router_handler(
+            f"unix:{tmp_path}/gone.sock", "down", pings, frames
+        )
+        with _ScriptedServer(router_path, handler, handshake=False):
+            client = connect(f"unix:{router_path}", timeout=2.0)
+            assert client.core.table is not None
+            assert client.client._shards == {}
+            if isinstance(client.client, AsyncClient):
+                frames_sent = client.client.frames_sent
+                future = client.client.submit("checkpoint", session="s", pid=0)
+                assert future.done()  # refused at once: never queued, never written
+                assert client.client.frames_sent == frames_sent
+                refused = client._run(client.client.reply(future))
+                client._run(client.client._refreshing)  # the refusal's re-ping
+            else:
+                refused = client.raw("checkpoint", session="s", pid=0)
+            assert refused["error"] == "shard_down"
+            # The connect handshake, then the refresh after the refusal:
+            # the frame itself went nowhere (the router saw only pings,
+            # and the shard was never dialled).
+            assert pings == [0, 2]
+            assert frames == ["ping", "ping"]
+            client.close()
+
+    def test_a_lost_shard_connection_refreshes_the_table(self, tmp_path, connect):
+        """The shard dies under a frame and the router parks it: the
+        next frame is refused by the router's current word
+        (``shard_degraded``), not by the table held before the loss."""
+        parked = threading.Event()
+
+        def shard(index, conn):
+            wire.recv_frame(conn, wire.FrameBuffer())
+            parked.set()  # the supervisor gave up on it ...
+            conn.close()  # ... and the frame in flight has an unknown fate
+
+        shard_path = tmp_path / "shard.sock"
+        router_path = tmp_path / "router.sock"
+        state = lambda: "degraded" if parked.is_set() else "up"  # noqa: E731
+        with _ScriptedServer(shard_path, shard), _ScriptedServer(
+            router_path, _router_handler(f"unix:{shard_path}", state, []),
+            handshake=False,
+        ):
+            client = connect(f"unix:{router_path}", retries=0)
+            with pytest.raises(ConnectionError):
+                client.checkpoint("s", pid=0)
+            with pytest.raises(ReplyError) as err:
+                client.checkpoint("s", pid=0)
+            assert err.value.code == "shard_degraded"
+            client.close()
+
+    def test_unpublished_shard_is_refused_not_dialled(self, tmp_path, connect):
+        """Regression: a shard the router has not published yet is
+        listed with an empty address; the sync client used to dial it
+        and leak ``ValueError: bad address ''`` out of ``call``."""
         router_path = tmp_path / "router.sock"
         pings = []
-        handler = _router_handler(f"unix:{tmp_path}/gone.sock", "down", pings)
-
-        async def scenario():
-            client = await AsyncClient.connect(f"unix:{router_path}", timeout=2.0)
-            assert client._table is not None and client._shards == {}
-            frames = client.frames_sent
-            future = client.submit("checkpoint", session="s", pid=0)
-            assert future.done()  # never queued, never written
-            assert (await client.reply(future))["error"] == "shard_down"
-            assert client.frames_sent == frames
-            await client._refreshing  # the refusal re-pinged the router
-            await client.close()
-
+        handler = _router_handler("", "down", pings)
         with _ScriptedServer(router_path, handler, handshake=False):
-            asyncio.run(scenario())
-        # The connect handshake, then the refresh after the refusal.
-        assert pings == [0, 2]
+            client = connect(f"unix:{router_path}", retries=0)
+            with pytest.raises(ReplyError) as err:
+                client.checkpoint("s", pid=0)
+            assert err.value.code == "shard_down"
+            assert "not connected" in err.value.detail
+            client.close()
+
+
+class TestOnlyUnwrittenFramesAreRetriedAsync(TestOnlyUnwrittenFramesAreRetried):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
+
+
+class TestOversizedRequest:
+    """A request over ``wire.MAX_FRAME`` is refused before a byte is
+    written: a typed error naming its size, the connection stays up,
+    and the breaker does not count it."""
+
+    def test_refused_unwritten_and_the_connection_stays_up(
+        self, tmp_path, connect
+    ):
+        seen = []
+
+        def handler(index, conn):
+            buffer = wire.FrameBuffer()
+            while (doc := wire.recv_frame(conn, buffer)) is not None:
+                seen.append(doc["kind"])
+                wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+
+        path = tmp_path / "big.sock"
+        with _ScriptedServer(path, handler):
+            client = connect(f"unix:{path}", circuit_threshold=1)
+            blob = "x" * wire.MAX_FRAME
+            with pytest.raises(FrameTooLarge, match=r"frame of \d+ bytes exceeds"):
+                client.request("query", session=blob)
+            assert client.core.failures == 0
+            assert client.ping()["ok"] is True  # no CircuitOpen, no invalidation
+            assert seen == ["ping"]
+
+
+class TestOversizedRequestAsync(TestOversizedRequest):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
 
 
 class TestResumeAcrossRestart:
@@ -530,21 +735,21 @@ class TestAsyncClientDeadline:
 
 
 class TestBackoffAndCircuit:
-    def test_backoff_is_seeded_exponential_and_capped(self, tmp_path):
+    def test_backoff_is_seeded_exponential_and_capped(self, tmp_path, connect):
         def handler(index, conn):
             _serve_ok(conn)
 
         path = tmp_path / "bk.sock"
         with _ScriptedServer(path, handler):
-            a = Client(f"unix:{path}", retry_delay=0.1, backoff_cap=0.4,
-                       backoff_seed=7)
-            b = Client(f"unix:{path}", retry_delay=0.1, backoff_cap=0.4,
-                       backoff_seed=7)
-            c = Client(f"unix:{path}", retry_delay=0.1, backoff_cap=0.4,
-                       backoff_seed=8)
-            da = [a._backoff_delay(i) for i in range(1, 7)]
-            db = [b._backoff_delay(i) for i in range(1, 7)]
-            dc = [c._backoff_delay(i) for i in range(1, 7)]
+            a = connect(f"unix:{path}", retry_delay=0.1, backoff_cap=0.4,
+                        backoff_seed=7)
+            b = connect(f"unix:{path}", retry_delay=0.1, backoff_cap=0.4,
+                        backoff_seed=7)
+            c = connect(f"unix:{path}", retry_delay=0.1, backoff_cap=0.4,
+                        backoff_seed=8)
+            da = [a.core.backoff(i) for i in range(1, 7)]
+            db = [b.core.backoff(i) for i in range(1, 7)]
+            dc = [c.core.backoff(i) for i in range(1, 7)]
             assert da == db  # same seed -> identical jitter stream
             assert da != dc  # different seed -> fans out
             for i, delay in enumerate(da, start=1):
@@ -552,7 +757,7 @@ class TestBackoffAndCircuit:
                 assert base * 0.5 <= delay < base  # jitter in [0.5x, 1x)
             a.close(); b.close(); c.close()
 
-    def test_circuit_opens_after_consecutive_failures(self, tmp_path):
+    def test_circuit_opens_after_consecutive_failures(self, tmp_path, connect):
         state = {"healthy": False}
 
         def handler(index, conn):
@@ -563,7 +768,7 @@ class TestBackoffAndCircuit:
 
         path = tmp_path / "cb.sock"
         with _ScriptedServer(path, handler):
-            client = Client(
+            client = connect(
                 f"unix:{path}",
                 retries=0,
                 circuit_threshold=2,
@@ -585,18 +790,18 @@ class TestBackoffAndCircuit:
             time.sleep(0.25)
             client.reconnect(retries=3, delay=0.01)
             assert client.request("query", session="s")["ok"] is True
-            assert client._circuit_failures == 0
+            assert client.core.failures == 0
             # Closed for real: the next call is not a probe.
             assert client.request("query", session="s")["ok"] is True
             client.close()
 
-    def test_half_open_probe_failure_reopens(self, tmp_path):
+    def test_half_open_probe_failure_reopens(self, tmp_path, connect):
         def handler(index, conn):
             conn.close()
 
         path = tmp_path / "cb2.sock"
         with _ScriptedServer(path, handler):
-            client = Client(
+            client = connect(
                 f"unix:{path}",
                 retries=0,
                 circuit_threshold=1,
@@ -613,20 +818,25 @@ class TestBackoffAndCircuit:
                 client.request("query", session="s")
             with pytest.raises(CircuitOpen):
                 client.request("query", session="s")
-            client._sock.close()
 
-    def test_breaker_disabled_by_default(self, tmp_path):
+    def test_breaker_disabled_by_default(self, tmp_path, connect):
         def handler(index, conn):
             conn.close()
 
         path = tmp_path / "cb3.sock"
         with _ScriptedServer(path, handler):
-            client = Client(f"unix:{path}", retries=0)
+            client = connect(f"unix:{path}", retries=0)
             for _ in range(5):
                 with pytest.raises(ConnectionError):
                     client.request("query", session="s")
                 client.reconnect(retries=3, delay=0.01)
             # Still ConnectionError, never CircuitOpen.
+
+
+class TestBackoffAndCircuitAsync(TestBackoffAndCircuit):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
 
 
 class TestBrokenFraming:

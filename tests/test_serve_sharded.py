@@ -223,6 +223,22 @@ class TestAdminContract:
         assert delta == frames
         assert sum(delta.values()) == sum(frames.values())
 
+    def test_shard_admin_link_fails_fast_on_a_refusal(self, handle):
+        """The router's admin link to a shard has no retry budget: a
+        refusal (here ``moved``) raises at once, never backs off and
+        resends -- a rebalance must not stall on its own refusal."""
+        router = handle.server
+        sid = _session_on(router, 0, "admin-fast")
+        admin = router._shards[1].admin
+        sent = admin.frames_sent
+        pending = asyncio.run_coroutine_threadsafe(
+            admin.call("snapshot", session=sid), handle._loop
+        )
+        with pytest.raises(ReplyError) as err:
+            pending.result(timeout=5.0)
+        assert err.value.code == "moved"
+        assert admin.frames_sent == sent + 1  # written once, never resent
+
 
 class TestMoved:
     """Shards enforce ownership; clients follow the refusal."""
@@ -250,7 +266,7 @@ class TestMoved:
         with Client(handle.connect_address()) as client:
             client.hello(sid, n=2)
             client.checkpoint(sid, pid=0)
-            assert client._table.layout.owner(sid) == 0
+            assert client._core.table.layout.owner(sid) == 0
             with Client(handle.connect_address()) as admin:
                 assert admin.request(
                     "rebalance", session=sid, target=1
@@ -258,7 +274,7 @@ class TestMoved:
             # The stale table still says shard 0, which answers moved;
             # the client re-pings the router and resends to shard 1.
             assert client.checkpoint(sid, pid=1)["ok"] is True
-            assert client._table.layout.owner(sid) == 1
+            assert client._core.table.layout.owner(sid) == 1
             assert client.query(sid, "rdt_status")["events"] == 2
 
     def test_async_client_hands_moved_back_and_refreshes(self, handle):
@@ -276,7 +292,7 @@ class TestMoved:
                 )
                 assert refused["error"] == "moved"
                 await client._refreshing
-                assert client._table.layout.owner(sid) == 2
+                assert client._core.table.layout.owner(sid) == 2
                 await client.checkpoint(sid, pid=0)
                 return (await client.query(sid, "rdt_status"))["events"]
             finally:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Import-graph lint: every module under ``src/repro`` has a non-test caller.
+"""Import-graph lint: every module under ``src/repro`` has a non-test
+caller, and the sans-IO modules import no I/O.
 
 Code kept only so the tests can compare against it belongs under
 ``tests/`` (the clock oracles in ``tests/oracles`` are the example), so
@@ -20,6 +21,10 @@ pkg import name`` resolves to the module that defines ``name``.  So a
 module that only its package's ``__init__`` imports is still flagged --
 the shape the clock oracles had.  A package ``__init__`` is walked only
 when a name it defines itself (or the package) is imported.
+
+The modules in :data:`SANS_IO` decide without doing I/O: importing any
+of :data:`IO_MODULES` (anywhere in the module, functions included) is a
+finding too.
 
 Run from the repo root (exit code 1 on any finding)::
 
@@ -46,6 +51,12 @@ LIBRARY_ENTRY_POINTS = {
     "repro.analysis.characterizations": "the paper's visible "
     "characterization checker, public through repro.analysis",
 }
+
+#: Modules that must stay sans-IO (clock readings are passed in).
+SANS_IO = ("repro.serve.clientcore",)
+
+#: What a sans-IO module may not import.
+IO_MODULES = frozenset({"socket", "asyncio", "select", "time"})
 
 #: Program entry points (see the module docstring).
 ENTRY_POINTS = ("repro", "repro.__main__", "repro.api")
@@ -133,7 +144,9 @@ class Graph:
 
 
 def check(
-    root: Path, library: Mapping[str, str] = LIBRARY_ENTRY_POINTS
+    root: Path,
+    library: Mapping[str, str] = LIBRARY_ENTRY_POINTS,
+    sans_io: Iterable[str] = SANS_IO,
 ) -> List[str]:
     """Findings for the repository at ``root`` (empty when clean)."""
     graph = Graph(root / "src")
@@ -143,6 +156,16 @@ def check(
         for name in sorted(library)
         if name not in graph.modules
     ]
+    for name in sans_io:
+        if name not in graph.modules:
+            findings.append(f"SANS_IO names {name}, which does not exist")
+            continue
+        findings += [
+            f"{graph.modules[name].relative_to(root)}: sans-IO module {name} "
+            f"imports {base}"
+            for base in sorted({base for base, _ in graph.imports(name)})
+            if base.split(".")[0] in IO_MODULES
+        ]
     roots |= set(library)
     for directory in CALLER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
