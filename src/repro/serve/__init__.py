@@ -14,8 +14,8 @@ Layers
 ------
 * :mod:`repro.serve.wire` -- the frame codec and request/reply schema;
 * :mod:`repro.serve.session` -- one session's live state + ingest log;
-* :mod:`repro.serve.server` -- the asyncio daemon (sharded workers,
-  backpressure, idle eviction, graceful drain);
+* :mod:`repro.serve.servercore` / :mod:`repro.serve.server` -- every
+  daemon decision, sans-IO, and the asyncio driver that performs them;
 * :mod:`repro.serve.snapshots` -- session snapshot/restore store;
 * :mod:`repro.serve.wal` -- the durable ingest WAL (hash-chained
   append-only segments, fsync-batched group commit, crash recovery);

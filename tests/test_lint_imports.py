@@ -3,6 +3,7 @@ no module under ``src/repro`` may be reachable only from tests, and the
 sans-IO modules may not import I/O."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -129,3 +130,14 @@ def test_sans_io_modules_must_exist(lint, tmp_path):
 
 def test_the_request_core_is_sans_io(lint):
     assert "repro.serve.clientcore" in lint.SANS_IO
+
+
+def test_a_time_import_in_the_server_core_fails_the_lint(lint, tmp_path):
+    assert "repro.serve.servercore" in lint.SANS_IO
+    shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
+    core = tmp_path / "src" / "repro" / "serve" / "servercore.py"
+    core.write_text("from time import monotonic\n" + core.read_text(encoding="utf-8"))
+    assert [f for f in lint.check(tmp_path) if "sans-IO" in f] == [
+        "src/repro/serve/servercore.py: sans-IO module repro.serve.servercore "
+        "imports time"
+    ]

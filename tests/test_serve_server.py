@@ -1,16 +1,21 @@
 """The live daemon: request vocabulary, backpressure, eviction, drain."""
 
 import asyncio
+import socket
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro import api
 from repro.obs import MetricsRegistry, Tracer
-from repro.serve.client import AsyncClient, Client, ReplyError
+from repro.serve import wire
+from repro.serve.client import Client, ReplyError
 from repro.serve.loadgen import run_load
-from repro.serve.server import CheckpointServer, ServerConfig, serve_in_thread
+from repro.serve.server import ServerConfig, serve_in_thread
+from repro.serve.servercore import ServerCore
+from repro.serve.snapshots import SnapshotStore
 from repro.types import SimulationError
 
 
@@ -159,42 +164,62 @@ class TestObservability:
 
 
 class TestBackpressure:
-    def test_full_shard_sheds_with_overloaded(self, tmp_path):
-        async def scenario():
-            sock = str(tmp_path / "shed.sock")
-            server = CheckpointServer(
-                ServerConfig(unix_path=sock, workers=1, queue_depth=2)
-            )
-            await server.start()
-            # Freeze the worker pool so the shard queue can only fill.
-            for task in server._workers:
-                task.cancel()
-            await asyncio.sleep(0)
-            client = await AsyncClient.connect(f"unix:{sock}")
-            first = client.submit("hello", session="s", n=2)
-            second = client.submit("checkpoint", session="s", pid=0)
-            third = client.submit("checkpoint", session="s", pid=0)
-            await client.flush()
-            reply = await third
-            assert reply["ok"] is False
-            assert reply["error"] == "overloaded"
-            assert server.shed_frames == 1
-            # White-box cleanup: the frozen shard never drains, so
-            # release the accounting before stopping the server.
-            for conn in list(server._conns):
-                conn.pending = 0
-                conn.drained.set()
-            for queue in server._queues:
-                while not queue.empty():
-                    queue.get_nowait()
-                    queue.task_done()
-            first.cancel()
-            second.cancel()
-            client._entry.reader_task.cancel()
-            client._entry.writer.close()
-            await server.stop()
+    def test_full_shard_sheds_with_overloaded(self):
+        # The core alone: a shard whose worker has not stepped yet can
+        # only fill, and the frame past queue_depth is shed unapplied.
+        core = ServerCore(ServerConfig(workers=1, queue_depth=2), SnapshotStore(), clock=lambda: 0.0)
+        frames = [
+            {"kind": "hello", "seq": 1, "session": "s", "n": 2},
+            {"kind": "checkpoint", "seq": 2, "session": "s", "pid": 0},
+            {"kind": "checkpoint", "seq": 3, "session": "s", "pid": 0},
+        ]
+        assert [core.dispatch(doc, "conn") for doc in frames[:2]] == [(None, 0, False)] * 2
+        reply, shard, close = core.dispatch(frames[2], "conn")
+        assert shard is None and close is False
+        assert reply["ok"] is False
+        assert reply["error"] == "overloaded"
+        assert core.shed_frames == 1
+        writes = core.finish(core.step(0))
+        assert [r["seq"] for r in writes["conn"]] == [1, 2]
+        assert len(core.sessions["s"].ingest_log) == 1
 
-        asyncio.run(scenario())
+    def test_a_client_that_stops_reading_stalls_only_itself(self, tmp_path):
+        """Regression: workers used to await ``drain()`` on the peer's
+        writer, so a client that pipelined frames and never read stalled
+        its worker -- every session on it timed out -- and hung stop()."""
+        config = ServerConfig(unix_path=str(tmp_path / "slow.sock"), workers=2)
+        handle = serve_in_thread(config)
+        ids = [f"s{i}" for i in range(64)]
+        same = [s for s in ids if zlib.crc32(s.encode()) % 2 == zlib.crc32(b"a") % 2]
+        hog = socket.socket(socket.AF_UNIX)
+        hog.connect(config.unix_path)
+        data = wire.encode_frame({"kind": "hello", "seq": 1, "session": "a", "n": 2})
+        data += b"".join(
+            wire.encode_frame({"kind": "query", "seq": i, "session": "a", "what": "metrics"})
+            for i in range(2, 9002)
+        )
+
+        def pipeline():
+            try:
+                hog.sendall(data)
+            except OSError:
+                pass  # the server closed the hog at stop
+
+        writer = threading.Thread(target=pipeline, daemon=True)
+        try:
+            writer.start()
+            time.sleep(0.5)  # let the replies pile up unread
+            for sid in same[:2]:
+                with Client(handle.connect_address(), timeout=1.0) as c:
+                    assert c.hello(sid, n=2)["ok"] is True
+            started = time.monotonic()
+            handle.close(timeout=5.0)
+            assert time.monotonic() - started < 5.0
+        finally:
+            hog.shutdown(socket.SHUT_RDWR)
+            writer.join(timeout=5.0)
+            hog.close()
+        assert not writer.is_alive()
 
 
 class TestEvictionRestore:
