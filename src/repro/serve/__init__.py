@@ -7,8 +7,9 @@ as a long-running daemon that external processes talk to over a small
 length-prefixed JSON wire protocol.  A *session* is one distributed
 computation of ``n`` processes: the server runs the chosen protocol as
 a sidecar (every ingest reply carries the ``force_checkpoint`` decision
-plus the piggyback payload) and answers analysis queries incrementally,
-in O(update) rather than O(replay).
+and the indices; the piggyback stays in the session while its message
+is in transit) and answers analysis queries incrementally, in O(update)
+rather than O(replay).
 
 Layers
 ------

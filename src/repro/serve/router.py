@@ -520,7 +520,7 @@ class Router:
                 doc = await wire.read_frame(reader)
                 if doc is None:
                     return
-                writer.write(wire.encode_frame(await self._answer(doc)))
+                writer.write(wire.encode_reply(await self._answer(doc)))
                 if doc.get("kind") == "bye":
                     return
         except (wire.FrameError, ConnectionError):

@@ -103,13 +103,10 @@ class _Conn:
         """One coalesced write of ``replies``, ``answered`` of them to
         queued frames."""
         if not self.writer.is_closing():
-            frames = []
-            for reply in replies:
-                try:
-                    frames.append(wire.encode_frame(reply))
-                except wire.FrameError:
-                    pass  # a reply past MAX_FRAME is dropped, not fatal
-            self.writer.write(b"".join(frames))
+            try:
+                self.writer.write(b"".join(map(wire.encode_reply, replies)))
+            except wire.FrameError:
+                self.writer.close()  # a seq too large to echo even in an error
         self.pending -= answered
         if self.pending == 0:
             self.drained.set()

@@ -6,9 +6,12 @@ protocol.  It is the *online* composition of three layers that already
 exist offline:
 
 * a :class:`~repro.core.protocol.ProtocolFamily` -- the CIC sidecar:
-  every ``send`` mints the piggyback, every ``deliver`` evaluates the
-  forcing predicate and replies ``force_checkpoint`` (the paper's
-  visible, on-line decision);
+  every ``send`` mints the piggyback, every ``deliver`` consumes it in
+  the forcing predicate and replies ``force_checkpoint`` (the paper's
+  visible, on-line decision).  The session plays both ends of the
+  message, so the piggyback never leaves it: it is held only while its
+  message is in transit, and replies carry the decision, not the
+  vectors;
 * a :class:`~repro.recovery.manager.RecoveryManager` (which owns the
   live :class:`~repro.graph.incremental.IncrementalRGraph`), so
   ``rdt_status`` / ``z_cycles`` / ``recovery_line`` queries answer from
@@ -27,13 +30,11 @@ session onto exactly one worker), so no locking appears here.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.piggyback import Piggyback
 from repro.core.registry import PROTOCOLS, make_family
 from repro.events.event import Message
-from repro.obs.jsonio import jsonable
 from repro.recovery.manager import RecoveryManager
 from repro.types import ReproError, SimulationError
 
@@ -51,49 +52,6 @@ QUERIES = ("rdt_status", "z_cycles", "recovery_line", "metrics")
 
 #: Ingest operation kinds (the ones that mutate state and are logged).
 INGEST_OPS = ("checkpoint", "send", "deliver")
-
-
-#: Field-name tuples per piggyback type (``dataclasses.fields`` per
-#: send showed up in the ingest profile).
-_PB_FIELDS: Dict[type, tuple] = {}
-
-
-def _pb_field(value: object) -> object:
-    """Like :func:`jsonable` but with the piggyback shapes fast-pathed.
-
-    Piggyback fields are ints, tuples of ints (vectors) or tuples of
-    tuples of ints (the BHMR causal matrix); generic recursion over the
-    matrix was the single hottest line of a send.  Output is identical
-    to ``jsonable`` for these shapes, and anything else falls through
-    to it.
-    """
-    if isinstance(value, tuple):
-        if value and type(value[0]) is tuple:
-            return [list(row) for row in value]
-        if all(type(v) is int or type(v) is bool for v in value):
-            return list(value)
-    elif type(value) is int or type(value) is bool:
-        return value
-    return jsonable(value)
-
-
-def _pb_doc(pb: Piggyback) -> Dict[str, object]:
-    """The piggyback as a JSON-safe document (type, bit size, fields).
-
-    Field-by-field conversion instead of ``dataclasses.asdict``: the
-    latter deep-copies every nested tuple (the BHMR causal matrix is
-    n*n of them) and dominated the ingest profile.
-    """
-    cls = type(pb)
-    names = _PB_FIELDS.get(cls)
-    if names is None:
-        names = tuple(f.name for f in dataclasses.fields(pb))
-        _PB_FIELDS[cls] = names
-    return {
-        "type": cls.__name__,
-        "bits": pb.size_bits(),
-        "data": {name: _pb_field(getattr(pb, name)) for name in names},
-    }
 
 
 class ServeSession:
@@ -132,8 +90,8 @@ class ServeSession:
         #: Every accepted ingest op, in order -- the recorded stream.
         self.ingest_log: List[Dict[str, object]] = []
         self._messages: Dict[int, Message] = {}
+        #: The piggybacks of the messages in transit, by message id.
         self._piggybacks: Dict[int, Piggyback] = {}
-        self._delivered: set = set()
         self._next_msg_id = 0
         self.forced_total = 0
         self.queries_answered = 0
@@ -151,8 +109,10 @@ class ServeSession:
 
         ``doc`` needs ``kind`` plus the op's fields (``pid`` for
         checkpoint, ``src``/``dst`` for send, ``msg_id`` for deliver).
-        Every reply carries the protocol's online decision:
-        ``force_checkpoint`` plus the piggyback payload.
+        Every reply carries the protocol's online decision and the
+        indices, nothing else: ``{ok, index, force_checkpoint}`` for a
+        checkpoint, ``{ok, msg_id, force_checkpoint, forced_index}``
+        for a send or a deliver.
         """
         kind = doc.get("kind")
         if kind == "checkpoint":
@@ -186,12 +146,7 @@ class ServeSession:
         t = self.clock
         self.ingest_log.append({"kind": "checkpoint", "pid": pid})
         index = self._take(pid, forced=False, t=t)
-        return {
-            "ok": True,
-            "index": index,
-            "force_checkpoint": False,
-            "piggyback": {"tdv": list(self.family[pid].tdv)},
-        }
+        return {"ok": True, "index": index, "force_checkpoint": False}
 
     def _apply_send(self, doc: Dict[str, object]) -> Dict[str, object]:
         src = self._pid(doc, "src")
@@ -217,7 +172,6 @@ class ServeSession:
             "msg_id": msg_id,
             "force_checkpoint": forced_index is not None,
             "forced_index": forced_index,
-            "piggyback": _pb_doc(pb),
         }
 
     def _apply_deliver(self, doc: Dict[str, object]) -> Dict[str, object]:
@@ -226,12 +180,13 @@ class ServeSession:
         message = self._messages.get(msg_id) if type(msg_id) is int else None
         if message is None:
             raise SessionError(f"deliver of unknown msg_id {msg_id!r}")
-        if msg_id in self._delivered:
+        # Delivery consumes the piggyback: one is held only while its
+        # message is in transit, so a missing one means delivered already.
+        pb = self._piggybacks.pop(msg_id, None)
+        if pb is None:
             raise SessionError(f"message m{msg_id} delivered twice")
         t = self.clock
         self.ingest_log.append({"kind": "deliver", "msg_id": msg_id})
-        self._delivered.add(msg_id)
-        pb = self._piggybacks[msg_id]
         proto = self.family[message.dst]
         forced = proto.wants_forced_checkpoint(pb, message.src)
         forced_index: Optional[int] = None
@@ -244,7 +199,6 @@ class ServeSession:
             "msg_id": msg_id,
             "force_checkpoint": forced,
             "forced_index": forced_index,
-            "piggyback": {"tdv": list(proto.tdv)},
         }
 
     # ------------------------------------------------------------------
@@ -313,12 +267,13 @@ class ServeSession:
         }
 
     def _query_metrics(self) -> Dict[str, object]:
-        # Every accepted send mints one message id and every accepted
-        # deliver retires one, so the per-kind counts are already kept;
-        # the remaining ops are the basic checkpoints.  No log rescan.
+        # Every accepted send mints one message id and one piggyback, and
+        # every accepted deliver consumes that piggyback, so the per-kind
+        # counts are already kept; the remaining ops are the basic
+        # checkpoints.  No log rescan.
         events = len(self.ingest_log)
         sends = self._next_msg_id
-        delivers = len(self._delivered)
+        delivers = sends - len(self._piggybacks)
         return {
             "events": events,
             "checkpoints": events - sends - delivers + self.forced_total,

@@ -9,10 +9,13 @@ Requests are objects with at least ``kind`` (one of :data:`KINDS`) and
 a client-chosen ``seq`` echoed verbatim in the reply, which is what
 makes pipelining safe: a client may write any number of frames before
 reading, and match replies to requests by ``seq``.  Ingest replies
-(``checkpoint``/``send``/``deliver``) always carry the protocol's
-online decision -- ``force_checkpoint: bool`` plus the piggyback
-payload -- so a client can run BHMR/FDAS as a sidecar without holding
-any protocol state of its own.
+(``checkpoint``/``send``/``deliver``) carry the protocol's online
+decision -- ``force_checkpoint: bool`` plus the indices -- and not its
+vectors: the server plays both ends of every message, so the piggyback
+never needs to cross the wire, and a client can run BHMR/FDAS as a
+sidecar without holding any protocol state of its own.  A reply that
+would encode past :data:`MAX_FRAME` is answered ``reply_too_large``
+(:func:`encode_reply`), never dropped.
 
 The codec is sans-IO at its core (:class:`RawFrameBuffer` splits byte
 chunks into frames, :class:`FrameBuffer` decodes them) with thin
@@ -217,3 +220,14 @@ def recv_frame(sock, buffer: FrameBuffer) -> Optional[Dict[str, object]]:
 def error_reply(seq: object, code: str, detail: str) -> Dict[str, object]:
     """The uniform failure reply."""
     return {"ok": False, "seq": seq, "error": code, "detail": detail}
+
+
+def encode_reply(reply: Dict[str, object]) -> bytes:
+    """``reply`` as a frame; past :data:`MAX_FRAME` it becomes a
+    ``reply_too_large`` error naming the size, so its ``seq`` is still
+    answered.  Raises :class:`FrameError` only when not even that error
+    fits (a ``seq`` near the limit)."""
+    try:
+        return encode_frame(reply)
+    except FrameError as exc:
+        return encode_frame(error_reply(reply.get("seq"), "reply_too_large", str(exc)))

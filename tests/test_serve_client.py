@@ -608,6 +608,39 @@ class TestOversizedRequestAsync(TestOversizedRequest):
     flavour = "async"
 
 
+class TestOversizedReply:
+    """Regression: a reply past ``wire.MAX_FRAME`` used to be dropped
+    while its frame still counted as answered, so the client waited out
+    its deadline (forever with ``timeout=None``) and lost the
+    connection.  The server answers the frame's ``seq`` with a typed
+    ``reply_too_large`` naming the size; the connection stays up."""
+
+    def test_answered_reply_too_large_and_the_connection_stays_up(
+        self, tmp_path, connect, monkeypatch
+    ):
+        from repro.serve.server import ServerConfig, serve_in_thread
+
+        config = ServerConfig(unix_path=str(tmp_path / "serve.sock"))
+        with serve_in_thread(config) as handle:
+            client = connect(handle.connect_address(), timeout=2.0)
+            client.hello("s", n=3)
+            client.checkpoint("s", pid=0)
+            status = client.raw("query", session="s", what="rdt_status")
+            # One byte short of the same reply to the next (one-digit) seq.
+            monkeypatch.setattr(wire, "MAX_FRAME", len(wire.encode_frame(status)) - 5)
+            with pytest.raises(ReplyError, match=r"frame of \d+ bytes exceeds") as err:
+                client.query("s", "rdt_status")
+            assert err.value.code == "reply_too_large"
+            assert client.core.invalid is None
+            assert client.checkpoint("s", pid=0)["index"] == 2
+
+
+class TestOversizedReplyAsync(TestOversizedReply):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
+
+
 class TestResumeAcrossRestart:
     """``Client.resume`` against a WAL-backed server restarting
     mid-conversation: the re-greet lands on the recovered session."""

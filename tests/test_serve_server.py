@@ -47,11 +47,14 @@ class TestVocabulary:
     def test_full_ingest_cycle(self, client):
         client.hello("s", n=3)
         checkpointed = client.checkpoint("s", pid=0)
+        assert set(checkpointed) == {"ok", "seq", "index", "force_checkpoint"}
         assert checkpointed["index"] == 1
         sent = client.send("s", src=0, dst=1)
+        decision = {"ok", "seq", "msg_id", "force_checkpoint", "forced_index"}
+        assert set(sent) == decision
         assert sent["msg_id"] == 0
-        assert "piggyback" in sent and "force_checkpoint" in sent
         got = client.deliver("s", msg_id=sent["msg_id"])
+        assert set(got) == decision
         assert isinstance(got["force_checkpoint"], bool)
         status = client.query("s", "rdt_status")
         assert status["events"] == 3
@@ -115,6 +118,33 @@ class TestVocabulary:
             assert handle.address[0] == "tcp"
             with Client(handle.connect_address()) as c:
                 assert c.hello("t", n=2)["ok"] is True
+
+
+class TestOversizedReplies:
+    """A reply past ``wire.MAX_FRAME`` is answered ``reply_too_large``
+    (``tests/test_serve_client.py::TestOversizedReply``); this is the
+    case where even that error cannot be framed."""
+
+    def test_a_seq_too_large_to_echo_closes_only_its_connection(
+        self, tmp_path, monkeypatch
+    ):
+        """The peer is not left waiting for a reply that will never
+        come: its connection closes, and the shard's one worker keeps
+        serving every other connection."""
+        config = ServerConfig(unix_path=str(tmp_path / "big.sock"), workers=1)
+        with serve_in_thread(config) as handle:
+            with Client(handle.connect_address(), timeout=2.0) as c:
+                c.hello("s", n=2)
+                frame = {"kind": "query", "seq": "x" * 300, "session": "s",
+                         "what": "rdt_status"}
+                size = len(wire.encode_frame(frame)) - 4
+                monkeypatch.setattr(wire, "MAX_FRAME", size)  # the request just fits
+                with socket.socket(socket.AF_UNIX) as raw:
+                    raw.settimeout(2.0)
+                    raw.connect(config.unix_path)
+                    raw.sendall(wire.encode_frame(frame))
+                    assert raw.recv(1) == b""
+                assert c.checkpoint("s", pid=0)["index"] == 1
 
 
 class TestObservability:

@@ -44,18 +44,16 @@ class TestConstruction:
 class TestIngest:
     def test_checkpoint_reply(self, session):
         reply = session.apply({"kind": "checkpoint", "pid": 1})
-        assert reply["ok"] is True
-        assert reply["index"] == 1
-        assert reply["force_checkpoint"] is False
-        assert "piggyback" in reply
+        assert reply == {"ok": True, "index": 1, "force_checkpoint": False}
 
     def test_send_then_deliver(self, session):
         sent = session.apply({"kind": "send", "src": 0, "dst": 2})
+        assert set(sent) == {"ok", "msg_id", "force_checkpoint", "forced_index"}
         assert sent["ok"] is True
         assert sent["msg_id"] == 0
-        assert sent["piggyback"]["type"] == "BHMRPiggyback"
         got = session.apply({"kind": "deliver", "msg_id": sent["msg_id"]})
-        assert got["ok"] is True
+        assert set(got) == {"ok", "msg_id", "force_checkpoint", "forced_index"}
+        assert got["ok"] is True and got["msg_id"] == 0
         assert isinstance(got["force_checkpoint"], bool)
         assert session.ingest_log == [
             {"kind": "send", "src": 0, "dst": 2},
