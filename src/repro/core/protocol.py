@@ -1,21 +1,28 @@
 """The checkpointing-protocol framework.
 
 A :class:`CheckpointProtocol` instance is the per-process control state
-of one communication-induced checkpointing protocol.  The driver (the
-trace replayer in :mod:`repro.sim.replay`, or your own event loop) must
-honour the following contract, which mirrors the paper's Figure 6:
+of one communication-induced checkpointing protocol.  A
+:class:`ProtocolFamily` holds one per process and *executes* the driver
+contract, which mirrors the paper's Figure 6, emitting the ``proto.*``
+trace events and ``replay.*`` counters on the way.  Every driver (the
+trace replayer :mod:`repro.sim.replay`, the crash engine
+:mod:`repro.sim.crashes`, the served session :mod:`repro.serve.session`,
+or your own event loop) calls the family's steps and passes a *sink*
+whose ``record_checkpoint(pid, time, kind)``, ``record_send(pid, dst,
+msg, time)`` and ``record_deliver(pid, sender, msg, time)`` perform
+its own effects, at the points the contract interleaves them:
 
-1. construct the instance -- this corresponds to statement (S0), *after*
-   which the driver records the initial checkpoint ``C(i,0)`` and calls
-   nothing (initialisation includes the initial take_checkpoint);
-2. on a basic checkpoint: record the checkpoint event, then call
-   :meth:`on_checkpoint`;
-3. on sending to ``dst``: call :meth:`on_send` and attach the returned
-   piggyback to the message (statement S1);
-4. on message arrival carrying piggyback ``pb`` from ``sender``:
-   call :meth:`wants_forced_checkpoint`; if true, record a FORCED
-   checkpoint event and call :meth:`on_checkpoint`; then call
-   :meth:`on_receive` and finally deliver (statement S2).
+1. construct the family -- statement (S0), *after* which the driver
+   records the initial checkpoints ``C(i,0)`` itself;
+2. :meth:`ProtocolFamily.checkpoint`, a basic checkpoint: call
+   :meth:`~CheckpointProtocol.on_checkpoint`, then the sink records it;
+3. :meth:`ProtocolFamily.send` (statement S1): call ``on_send``, whose
+   piggyback rides on the message; the sink records the send; then a
+   checkpoint-after-send protocol takes its FORCED checkpoint;
+4. :meth:`ProtocolFamily.arrive`, an arrival carrying piggyback ``pb``
+   (statement S2): if ``wants_forced_checkpoint``, a FORCED checkpoint
+   (``on_checkpoint``, then the sink); then ``on_receive``, and the
+   sink delivers.
 
 Protocols never block, reorder or drop messages and add no control
 messages: they only decide "checkpoint before this delivery or not" --
@@ -31,10 +38,15 @@ on-the-fly minimum-global-checkpoint vectors of Corollary 4.5.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.piggyback import Piggyback
-from repro.types import ProcessId, ProtocolError
+from repro.events.event import CheckpointKind
+from repro.types import MessageId, ProcessId, ProtocolError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import Tracer
 
 
 class CheckpointProtocol(abc.ABC):
@@ -175,11 +187,19 @@ class CheckpointProtocol(abc.ABC):
 
 
 class ProtocolFamily:
-    """A convenience bundle: one protocol instance per process."""
+    """One protocol instance per process, and the contract's steps."""
 
-    def __init__(self, factory, n: int) -> None:
+    def __init__(
+        self,
+        factory,
+        n: int,
+        tracer: Optional["Tracer"] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+    ) -> None:
         self.members: List[CheckpointProtocol] = [factory(pid, n) for pid in range(n)]
         self.n = n
+        self.tracer = tracer
+        self.metrics = metrics
 
     def __getitem__(self, pid: ProcessId) -> CheckpointProtocol:
         return self.members[pid]
@@ -193,3 +213,77 @@ class ProtocolFamily:
 
     def total_piggyback_bits(self) -> int:
         return sum(p.piggyback_bits_sent for p in self.members)
+
+    # -- the contract's steps (module docstring) -------------------------
+    def checkpoint(self, pid: ProcessId, time: float, sink) -> int:
+        """Step 2: a basic checkpoint of ``pid``; returns its index."""
+        proto = self.members[pid]
+        proto.on_checkpoint(forced=False)
+        sink.record_checkpoint(pid, time, CheckpointKind.BASIC)
+        index = proto.tdv[pid] - 1
+        if self.tracer:
+            self._trace("proto.ckpt", time, pid, ckpt="basic", index=index)
+        if self.metrics is not None:
+            self.metrics.inc("replay.basic")
+            self.metrics.inc(f"replay.basic.p{pid}")
+        return index
+
+    def send(
+        self, pid: ProcessId, dst: ProcessId, msg: MessageId, time: float, sink
+    ) -> Piggyback:
+        """Step 3: ``pid`` sends ``msg`` to ``dst``; returns its piggyback."""
+        proto = self.members[pid]
+        pb = proto.on_send(dst)
+        sink.record_send(pid, dst, msg, time)
+        if self.metrics is not None:
+            self.metrics.inc("replay.piggyback_bits", pb.size_bits())
+        if proto.wants_checkpoint_after_send():
+            self._force(pid, time, msg, "after_send", sink)
+        return pb
+
+    def arrive(
+        self,
+        pid: ProcessId,
+        sender: ProcessId,
+        msg: MessageId,
+        pb: Piggyback,
+        time: float,
+        sink,
+    ) -> bool:
+        """Step 4: ``msg`` from ``sender`` arrives at ``pid``; returns
+        whether a checkpoint was forced before its delivery."""
+        proto = self.members[pid]
+        forced = proto.wants_forced_checkpoint(pb, sender)
+        if self.tracer:
+            self._trace(
+                "proto.predicate",
+                time,
+                pid,
+                sender=sender,
+                msg=msg,
+                piggyback=pb,
+                forced=forced,
+            )
+        if self.metrics is not None:
+            self.metrics.inc("replay.predicate_evals")
+        if forced:
+            self._force(pid, time, msg, "predicate", sink)
+        proto.on_receive(pb, sender)
+        sink.record_deliver(pid, sender, msg, time)
+        return forced
+
+    def _force(
+        self, pid: ProcessId, time: float, msg: MessageId, cause: str, sink
+    ) -> None:
+        proto = self.members[pid]
+        proto.on_checkpoint(forced=True)
+        sink.record_checkpoint(pid, time, CheckpointKind.FORCED)
+        if self.tracer:
+            index = proto.tdv[pid] - 1
+            self._trace("proto.forced", time, pid, cause=cause, msg=msg, index=index)
+        if self.metrics is not None:
+            self.metrics.inc("replay.forced")
+            self.metrics.inc(f"replay.forced.p{pid}")
+
+    def _trace(self, kind: str, time: float, pid: ProcessId, **fields: object) -> None:
+        self.tracer.event(kind, time, protocol=self.name, pid=pid, **fields)

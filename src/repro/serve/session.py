@@ -5,13 +5,13 @@ computation of ``n`` processes checkpointing under one registry
 protocol.  It is the *online* composition of three layers that already
 exist offline:
 
-* a :class:`~repro.core.protocol.ProtocolFamily` -- the CIC sidecar:
-  every ``send`` mints the piggyback, every ``deliver`` consumes it in
-  the forcing predicate and replies ``force_checkpoint`` (the paper's
-  visible, on-line decision).  The session plays both ends of the
-  message, so the piggyback never leaves it: it is held only while its
-  message is in transit, and replies carry the decision, not the
-  vectors;
+* a :class:`~repro.core.protocol.ProtocolFamily` -- the CIC sidecar,
+  whose steps take the session as their sink: every ``send`` mints the
+  piggyback, every ``deliver`` consumes it in the forcing predicate and
+  replies ``force_checkpoint`` (the paper's visible, on-line decision).
+  The session plays both ends of the message, so the piggyback never
+  leaves it: it is held only while its message is in transit, and
+  replies carry the decision, not the vectors;
 * a :class:`~repro.recovery.manager.RecoveryManager` (which owns the
   live :class:`~repro.graph.incremental.IncrementalRGraph`), so
   ``rdt_status`` / ``z_cycles`` / ``recovery_line`` queries answer from
@@ -33,8 +33,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.piggyback import Piggyback
-from repro.core.registry import PROTOCOLS, make_family
-from repro.events.event import Message
+from repro.core.protocol import ProtocolFamily
+from repro.core.registry import PROTOCOLS
+from repro.events.event import CheckpointKind, Message
 from repro.recovery.manager import RecoveryManager
 from repro.types import ReproError, SimulationError
 
@@ -83,10 +84,8 @@ class ServeSession:
         self.session_id = session_id
         self.n = n
         self.protocol_name = protocol
-        self.family = make_family(protocol, n)
+        self.family = ProtocolFamily(PROTOCOLS[protocol], n, tracer, metrics)
         self.manager = RecoveryManager(n, tracer=tracer, metrics=metrics)
-        self.tracer = tracer
-        self.metrics = metrics
         #: Every accepted ingest op, in order -- the recorded stream.
         self.ingest_log: List[Dict[str, object]] = []
         self._messages: Dict[int, Message] = {}
@@ -132,20 +131,11 @@ class ServeSession:
             raise SessionError(f"{field}={pid!r} out of range for n={self.n}")
         return pid
 
-    def _take(self, pid: int, forced: bool, t: float) -> int:
-        """Record one checkpoint in both the manager and the protocol."""
-        index = self.manager.last_taken(pid) + 1
-        self.manager.on_checkpoint(pid, index, t)
-        self.family[pid].on_checkpoint(forced=forced)
-        if forced:
-            self.forced_total += 1
-        return index
-
     def _apply_checkpoint(self, doc: Dict[str, object]) -> Dict[str, object]:
         pid = self._pid(doc, "pid")
         t = self.clock
         self.ingest_log.append({"kind": "checkpoint", "pid": pid})
-        index = self._take(pid, forced=False, t=t)
+        index = self.family.checkpoint(pid, t, self)
         return {"ok": True, "index": index, "force_checkpoint": False}
 
     def _apply_send(self, doc: Dict[str, object]) -> Dict[str, object]:
@@ -157,22 +147,10 @@ class ServeSession:
         self.ingest_log.append({"kind": "send", "src": src, "dst": dst})
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        pb = self.family[src].on_send(dst)
-        message = Message(
-            msg_id=msg_id, src=src, dst=dst, send_seq=len(self.ingest_log) - 1
-        )
-        self._messages[msg_id] = message
-        self._piggybacks[msg_id] = pb
-        self.manager.on_send(message, t)
-        forced_index: Optional[int] = None
-        if self.family[src].wants_checkpoint_after_send():
-            forced_index = self._take(src, forced=True, t=t)
-        return {
-            "ok": True,
-            "msg_id": msg_id,
-            "force_checkpoint": forced_index is not None,
-            "forced_index": forced_index,
-        }
+        proto = self.family.members[src]
+        before = proto.forced_count
+        self._piggybacks[msg_id] = self.family.send(src, dst, msg_id, t, self)
+        return self._reply(msg_id, src, proto.forced_count > before)
 
     def _apply_deliver(self, doc: Dict[str, object]) -> Dict[str, object]:
         msg_id = doc.get("msg_id")
@@ -187,19 +165,30 @@ class ServeSession:
             raise SessionError(f"message m{msg_id} delivered twice")
         t = self.clock
         self.ingest_log.append({"kind": "deliver", "msg_id": msg_id})
-        proto = self.family[message.dst]
-        forced = proto.wants_forced_checkpoint(pb, message.src)
-        forced_index: Optional[int] = None
-        if forced:
-            forced_index = self._take(message.dst, forced=True, t=t)
-        proto.on_receive(pb, message.src)
-        self.manager.on_deliver(message, t)
+        forced = self.family.arrive(message.dst, message.src, msg_id, pb, t, self)
+        return self._reply(msg_id, message.dst, forced)
+
+    def _reply(self, msg_id: int, pid: int, forced: bool) -> Dict[str, object]:
+        self.forced_total += forced
         return {
             "ok": True,
             "msg_id": msg_id,
             "force_checkpoint": forced,
-            "forced_index": forced_index,
+            "forced_index": self.manager.last_taken(pid) if forced else None,
         }
+
+    # -- the family's sink: the manager feed ---------------------------
+    def record_checkpoint(self, pid: int, time: float, kind: CheckpointKind) -> None:
+        self.manager.on_checkpoint(pid, self.manager.last_taken(pid) + 1, time)
+
+    def record_send(self, pid: int, dst: int, msg: int, time: float) -> None:
+        seq = len(self.ingest_log) - 1
+        message = Message(msg_id=msg, src=pid, dst=dst, send_seq=seq)
+        self._messages[msg] = message
+        self.manager.on_send(message, time)
+
+    def record_deliver(self, pid: int, sender: int, msg: int, time: float) -> None:
+        self.manager.on_deliver(self._messages[msg], time)
 
     # ------------------------------------------------------------------
     # queries (read-only, never logged)

@@ -36,19 +36,19 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.analysis.metrics import RunMetrics, metrics_from_history
+from repro.analysis.metrics import RunMetrics
 from repro.core.piggyback import Piggyback
 from repro.core.protocol import CheckpointProtocol, ProtocolFamily
-from repro.events.event import CheckpointKind, Event
+from repro.events.event import CheckpointKind
 from repro.events.history import History
 from repro.obs.profile import NULL_PROFILER
 from repro.recovery.failure import CrashSpec
 from repro.recovery.manager import OnlineRecovery, RecoveryManager
 from repro.recovery.recovery_line import recovery_line
 from repro.sim.faults import CrashSchedule
-from repro.sim.replay import _Recorder, _cross_check_forced
+from repro.sim.replay import Recorder, apply_op, finish_fold
 from repro.sim.trace import Trace, TraceOp, TraceOpKind
-from repro.types import MessageId, ProcessId, RecoveryError, SimulationError
+from repro.types import MessageId, ProcessId, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -124,21 +124,21 @@ class _Snapshot:
 
     ``gidx`` is the index (into the consumed-op list) of the trace op
     during whose processing the checkpoint was taken; ``-1`` for the
-    initial checkpoint.  ``pending_deliver`` is set when the checkpoint
-    was forced *before* a delivery: the snapshot state excludes that
-    delivery, so re-execution from it must first re-apply the delivery
-    half of op ``gidx`` (without re-running the forcing predicate -- the
-    checkpoint is already part of the restored state).
+    initial checkpoint.  When that op is a delivery, the checkpoint was
+    forced *before* it: the snapshot state excludes the delivery, so
+    re-execution from it must first re-apply the delivery half of op
+    ``gidx`` (without re-running the forcing predicate -- the checkpoint
+    is already part of the restored state).
     """
 
     proto: CheckpointProtocol
     recorder: tuple
     gidx: int
-    pending_deliver: Optional[TraceOp] = None
 
 
 class _CrashEngine:
-    """The crash-injected fold (see module docstring)."""
+    """The crash-injected fold (see module docstring), and the sink of
+    its family's steps."""
 
     def __init__(
         self,
@@ -157,8 +157,8 @@ class _CrashEngine:
         self.gc_every_ops = gc_every_ops
         self.tracer = tracer
         self.metrics = metrics
-        self.family = ProtocolFamily(protocol_factory, trace.n)
-        self.recorder = _Recorder(trace.n)
+        self.family = ProtocolFamily(protocol_factory, trace.n, tracer, metrics)
+        self.recorder = Recorder(trace)
         # The manager gets no tracer: its live graph re-absorbs edges
         # during re-execution, and closure.* re-emissions would make the
         # trace depend on internal dedup details rather than the run.
@@ -166,17 +166,12 @@ class _CrashEngine:
         self.piggybacks: Dict[MessageId, Piggyback] = {}
         self.consumed: List[TraceOp] = []
         self.records: List[CrashRecord] = []
+        #: Index into ``consumed`` of the op being applied (snapshot gidx).
+        self._gidx = -1
         # Initial checkpoints C(p, 0) are stable from the start.
-        self.snapshots: List[List[_Snapshot]] = [
-            [
-                _Snapshot(
-                    proto=copy.deepcopy(self.family[pid]),
-                    recorder=self.recorder.snapshot(pid),
-                    gidx=-1,
-                )
-            ]
-            for pid in range(trace.n)
-        ]
+        self.snapshots: List[List[_Snapshot]] = [[] for _ in range(trace.n)]
+        for pid in range(trace.n):
+            self._take_snapshot(pid)
 
     # ------------------------------------------------------------------
     # the fold
@@ -199,34 +194,14 @@ class _CrashEngine:
             self._handle_crash(*groups[gi])
             gi += 1
 
-    def _take_snapshot(
-        self, pid: ProcessId, gidx: int, pending: Optional[TraceOp] = None
-    ) -> None:
+    def _take_snapshot(self, pid: ProcessId) -> None:
         self.snapshots[pid].append(
             _Snapshot(
                 proto=copy.deepcopy(self.family[pid]),
                 recorder=self.recorder.snapshot(pid),
-                gidx=gidx,
-                pending_deliver=pending,
+                gidx=self._gidx,
             )
         )
-
-    def _checkpoint(
-        self,
-        pid: ProcessId,
-        time: float,
-        kind: CheckpointKind,
-        forced: bool,
-        gidx: int,
-        pending: Optional[TraceOp] = None,
-    ) -> Event:
-        ev = self.recorder.checkpoint(pid, time, kind)
-        self.family[pid].on_checkpoint(forced=forced)
-        assert ev.checkpoint_index is not None
-        self.manager.on_checkpoint(pid, ev.checkpoint_index, ev.time)
-        self.manager.logs[pid].flush(ev.checkpoint_index)
-        self._take_snapshot(pid, gidx, pending=pending)
-        return ev
 
     def _apply_op(
         self, op: TraceOp, gidx: int, deliver_only: bool = False
@@ -236,93 +211,31 @@ class _CrashEngine:
         ``deliver_only`` re-applies just the delivery half of an op whose
         forced-before-delivery checkpoint is part of the restored state.
         """
-        proto = self.family[op.pid]
-        tracer = self.tracer
-        metrics = self.metrics
-        name = self.family.name
-        if op.kind is TraceOpKind.SEND:
-            assert op.msg_id is not None and op.peer is not None
-            pb = self.piggybacks[op.msg_id] = proto.on_send(op.peer)
-            ev = self.recorder.send(op)
-            self.manager.on_send(self.recorder.messages[op.msg_id], ev.time)
-            if metrics is not None:
-                metrics.inc("replay.piggyback_bits", pb.size_bits())
-            if proto.wants_checkpoint_after_send():
-                self._checkpoint(
-                    op.pid, op.time, CheckpointKind.FORCED, True, gidx
-                )
-                if tracer:
-                    tracer.event(
-                        "proto.forced",
-                        op.time,
-                        protocol=name,
-                        pid=op.pid,
-                        cause="after_send",
-                        msg=op.msg_id,
-                        index=proto.tdv[op.pid] - 1,
-                    )
-                if metrics is not None:
-                    metrics.inc("replay.forced")
-                    metrics.inc(f"replay.forced.p{op.pid}")
-        elif op.kind is TraceOpKind.DELIVER:
-            assert op.msg_id is not None and op.peer is not None
-            pb = self.piggybacks[op.msg_id]
-            if not deliver_only:
-                forced = proto.wants_forced_checkpoint(pb, op.peer)
-                if tracer:
-                    tracer.event(
-                        "proto.predicate",
-                        op.time,
-                        protocol=name,
-                        pid=op.pid,
-                        sender=op.peer,
-                        msg=op.msg_id,
-                        piggyback=pb,
-                        forced=forced,
-                    )
-                if metrics is not None:
-                    metrics.inc("replay.predicate_evals")
-                if forced:
-                    self._checkpoint(
-                        op.pid,
-                        op.time,
-                        CheckpointKind.FORCED,
-                        True,
-                        gidx,
-                        pending=op,
-                    )
-                    if tracer:
-                        tracer.event(
-                            "proto.forced",
-                            op.time,
-                            protocol=name,
-                            pid=op.pid,
-                            cause="predicate",
-                            msg=op.msg_id,
-                            index=proto.tdv[op.pid] - 1,
-                        )
-                    if metrics is not None:
-                        metrics.inc("replay.forced")
-                        metrics.inc(f"replay.forced.p{op.pid}")
-            proto.on_receive(pb, op.peer)
-            ev = self.recorder.deliver(op)
-            self.manager.on_deliver(self.recorder.messages[op.msg_id], ev.time)
-        elif op.kind is TraceOpKind.BASIC_CHECKPOINT:
-            self._checkpoint(op.pid, op.time, CheckpointKind.BASIC, False, gidx)
-            if tracer:
-                tracer.event(
-                    "proto.ckpt",
-                    op.time,
-                    protocol=name,
-                    pid=op.pid,
-                    ckpt="basic",
-                    index=proto.tdv[op.pid] - 1,
-                )
-            if metrics is not None:
-                metrics.inc("replay.basic")
-                metrics.inc(f"replay.basic.p{op.pid}")
-        else:  # pragma: no cover - exhaustive enum
-            raise SimulationError(f"unknown op {op!r}")
+        self._gidx = gidx
+        if not deliver_only:
+            apply_op(self.family, op, self.piggybacks, self)
+            return
+        # The restored protocol state already took this arrival's forced
+        # checkpoint, so the arrival step (predicate, then checkpoint)
+        # must not run again: only its delivery half is left to do.
+        self.family[op.pid].on_receive(self.piggybacks[op.msg_id], op.peer)
+        self.record_deliver(op.pid, op.peer, op.msg_id, op.time)
+
+    # -- the family's sink ---------------------------------------------
+    def record_checkpoint(self, pid: int, time: float, kind: CheckpointKind) -> None:
+        ev = self.recorder.record_checkpoint(pid, time, kind)
+        assert ev.checkpoint_index is not None
+        self.manager.on_checkpoint(pid, ev.checkpoint_index, ev.time)
+        self.manager.logs[pid].flush(ev.checkpoint_index)
+        self._take_snapshot(pid)
+
+    def record_send(self, pid: int, dst: int, msg: int, time: float) -> None:
+        ev = self.recorder.record_send(pid, dst, msg, time)
+        self.manager.on_send(self.recorder.messages[msg], ev.time)
+
+    def record_deliver(self, pid: int, sender: int, msg: int, time: float) -> None:
+        ev = self.recorder.record_deliver(pid, sender, msg, time)
+        self.manager.on_deliver(self.recorder.messages[msg], ev.time)
 
     # ------------------------------------------------------------------
     # crash handling
@@ -421,8 +334,8 @@ class _CrashEngine:
             # case a later crash rolls back to this checkpoint again.
             self.family.members[pid] = copy.deepcopy(snap.proto)
             undone_events += len(self.recorder.restore(pid, snap.recorder))
-            if snap.pending_deliver is not None:
-                reexec.append((snap.gidx, snap.pending_deliver, True))
+            if snap.gidx >= 0 and self.consumed[snap.gidx].kind is TraceOpKind.DELIVER:
+                reexec.append((snap.gidx, self.consumed[snap.gidx], True))
             for i in range(snap.gidx + 1, len(self.consumed)):
                 if self.consumed[i].pid == pid:
                     reexec.append((i, self.consumed[i], False))
@@ -479,14 +392,7 @@ def replay_with_recovery(
     )
     with profiler.phase("simulate"):
         engine.run()
-    with profiler.phase("closure"):
-        history = engine.recorder.build(close)
-    run_metrics = metrics_from_history(
-        history,
-        protocol=engine.family.name,
-        piggyback_bits_total=engine.family.total_piggyback_bits(),
-    )
-    _cross_check_forced(run_metrics, engine.family)
+    history, run_metrics = finish_fold(engine.recorder, engine.family, close, profiler)
     return RecoveryReplayResult(
         protocol_name=engine.family.name,
         history=history,

@@ -15,8 +15,8 @@ differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.analysis.metrics import RunMetrics, metrics_from_history
 from repro.obs.profile import NULL_PROFILER
@@ -38,17 +38,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _EPS = 1e-9
 
 
-class _Recorder:
-    """Accumulates per-process event lists with strictly increasing times."""
+class Recorder:
+    """Accumulates per-process event lists with strictly increasing times;
+    the replayer's sink for the family's steps."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
+    def __init__(self, trace: Trace) -> None:
+        self.n = n = trace.n
         self.events: List[List[Event]] = [[] for _ in range(n)]
         self.messages: Dict[MessageId, Message] = {}
+        self._sizes = {
+            op.msg_id: op.size for op in trace if op.kind is TraceOpKind.SEND
+        }
         self._ckpt_index = [0] * n
         self._last_time = [-1.0] * n
         for pid in range(n):
-            self.checkpoint(pid, 0.0, CheckpointKind.INITIAL)
+            self.record_checkpoint(pid, 0.0, CheckpointKind.INITIAL)
 
     def _time_for(self, pid: ProcessId, requested: float) -> float:
         time = max(requested, self._last_time[pid] + _EPS)
@@ -66,9 +70,7 @@ class _Recorder:
         self.events[pid].append(ev)
         return ev
 
-    def checkpoint(
-        self, pid: ProcessId, time: float, kind: CheckpointKind
-    ) -> Event:
+    def record_checkpoint(self, pid: int, time: float, kind: CheckpointKind) -> Event:
         if kind is CheckpointKind.INITIAL:
             index = 0
         else:
@@ -82,23 +84,17 @@ class _Recorder:
             checkpoint_kind=kind,
         )
 
-    def send(self, op: TraceOp) -> Event:
-        assert op.msg_id is not None and op.peer is not None
-        ev = self._append(op.pid, EventKind.SEND, op.time, msg_id=op.msg_id)
-        self.messages[op.msg_id] = Message(
-            msg_id=op.msg_id,
-            src=op.pid,
-            dst=op.peer,
-            send_seq=ev.seq,
-            size=op.size,
+    def record_send(self, pid: int, dst: int, msg: int, time: float) -> Event:
+        ev = self._append(pid, EventKind.SEND, time, msg_id=msg)
+        self.messages[msg] = Message(
+            msg_id=msg, src=pid, dst=dst, send_seq=ev.seq, size=self._sizes[msg]
         )
         return ev
 
-    def deliver(self, op: TraceOp) -> Event:
-        assert op.msg_id is not None
-        m = self.messages[op.msg_id]
-        ev = self._append(op.pid, EventKind.DELIVER, op.time, msg_id=op.msg_id)
-        self.messages[op.msg_id] = Message(
+    def record_deliver(self, pid: int, sender: int, msg: int, time: float) -> Event:
+        m = self.messages[msg]
+        ev = self._append(pid, EventKind.DELIVER, time, msg_id=msg)
+        self.messages[msg] = Message(
             msg_id=m.msg_id,
             src=m.src,
             dst=m.dst,
@@ -134,13 +130,7 @@ class _Recorder:
                 # rolled back): then there is no entry left to revert.
                 m = self.messages.get(ev.msg_id)
                 if m is not None:
-                    self.messages[ev.msg_id] = Message(
-                        msg_id=m.msg_id,
-                        src=m.src,
-                        dst=m.dst,
-                        send_seq=m.send_seq,
-                        size=m.size,
-                    )
+                    self.messages[ev.msg_id] = replace(m, deliver_seq=None)
         return undone
 
     def build(self, close: bool) -> History:
@@ -178,119 +168,61 @@ def replay(
 ) -> ReplayResult:
     """Replay ``trace`` under the protocol built by ``protocol_factory``.
 
-    The driver honours the contract documented on
-    :class:`repro.core.protocol.CheckpointProtocol`.
+    The family's steps run the contract documented in
+    :mod:`repro.core.protocol`; the recorder is their sink.
 
-    Observability (all optional, each free when unset): ``tracer``
-    receives one ``proto.predicate`` event per delivery -- with the
-    piggyback *input* and the decision, making every forced checkpoint
-    auditable -- plus ``proto.forced``/``proto.ckpt`` records; ``metrics``
-    maintains the ``replay.*`` counter family; ``profiler`` attributes
-    the fold to ``simulate`` and history building to ``closure``.
+    Observability (all optional, each free when unset): ``tracer`` and
+    ``metrics`` go to the family, whose steps emit the ``proto.*`` events
+    (``proto.predicate`` carries the piggyback *input* and the decision,
+    making every forced checkpoint auditable) and the ``replay.*``
+    counters; ``profiler`` attributes the fold to ``simulate`` and
+    history building to ``closure``.
     """
     profiler = profiler or NULL_PROFILER
-    family = ProtocolFamily(protocol_factory, trace.n)
-    recorder = _Recorder(trace.n)
+    family = ProtocolFamily(protocol_factory, trace.n, tracer=tracer, metrics=metrics)
+    recorder = Recorder(trace)
     piggybacks: Dict[MessageId, Piggyback] = {}
-    name = family.name
     with profiler.phase("simulate"):
         for op in trace:
-            proto = family[op.pid]
-            if op.kind is TraceOpKind.SEND:
-                assert op.msg_id is not None
-                pb = piggybacks[op.msg_id] = proto.on_send(op.peer)
-                recorder.send(op)
-                if metrics is not None:
-                    metrics.inc("replay.piggyback_bits", pb.size_bits())
-                if proto.wants_checkpoint_after_send():
-                    recorder.checkpoint(op.pid, op.time, CheckpointKind.FORCED)
-                    proto.on_checkpoint(forced=True)
-                    if tracer:
-                        tracer.event(
-                            "proto.forced",
-                            op.time,
-                            protocol=name,
-                            pid=op.pid,
-                            cause="after_send",
-                            msg=op.msg_id,
-                            index=proto.tdv[op.pid] - 1,
-                        )
-                    if metrics is not None:
-                        metrics.inc("replay.forced")
-                        metrics.inc(f"replay.forced.p{op.pid}")
-            elif op.kind is TraceOpKind.DELIVER:
-                assert op.msg_id is not None and op.peer is not None
-                pb = piggybacks[op.msg_id]
-                forced = proto.wants_forced_checkpoint(pb, op.peer)
-                if tracer:
-                    tracer.event(
-                        "proto.predicate",
-                        op.time,
-                        protocol=name,
-                        pid=op.pid,
-                        sender=op.peer,
-                        msg=op.msg_id,
-                        piggyback=pb,
-                        forced=forced,
-                    )
-                if metrics is not None:
-                    metrics.inc("replay.predicate_evals")
-                if forced:
-                    recorder.checkpoint(op.pid, op.time, CheckpointKind.FORCED)
-                    proto.on_checkpoint(forced=True)
-                    if tracer:
-                        tracer.event(
-                            "proto.forced",
-                            op.time,
-                            protocol=name,
-                            pid=op.pid,
-                            cause="predicate",
-                            msg=op.msg_id,
-                            index=proto.tdv[op.pid] - 1,
-                        )
-                    if metrics is not None:
-                        metrics.inc("replay.forced")
-                        metrics.inc(f"replay.forced.p{op.pid}")
-                proto.on_receive(pb, op.peer)
-                recorder.deliver(op)
-            elif op.kind is TraceOpKind.BASIC_CHECKPOINT:
-                recorder.checkpoint(op.pid, op.time, CheckpointKind.BASIC)
-                proto.on_checkpoint(forced=False)
-                if tracer:
-                    tracer.event(
-                        "proto.ckpt",
-                        op.time,
-                        protocol=name,
-                        pid=op.pid,
-                        ckpt="basic",
-                        index=proto.tdv[op.pid] - 1,
-                    )
-                if metrics is not None:
-                    metrics.inc("replay.basic")
-                    metrics.inc(f"replay.basic.p{op.pid}")
-            else:  # pragma: no cover - exhaustive enum
-                raise SimulationError(f"unknown op {op!r}")
+            apply_op(family, op, piggybacks, recorder)
+    history, run_metrics = finish_fold(recorder, family, close, profiler)
+    return ReplayResult(
+        protocol_name=family.name, history=history, family=family, metrics=run_metrics
+    )
+
+
+def apply_op(
+    family: ProtocolFamily, op: TraceOp, piggybacks: Dict[MessageId, Piggyback], sink
+) -> None:
+    """Run the family's step for one trace op; ``piggybacks`` holds every
+    sent message's piggyback by message id."""
+    if op.kind is TraceOpKind.SEND:
+        piggybacks[op.msg_id] = family.send(op.pid, op.peer, op.msg_id, op.time, sink)
+    elif op.kind is TraceOpKind.DELIVER:
+        family.arrive(op.pid, op.peer, op.msg_id, piggybacks[op.msg_id], op.time, sink)
+    else:
+        family.checkpoint(op.pid, op.time, sink)
+
+
+def finish_fold(
+    recorder: Recorder, family: ProtocolFamily, close: bool, profiler: "Profiler"
+) -> Tuple[History, RunMetrics]:
+    """The end of every fold: the history and its metrics, whose FORCED
+    count must equal the protocols' own count."""
     with profiler.phase("closure"):
         history = recorder.build(close)
-    run_metrics = metrics_from_history(
+    metrics = metrics_from_history(
         history,
-        protocol=name,
+        protocol=family.name,
         piggyback_bits_total=family.total_piggyback_bits(),
     )
-    _cross_check_forced(run_metrics, family)
-    return ReplayResult(
-        protocol_name=name, history=history, family=family, metrics=run_metrics
-    )
-
-
-def _cross_check_forced(metrics: RunMetrics, family: ProtocolFamily) -> None:
-    """The history's FORCED count must equal the protocols' own count."""
     if metrics.forced_checkpoints != family.total_forced():
         raise SimulationError(
             "internal inconsistency: history records "
             f"{metrics.forced_checkpoints} forced checkpoints, protocols "
             f"counted {family.total_forced()}"
         )
+    return history, metrics
 
 
 def replay_many(
