@@ -4,8 +4,9 @@ Every decision is :class:`~repro.serve.servercore.ServerCore`'s; this
 module keeps what needs the event loop: the listener, one reader task
 per connection, one worker task per shard that performs a step's
 effects in order -- the WAL Sync through the
-:class:`~repro.serve.wal.WalCommitter`, then one write per connection
--- the idle timer, and the thread-hosted :class:`ServerHandle`.
+:class:`~repro.serve.wal.WalCommitter` and its sync thread, then one
+write per connection -- the idle timer, and the thread-hosted
+:class:`ServerHandle`.
 **Backpressure is per connection**: a reader stops reading while its
 own transport holds more than ``_WRITE_HIGH_WATER`` unsent bytes, so a
 peer that stops reading stops being read, and no worker waits on it.
@@ -205,6 +206,8 @@ class CheckpointServer:
             await conn.drained.wait()
         for task in self._tasks:
             task.cancel()
+        if self._committer is not None:
+            await self._committer.close()
         summary = self.core.shutdown()
         for conn in list(self._conns):
             conn.writer.close()
@@ -291,16 +294,16 @@ class CheckpointServer:
 
     async def _sync(self, seq: int) -> None:
         """Make every WAL record through ``seq`` durable."""
-        assert self.wal is not None and self._committer is not None
+        assert self._committer is not None
         started = perf_counter()
-        await self._committer.commit(seq)
-        self._trace("serve.wal.commit", seq=self.wal.durable_seq)
-        for segment in self.wal.drain_rotations():
+        durable, opened = await self._committer.commit(seq)
+        self._trace("serve.wal.commit", seq=durable)
+        for segment in opened:
             self._trace("serve.wal.rotate", segment=segment)
         if self.metrics is not None:
             self.metrics.observe("serve.wal.commit_s", perf_counter() - started)
             self.metrics.inc("serve.wal.commits")
-            self.metrics.set("serve.wal.durable_seq", self.wal.durable_seq)
+            self.metrics.set("serve.wal.durable_seq", durable)
 
     async def _housekeep(self) -> None:
         while True:

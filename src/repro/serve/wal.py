@@ -23,16 +23,18 @@ Three layers, smallest surface first:
   :class:`WalCorruption` instead of serving silently-wrong state.
 * :class:`IngestWal` -- the synchronous writer: buffered appends,
   explicit :meth:`~IngestWal.sync` (write + ``os.fsync``) batches,
-  segment rotation, and snapshot-driven segment reclamation
-  (:meth:`~IngestWal.truncate_covered`).  Reclamation durably records
-  a *reclamation anchor* (``wal-anchor.json``) naming where the chain
-  now starts, so a reopen can verify a WAL whose first segments were
-  legitimately deleted -- while a chain starting past seq 0 with no
-  anchor is still detected as leading-segment loss.
+  segment rotation (each new segment's directory entry fsynced before
+  any of its records counts as durable), and snapshot-driven segment
+  reclamation (:meth:`~IngestWal.truncate_covered`).  Reclamation
+  durably records a *reclamation anchor* (``wal-anchor.json``) naming
+  where the chain now starts, so a reopen can verify a WAL whose first
+  segments were legitimately deleted -- while a chain starting past seq
+  0 with no anchor is still detected as leading-segment loss.
 * :class:`WalCommitter` -- the asyncio group-commit front end: many
-  shard workers ``await commit(seq)`` concurrently, one ``fsync``
-  (run in an executor so the event loop never blocks on the disk)
-  retires up to ``fsync_batch`` records for all of them at once.
+  shard workers ``await commit(seq)`` concurrently; once per loop pass
+  the loop hands every waiter of that pass to the WAL's one long-lived
+  sync thread, whose fsyncs (each retiring up to ``fsync_batch``
+  records) serve them all, so the event loop never blocks on the disk.
 
 :func:`recover_sessions` is the other half of durability: it folds the
 verified records over the newest snapshots into per-session ingest
@@ -47,13 +49,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.jsonio import canonical_bytes
+from repro.obs.jsonio import canonical_bytes, canonical_dumps
 from repro.types import ReproError
 
 __all__ = [
@@ -138,20 +142,34 @@ def _chain_digest(body: Dict[str, object]) -> str:
     return hashlib.sha256(canonical_bytes(body)).hexdigest()
 
 
+#: A record body in canonical form: sorted keys, no whitespace.
+_BODY = '{"idx":%d,"op":%s,"prev":%s,"seq":%d,"session":%s}'
+
+
 def _mint(
     seq: int, session: str, idx: int, op: Dict[str, object], prev: str
 ) -> Tuple[WalRecord, bytes]:
-    """One chained record and its line on disk.  The body is encoded
-    once: ``"digest"`` sorts before every body key, so the canonical
-    line is the body with the digest spliced in front."""
-    body = canonical_bytes(
-        {"seq": seq, "session": session, "idx": idx, "op": op, "prev": prev}
-    )
+    """One chained record and its line on disk.
+
+    The canonical body is formatted directly, its keys already in sorted
+    order (``idx, op, prev, seq, session``) and each value in its
+    canonical encoding, so nothing is re-encoded through a dict.
+    ``"digest"`` sorts before every body key, so the canonical line is
+    the body with the digest spliced in front.  The record is built
+    without the frozen dataclass's ``__init__``: its fields are exactly
+    the arguments.
+    """
+    body = (
+        _BODY % (idx, canonical_dumps(op), canonical_dumps(prev), seq,
+                 canonical_dumps(session))
+    ).encode("utf-8")
     digest = hashlib.sha256(body).hexdigest()
     line = b'{"digest":"' + digest.encode("ascii") + b'",' + body[1:] + b"\n"
-    record = WalRecord(
-        seq=seq, session=session, idx=idx, op=op, prev=prev, digest=digest
-    )
+    record = object.__new__(WalRecord)
+    object.__setattr__(record, "__dict__", {
+        "seq": seq, "session": session, "idx": idx, "op": op, "prev": prev,
+        "digest": digest,
+    })
     return record, line
 
 
@@ -423,6 +441,15 @@ class IngestWal:
     existing directory verifies the chain, repairs a torn tail in
     place (truncating the file to the last provable byte) and resumes
     the chain where it left off.
+
+    Under a :class:`WalCommitter` the two halves run on two threads:
+    ``append`` (and everything else) on the event loop, ``sync`` on the
+    committer's sync thread.  The ``_pending`` deque is the hand-off
+    between them -- the loop only appends to its right end, the sync
+    thread only pops from its left -- and the chain head
+    (``_next_seq``/``_prev``) belongs to the loop, the open segment and
+    :attr:`opened` to the sync thread.  :attr:`durable_seq` is written
+    by the sync thread only after the fsync that makes it true.
     """
 
     def __init__(
@@ -487,7 +514,8 @@ class IngestWal:
                 # *after* that header, not under a second one.
                 self._file = open(self._segment_path, "ab")
         self.fsyncs = 0
-        self.rotations: List[str] = []
+        #: Segment files the latest :meth:`sync` created, oldest first.
+        self.opened: List[str] = []
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -525,7 +553,7 @@ class IngestWal:
             )
         self._segment_path = path
         self._segment_count = 0
-        self.rotations.append(path.name)
+        self.opened.append(path.name)
         header = {
             "wal": 1,
             "first_seq": first_seq,
@@ -536,37 +564,42 @@ class IngestWal:
         }
         self._file = open(path, "xb")
         self._file.write(canonical_bytes(header) + b"\n")
+        # The file's own fsync makes its bytes durable, not its name:
+        # until the directory is fsynced a power cut can lose the entry,
+        # and the acked records in it would vanish as a clean tail.
+        self._fsync_directory()
 
     def sync(self, max_records: Optional[int] = None) -> int:
         """Write up to ``max_records`` pending records, fsync, return
         the new :attr:`durable_seq`.
 
         ``None`` drains everything pending.  One call is one fsync (or
-        zero, with ``fsync=False`` -- tests' fast fake disk); group
-        commit is the caller batching many logical commits onto one
-        call.
+        zero, with ``fsync=False`` -- tests' fast fake disk), plus one
+        per segment it closes and one of the directory per segment it
+        creates; group commit is the caller batching many logical
+        commits onto one call.  :attr:`durable_seq` only advances past
+        records an fsync has covered.
         """
         if self.closed:
             raise WalError("sync on a closed WAL")
         count = len(self._pending) if max_records is None else min(
             max_records, len(self._pending)
         )
+        self.opened = []
         if count == 0:
             return self.durable_seq
-        wrote = False
         for _ in range(count):
             record, line = self._pending.popleft()
             if self._file is None or self._segment_count >= self.segment_records:
                 if self._file is not None:
                     self._fsync_file()
                     self._file.close()
+                    self.durable_seq = record.seq - 1
                 self._open_segment(record.seq, record.prev)
             self._file.write(line)
             self._segment_count += 1
-            self.durable_seq = record.seq
-            wrote = True
-        if wrote and self._file is not None:
-            self._fsync_file()
+        self._fsync_file()
+        self.durable_seq = record.seq
         return self.durable_seq
 
     def _fsync_file(self) -> None:
@@ -576,10 +609,13 @@ class IngestWal:
             os.fsync(self._file.fileno())
             self.fsyncs += 1
 
-    def drain_rotations(self) -> List[str]:
-        """Segment files opened since the last call (for tracing)."""
-        out, self.rotations = self.rotations, []
-        return out
+    def _fsync_directory(self) -> None:
+        if self.fsync:
+            dir_fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
 
     # ------------------------------------------------------------------
     def segment_names(self) -> List[str]:
@@ -617,12 +653,7 @@ class IngestWal:
             if self.fsync:
                 os.fsync(f.fileno())
         os.replace(tmp, path)
-        if self.fsync:
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+        self._fsync_directory()
 
     def truncate_covered(self, watermarks: Dict[str, int]) -> List[str]:
         """Reclaim closed segments fully covered by session snapshots.
@@ -637,6 +668,10 @@ class IngestWal:
         so the next open can verify a chain that starts past seq 0.
         Returns the deleted file names.
         """
+        # Runs on the loop while the sync thread may rotate: the thread
+        # names a segment active before it creates the file, and closes
+        # the previous one first, so a listed path that is not active
+        # is closed.
         paths = _segment_paths(self.directory)
         deletable: List[Path] = []
         for path in paths[:-1]:
@@ -677,14 +712,29 @@ class IngestWal:
         )
 
 
+#: Seconds an idle sync thread waits between checks of its loop.
+_IDLE_CHECK_S = 1.0
+
+
 class WalCommitter:
     """Asyncio group commit over one :class:`IngestWal`.
 
-    Shard workers append records synchronously (in-order, on the loop)
-    and then ``await commit(seq)``; the committer coalesces all waiters
-    onto as few fsyncs as possible, each fsync retiring up to
-    ``fsync_batch`` records and running in the default executor so the
-    event loop keeps serving other connections meanwhile.
+    Shard workers append records synchronously (in order, on the loop)
+    and then ``await commit(seq)``, which registers a plain future.  Once
+    per loop pass (``call_soon``) the loop hands every future registered
+    in that pass to the WAL's one long-lived sync thread, so all the
+    workers stepping in one pass ride one fsync.  The thread calls
+    ``wal.sync(fsync_batch)`` -- one write and one fsync of at most
+    ``fsync_batch`` records -- while any record those futures wait for
+    is not durable, then resolves every one of them with one
+    ``call_soon_threadsafe``.  A waiter cancelled meanwhile (a dying
+    connection) neither aborts nor stalls the fsync the others wait on:
+    futures are only looked at on the loop, when the batch is resolved.
+
+    ``commit`` returns ``(durable_seq, opened)``: ``opened`` names the
+    segment files created since the previous commit result, each
+    handed to exactly one waiter, so a caller tracing rotations traces
+    every segment once.  :meth:`close` retires the thread.
     """
 
     def __init__(self, wal: IngestWal, fsync_batch: int = 64) -> None:
@@ -692,34 +742,123 @@ class WalCommitter:
             raise WalError("fsync_batch must be positive")
         self.wal = wal
         self.fsync_batch = fsync_batch
-        self._flushing = None  # the in-flight flush future, if any
         self.commits = 0  # completed fsync batches
         self.committed_records = 0
+        self._loop = None
+        self._thread: Optional[threading.Thread] = None
+        #: Loop side: waiters registered in the current loop pass, and
+        #: segments opened that no commit result has named yet.
+        self._registered: List[Tuple[int, object]] = []
+        self._unnamed: List[str] = []
+        self._closing = False
+        #: Batches of waiters from the loop to the thread; None retires it.
+        self._handed: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._retired = None  # resolved by the thread's last act
 
-    async def commit(self, seq: int) -> int:
-        """Return once every record up to ``seq`` is durable."""
+    async def commit(self, seq: int) -> Tuple[int, List[str]]:
+        """Return once every record up to ``seq`` is durable.
+
+        The committer serves the loop of its first commit."""
         import asyncio
 
-        while self.wal.durable_seq < seq:
-            if self._flushing is None:
-                self._flushing = asyncio.ensure_future(self._flush_once())
-            flushing = self._flushing
-            # Shield: a cancelled waiter (dying connection) must not
-            # abort the fsync other waiters' acks depend on.
-            await asyncio.shield(flushing)
-        return self.wal.durable_seq
-
-    async def _flush_once(self) -> None:
-        import asyncio
-
+        if self.wal.durable_seq >= seq:
+            return self.wal.durable_seq, []
+        if self._closing:
+            raise WalError("commit on a closed committer")
         loop = asyncio.get_running_loop()
-        try:
-            before = self.wal.durable_seq
-            await loop.run_in_executor(None, self.wal.sync, self.fsync_batch)
-            self.commits += 1
-            self.committed_records += self.wal.durable_seq - before
-        finally:
-            self._flushing = None
+        if self._thread is None:
+            self._loop = loop
+            self._thread = threading.Thread(
+                target=self._run, name="wal-sync", daemon=True
+            )
+            self._thread.start()
+        if not self._registered:
+            loop.call_soon(self._hand_off)
+        waiter = loop.create_future()
+        self._registered.append((seq, waiter))
+        return await waiter
+
+    def _hand_off(self) -> None:
+        self._handed.put(self._registered)
+        self._registered = []
+
+    def _run(self) -> None:
+        """The sync thread: fsync what is handed, resolve it, repeat."""
+        loop, wal, handed = self._loop, self.wal, self._handed
+        retire = False
+        while not retire:
+            try:
+                batches = [handed.get(timeout=_IDLE_CHECK_S)]
+            except queue.Empty:
+                if loop.is_closed():  # closed without close(): nothing more comes
+                    return
+                continue
+            # Every batch handed meanwhile rides the same fsyncs.
+            while not handed.empty():
+                batches.append(handed.get_nowait())
+            retire = None in batches
+            batch = [waiter for b in batches if b is not None for waiter in b]
+            target = max((seq for seq, _ in batch), default=-1)
+            opened: List[str] = []
+            error: Optional[BaseException] = None
+            try:
+                while wal.durable_seq < target:
+                    before = wal.durable_seq
+                    # Looked up per call: a sync swapped onto the
+                    # instance (a failing disk, in tests) is the one used.
+                    wal.sync(self.fsync_batch)
+                    opened += wal.opened
+                    if wal.durable_seq == before:
+                        raise WalError(
+                            f"sync made no progress past seq {before}: "
+                            f"records up to {target} were lost to an "
+                            f"earlier failed sync"
+                        )
+                    self.commits += 1
+                    self.committed_records += wal.durable_seq - before
+            except Exception as exc:  # noqa: BLE001 - ENOSPC, EIO...
+                error = exc
+            try:
+                loop.call_soon_threadsafe(
+                    self._resolve, batch, wal.durable_seq, opened, error, retire
+                )
+            except RuntimeError:  # the loop closed under a cancelled batch
+                return
+
+    def _resolve(
+        self,
+        batch: List[Tuple[int, object]],
+        durable: int,
+        opened: List[str],
+        error: Optional[BaseException],
+        retire: bool,
+    ) -> None:
+        self._unnamed += opened
+        for seq, waiter in batch:
+            if waiter.done():  # cancelled
+                continue
+            if seq <= durable:
+                waiter.set_result((durable, self._unnamed))
+                self._unnamed = []
+            else:
+                waiter.set_exception(error)
+        if retire:
+            self._retired.set_result(None)
+
+    async def close(self) -> None:
+        """Retire the sync thread once every batch handed to it is
+        resolved; the WAL may then be synced and closed on the loop's
+        own thread."""
+        thread = self._thread
+        self._closing = True
+        if thread is None or not thread.is_alive():
+            return
+        if self._registered:
+            self._hand_off()
+        self._retired = self._loop.create_future()
+        self._handed.put(None)
+        await self._retired
+        thread.join()
 
     def __repr__(self) -> str:
         return f"<WalCommitter batch={self.fsync_batch} {self.wal!r}>"

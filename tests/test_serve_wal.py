@@ -13,6 +13,8 @@ Two layers:
 """
 
 import asyncio
+import functools
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,40 @@ class TestIngestWal:
             "wal-00000000000000000008.log",
         ]
         assert len(read_wal(tmp_path)) == 10
+
+    def test_new_segment_is_durable_by_name_before_its_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A segment's own fsync makes its bytes durable, not its name:
+        the directory is fsynced after each segment is created and
+        before any of its records counts as durable."""
+        import os
+        import stat
+
+        wal = IngestWal(tmp_path, segment_records=2, fsync=True)
+        real_fsync = os.fsync
+        dir_fsyncs = []  # (durable_seq, segment files) at each directory fsync
+
+        def recording_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                names = {p.name for p in tmp_path.glob("wal-*.log")}
+                dir_fsyncs.append((wal.durable_seq, names))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        for i in range(5):
+            wal.append("s", i, {"kind": "checkpoint", "pid": 0})
+        wal.sync()
+        wal.close()
+        assert wal.durable_seq == 4
+        segments = wal.segment_names()
+        assert len(segments) == 3
+        for name in segments:
+            first_seq = int(name[len("wal-") : -len(".log")])
+            assert any(
+                name in names and durable < first_seq
+                for durable, names in dir_fsyncs
+            ), (name, dir_fsyncs)
 
     def test_reopen_resumes_the_chain(self, tmp_path):
         fill(tmp_path, 5, segment_records=4)
@@ -354,6 +390,150 @@ class TestWalCommitter:
             return committer.commits
 
         assert asyncio.run(scenario()) == 3  # 6 records / batch of 2
+
+    def test_cancelled_waiter_neither_aborts_nor_stalls_the_fsync(self, tmp_path):
+        async def scenario():
+            wal = IngestWal(tmp_path, fsync=True)
+            committer = WalCommitter(wal, fsync_batch=64)
+            records = [
+                wal.append("s", i, {"kind": "checkpoint", "pid": 0})
+                for i in range(8)
+            ]
+            # Hold the fsync on the sync thread until the waiter is gone.
+            entered, release = threading.Event(), threading.Event()
+            real_sync = wal.sync
+
+            def gated_sync(max_records=None):
+                entered.set()
+                release.wait(10.0)
+                return real_sync(max_records)
+
+            wal.sync = gated_sync
+            doomed = asyncio.ensure_future(committer.commit(records[3].seq))
+            others = [
+                asyncio.ensure_future(committer.commit(r.seq)) for r in records[4:]
+            ]
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            doomed.cancel()
+            await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.wait_for(asyncio.gather(*others), 10.0)
+            await committer.close()
+            wal.close()
+            return doomed, results, wal.fsyncs
+
+        doomed, results, fsyncs = asyncio.run(scenario())
+        assert doomed.cancelled()
+        assert [durable for durable, _ in results] == [7, 7, 7, 7]
+        # The new segment is named to exactly one waiter.
+        assert sum((opened for _, opened in results), []) == [
+            "wal-00000000000000000000.log"
+        ]
+        assert fsyncs == 1
+
+    def test_failing_sync_raises_in_every_waiter_of_its_batch(self, tmp_path):
+        async def scenario():
+            wal = IngestWal(tmp_path, fsync=False)
+            committer = WalCommitter(wal, fsync_batch=64)
+            first = wal.append("s", 0, {"kind": "checkpoint", "pid": 0})
+            await committer.commit(first.seq)  # the sync thread is running
+
+            def broken_sync(max_records=None):
+                raise OSError(28, "No space left on device")
+
+            wal.sync = broken_sync  # swapped under the live thread
+            records = [
+                wal.append("s", i, {"kind": "checkpoint", "pid": 0})
+                for i in range(1, 5)
+            ]
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(committer.commit(r.seq) for r in records),
+                    return_exceptions=True,
+                ),
+                10.0,
+            )
+            await committer.close()
+            return outcomes, wal.durable_seq
+
+        outcomes, durable = asyncio.run(scenario())
+        assert len(outcomes) == 4
+        assert all(isinstance(o, OSError) and o.errno == 28 for o in outcomes)
+        assert durable == 0
+
+    def test_records_lost_to_a_failed_fsync_fail_later_commits(
+        self, tmp_path, monkeypatch
+    ):
+        """A waiter handed over after a failed fsync took its records
+        off the queue gets an error, not a sync thread that spins."""
+        import os
+
+        async def scenario():
+            wal = IngestWal(tmp_path, fsync=True)
+            committer = WalCommitter(wal, fsync_batch=64)
+            first = wal.append("s", 0, {"kind": "checkpoint", "pid": 0})
+            await committer.commit(first.seq)
+            lost = [
+                wal.append("s", i, {"kind": "checkpoint", "pid": 0})
+                for i in range(1, 3)
+            ]
+
+            def failing_fsync(fd):
+                raise OSError(5, "Input/output error")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fsync", failing_fsync)
+                with pytest.raises(OSError):
+                    await committer.commit(lost[0].seq)
+            with pytest.raises(WalError, match="no progress"):
+                await asyncio.wait_for(committer.commit(lost[1].seq), 10.0)
+            await committer.close()
+
+        asyncio.run(scenario())
+
+    def test_no_sync_thread_outlives_the_server(self, tmp_path):
+        from repro.serve.client import Client
+        from repro.serve.server import ServerConfig, serve_in_thread
+
+        config = ServerConfig(
+            unix_path=str(tmp_path / "t.sock"), wal_dir=str(tmp_path / "wal")
+        )
+        with serve_in_thread(config) as handle:
+            with Client(handle.connect_address()) as c:
+                c.hello("s", n=3)
+                c.checkpoint("s", pid=0)
+            thread = handle.server._committer._thread
+            assert thread is not None and thread.is_alive()
+        assert not thread.is_alive()
+
+    def test_rotate_events_name_every_segment_created(self, tmp_path, monkeypatch):
+        from repro.obs import Tracer
+        from repro.serve import server as server_module
+        from repro.serve.loadgen import run_load
+        from repro.serve.server import ServerConfig, serve_in_thread
+
+        monkeypatch.setattr(
+            server_module,
+            "IngestWal",
+            functools.partial(IngestWal, segment_records=3),
+        )
+        tracer = Tracer()
+        config = ServerConfig(
+            unix_path=str(tmp_path / "r.sock"),
+            wal_dir=str(tmp_path / "wal"),
+            workers=2,
+        )
+        with serve_in_thread(config, tracer=tracer) as handle:
+            report = run_load(
+                handle.connect_address(),
+                sessions=3, window=16, duration=10.0, seed=0,
+            )
+            created = handle.server.wal.segment_names()
+        assert report.errors == 0 and report.acked > 30
+        rotated = [ev.fields["segment"] for ev in tracer.of_kind("serve.wal.rotate")]
+        assert len(created) > 10
+        assert rotated == created
 
     def test_bad_batch_rejected(self, tmp_path):
         with pytest.raises(WalError, match="positive"):

@@ -23,8 +23,8 @@ rule protects the event loop rather than determinism: **no blocking
 calls inside ``async def`` bodies** -- ``time.sleep`` (use
 ``asyncio.sleep``), synchronous socket operations (``.recv()``,
 ``.accept()``, ``.sendall()`` ...) and synchronous disk barriers
-(``os.fsync`` / ``os.fdatasync``, which the ingest WAL must route
-through an executor) stall every session sharing the loop.  The
+(``os.fsync`` / ``os.fdatasync``, which the ingest WAL runs on its
+sync thread) stall every session sharing the loop.  The
 blocking clients in ``repro.serve.client`` are plain sync functions,
 which the rule deliberately leaves alone.
 
@@ -36,7 +36,7 @@ synchronously on the loop via the sync ``_handle``/eviction path --
 snapshots are rare and their durability must complete before the
 eviction or ack proceeds; the trade-off is documented at the call
 site.  The per-frame WAL fsync, by contrast, must stay off the loop
-(the group committer runs it in an executor).
+(the group committer hands it to the WAL's long-lived sync thread).
 
 One escape hatch, and only one: a line ending in ``# lint:
 allow-wall-clock`` may call ``time.time``/``time.time_ns``.  It exists
@@ -76,12 +76,12 @@ _ALLOW_WALL_CLOCK = "# lint: allow-wall-clock"
 _BLOCKING_MODULE_CALLS = {
     ("time", "sleep"): "time.sleep blocks the event loop; use asyncio.sleep",
     ("os", "fsync"): (
-        "os.fsync blocks the event loop; run it in an executor "
-        "(loop.run_in_executor) like the WAL group committer does"
+        "os.fsync blocks the event loop; run it on a thread of its own, "
+        "like the WAL group committer's sync thread"
     ),
     ("os", "fdatasync"): (
-        "os.fdatasync blocks the event loop; run it in an executor "
-        "(loop.run_in_executor) like the WAL group committer does"
+        "os.fdatasync blocks the event loop; run it on a thread of its own, "
+        "like the WAL group committer's sync thread"
     ),
 }
 #: Method names that are synchronous socket I/O wherever they appear.

@@ -23,12 +23,16 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # traced serve_deep pass drives IncrementalClosure through the bare
 # add_node()/add_edge(u, v) API on n=16 feeds; serve_prod is the only
 # gate that runs the sharded `repro serve --shard-procs 2 --data-dir`
-# argv the benchmark depends on (plus its kill -9 and restart).
-echo "== ledger: frozen benchmark smoke (offline_cell, serve_short + serve_deep traced, serve_prod) =="
+# argv the benchmark depends on (plus its kill -9 and restart), and its
+# traced pass is the benchmark's only caller of the WAL writer API
+# (IngestWal.append, sync(max_records), pending(), segment_names(),
+# read_wal, recover_sessions).
+echo "== ledger: frozen benchmark smoke (offline_cell, serve_short + serve_deep traced, serve_prod untraced + traced) =="
 python3 benchmarks/ledger/run.py --workload offline_cell --quick
 python3 benchmarks/ledger/run.py --workload serve_short --quick --trace 1
 python3 benchmarks/ledger/run.py --workload serve_deep --quick --trace 1
 python3 benchmarks/ledger/run.py --workload serve_prod --quick
+python3 benchmarks/ledger/run.py --workload serve_prod --quick --trace 1
 
 # The sharded differential suite and one kill -9-a-shard cell run in
 # the tier-1 suite above.  Chaos stage (opt-in: spawns real server
