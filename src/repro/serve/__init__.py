@@ -20,6 +20,8 @@ Layers
 * :mod:`repro.serve.snapshots` -- session snapshot/restore store;
 * :mod:`repro.serve.wal` -- the durable ingest WAL (hash-chained
   append-only segments, fsync-batched group commit, crash recovery);
+* :mod:`repro.serve.disk` -- the storage seam: every operation that
+  makes a WAL, snapshot or layout file durable, over ``os`` or memory;
 * :mod:`repro.serve.shardmap` -- deterministic consistent-hash session
   ownership for multi-process deployments, and the routing table
   clients build from a router's ``ping``;

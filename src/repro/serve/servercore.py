@@ -23,8 +23,8 @@ snapshot pass, whose watermarks would otherwise cover frames that were
 never durably acked.
 
 It owns no socket and imports no clock (the driver passes one in), so
-tests drive it with a fake clock, ``IngestWal(fsync=False)`` and a Sync
-they can fail; ``tools/lint_imports.py`` fails it on a ``socket`` /
+tests drive it with a fake clock, its WAL and store on a crash-faithful
+fake disk, and a Sync they can fail; ``tools/lint_imports.py`` fails it on a ``socket`` /
 ``asyncio`` / ``select`` / ``time`` import.
 """
 

@@ -34,11 +34,13 @@ publishes them.
 from __future__ import annotations
 
 import hashlib
+import json
 from bisect import bisect_right
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.jsonio import canonical_dumps
+from repro.serve.disk import Disk
 from repro.types import SimulationError
 
 #: Ring points per shard.  64 keeps the worst/best shard load ratio
@@ -130,31 +132,14 @@ class ShardMap:
 
     # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> None:
-        """Persist atomically (write-tmp, fsync, rename) to ``path``."""
-        import os
-
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(canonical_dumps(self.to_doc()))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        """Persist atomically to ``path`` (see ``Disk.write_atomic``)."""
+        Disk().write_atomic(path, canonical_dumps(self.to_doc()).encode())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> Optional["ShardMap"]:
         """The layout stored at ``path``, or None if none exists."""
-        import json
-
-        path = Path(path)
-        if not path.exists():
-            return None
-        return cls.from_doc(json.loads(path.read_text(encoding="utf-8")))
+        data = Disk().read(path)
+        return None if data is None else cls.from_doc(json.loads(data))
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -10,19 +10,22 @@ session whose rebuilt state does not match bit for bit.  That check is
 what turns "replay should be deterministic" from a hope into an
 enforced invariant at every eviction/restore cycle.
 
-The store itself is either in-memory (the default: eviction frees the
-live closure rows, protocol matrices and sender logs, keeping only
-the compact log) or directory-backed (one ``<session>.json`` per
-snapshot), so a server can survive a restart with its sessions intact.
+The store keeps one ``<session>.json`` per snapshot on a disk: in
+memory by default (eviction frees the live closure rows, protocol
+matrices and sender logs, keeping only the compact log), or in a
+directory, so a server can survive a restart with its sessions intact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import re
 from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING, Union
 
-from repro.obs.jsonio import canonical_bytes, canonical_dumps
+from repro.obs.jsonio import canonical_bytes
+from repro.serve.disk import Disk, MemoryDisk
 from repro.serve.session import ServeSession
 from repro.types import SimulationError
 
@@ -99,70 +102,37 @@ def restore_session(
     return session
 
 
-class SnapshotStore:
-    """Keyed snapshot storage, in-memory or directory-backed."""
+#: An id that is its own snapshot file name (``<id>.json``, 255 bytes).
+_SAFE_ID = re.compile(r"[A-Za-z0-9._-]{1,250}")
 
-    def __init__(self, directory: Union[str, Path, None] = None) -> None:
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            # A crash mid-save can leave a *.json.tmp behind; the real
-            # snapshot (if any) is intact, so stale temps are garbage.
-            for stale in self._directory.glob("*.json.tmp"):
-                stale.unlink()
-        self._docs: Dict[str, Dict[str, object]] = {}
+
+class SnapshotStore:
+    """Keyed snapshot storage: one ``<name>.json`` per session in
+    ``directory`` on a :class:`~repro.serve.disk.Disk` -- or, with no
+    directory, on a :class:`~repro.serve.disk.MemoryDisk`."""
+
+    def __init__(
+        self, directory: Union[str, Path, None] = None, disk: Optional[Disk] = None
+    ) -> None:
+        self._directory = Path(directory or "snapshots")
+        self._disk = disk or (Disk() if directory is not None else MemoryDisk())
+        # Also drops the temporary file a crash mid-save can leave.
+        self._disk.mkdir(self._directory)
 
     def _path(self, session_id: str) -> Path:
-        assert self._directory is not None
-        safe = "".join(
-            c if c.isalnum() or c in "-_." else "_" for c in session_id
-        )
-        return self._directory / f"{safe}.json"
+        """Injective, at most 255 bytes: a safe id is its own name, any
+        other is ``%`` and its SHA-256, which no safe id can be."""
+        if _SAFE_ID.fullmatch(session_id) is None:
+            digest = hashlib.sha256(session_id.encode("utf-8", "surrogatepass"))
+            session_id = "%" + digest.hexdigest()
+        return self._directory / f"{session_id}.json"
 
     def save(
         self, session: ServeSession, wal_seq: int = -1
     ) -> Dict[str, object]:
         doc = snapshot_doc(session, wal_seq=wal_seq)
-        if self._directory is not None:
-            self._write_atomic(self._path(session.session_id), doc)
-        else:
-            self._docs[session.session_id] = doc
+        self.put(session.session_id, doc)
         return doc
-
-    @staticmethod
-    def _write_atomic(path: Path, doc: Dict[str, object]) -> None:
-        """Write-then-rename so a crash never leaves a torn snapshot.
-
-        A ``kill -9`` between any two syscalls here leaves either the
-        previous snapshot intact or the new one complete -- never a
-        partially-written file that would halt recovery.  The payload
-        is fsynced before the rename and the directory entry after it,
-        so the rename itself is durable too.
-
-        Deliberate trade-off: these fsyncs run synchronously on the
-        caller's thread, which on the server is the event loop (the
-        snapshot path is sync end to end, so the async-blocking lint
-        rule does not see it -- see ``tools/lint_determinism.py``).
-        Unlike the per-frame WAL fsync, which the group committer
-        routes through an executor, snapshots are rare (idle eviction,
-        explicit ``snapshot`` frames, shutdown) and the durability
-        ordering requires the write to complete before the eviction or
-        ack proceeds; stalling the loop for one bounded barrier is the
-        simple, correct choice until profiling says otherwise.
-        """
-        import os
-
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(canonical_dumps(doc))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
 
     def put(self, session_id: str, doc: Dict[str, object]) -> None:
         """Store an already-built snapshot document verbatim.
@@ -172,20 +142,21 @@ class SnapshotStore:
         hand; integrity still holds because :func:`restore_session`
         verifies the digest on the way back in.
         """
-        if self._directory is not None:
-            self._write_atomic(self._path(session_id), doc)
-        else:
-            self._docs[session_id] = doc
+        self._disk.write_atomic(self._path(session_id), canonical_bytes(doc))
 
     def load(self, session_id: str) -> Optional[Dict[str, object]]:
-        if self._directory is not None:
-            path = self._path(session_id)
-            if not path.exists():
-                return None
-            import json
-
-            return json.loads(path.read_text(encoding="utf-8"))
-        return self._docs.get(session_id)
+        """The session's snapshot document, or None; one holding another
+        session is refused (:class:`SimulationError`), not served."""
+        data = self._disk.read(self._path(session_id))
+        if data is None:
+            return None
+        doc = json.loads(data)
+        if doc.get("session") != session_id:
+            raise SimulationError(
+                f"snapshot file for session {session_id!r} holds session "
+                f"{doc.get('session')!r}"
+            )
+        return doc
 
     def pop(self, session_id: str) -> Optional[Dict[str, object]]:
         """Load and forget (a restored session owns its state again)."""
@@ -195,26 +166,17 @@ class SnapshotStore:
         return doc
 
     def discard(self, session_id: str) -> None:
-        if self._directory is not None:
-            path = self._path(session_id)
-            if path.exists():
-                path.unlink()
-        else:
-            self._docs.pop(session_id, None)
+        self._disk.unlink(self._path(session_id))
 
     def known(self) -> List[str]:
-        if self._directory is not None:
-            import json
-
-            return sorted(
-                str(json.loads(p.read_text(encoding="utf-8"))["session"])
-                for p in self._directory.glob("*.json")
-            )
-        return sorted(self._docs)
+        return sorted(
+            str(json.loads(self._disk.read(self._directory / name))["session"])  # type: ignore[arg-type]
+            for name in self._disk.listdir(self._directory)
+            if name.endswith(".json")
+        )
 
     def __contains__(self, session_id: str) -> bool:
-        return self.load(session_id) is not None
+        return self._disk.read(self._path(session_id)) is not None
 
     def __repr__(self) -> str:
-        where = self._directory or "memory"
-        return f"<SnapshotStore {where} sessions={len(self.known())}>"
+        return f"<SnapshotStore {self._directory} sessions={len(self.known())}>"

@@ -22,10 +22,11 @@ Three layers, smallest surface first:
   dropped and reported; any damage that is not a pure tail raises
   :class:`WalCorruption` instead of serving silently-wrong state.
 * :class:`IngestWal` -- the synchronous writer: buffered appends,
-  explicit :meth:`~IngestWal.sync` (write + ``os.fsync``) batches,
-  segment rotation (each new segment's directory entry fsynced before
-  any of its records counts as durable), and snapshot-driven segment
-  reclamation (:meth:`~IngestWal.truncate_covered`).  Reclamation
+  explicit :meth:`~IngestWal.sync` (write + fsync) batches, a halt
+  after any failed sync, segment rotation (each new segment's directory
+  entry fsynced before any of its records counts as durable), and
+  snapshot-driven segment reclamation
+  (:meth:`~IngestWal.truncate_covered`).  Reclamation
   durably records a *reclamation anchor* (``wal-anchor.json``) naming
   where the chain now starts, so a reopen can verify a WAL whose first
   segments were legitimately deleted -- while a chain starting past seq
@@ -46,18 +47,19 @@ must produce.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import os
 import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import BinaryIO, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.jsonio import canonical_bytes, canonical_dumps
+from repro.serve.disk import Disk
 from repro.types import ReproError
 
 __all__ = [
@@ -94,7 +96,6 @@ GENESIS = "0" * 64
 #: Segment file name pattern: first sequence number, zero padded so
 #: lexicographic order is numeric order.
 _SEGMENT_FMT = "wal-{:020d}.log"
-_SEGMENT_GLOB = "wal-*.log"
 
 #: The reclamation anchor: written durably by ``truncate_covered``
 #: *before* it unlinks leading segments, recording the header (first
@@ -221,46 +222,46 @@ def _looks_like_record(doc: Dict[str, object]) -> bool:
     return "seq" in doc and "digest" in doc and "op" in doc
 
 
-def _segment_paths(directory: Path) -> List[Path]:
-    return sorted(directory.glob(_SEGMENT_GLOB))
+def _segment_paths(directory: Path, disk: Disk) -> List[Path]:
+    return [
+        directory / name for name in disk.listdir(directory)
+        if name.startswith("wal-") and name.endswith(".log")
+    ]
 
 
-def _peek_header(path: Path) -> Optional[Dict[str, object]]:
-    """The segment's header document, when its first line is intact."""
-    with open(path, "rb") as f:
-        line = f.readline()
-    if not line.endswith(b"\n"):
-        return None
-    doc = _parse_line(line[:-1])
+def _chain_point(line: bytes, tag: str) -> Optional[Tuple[int, str]]:
+    """``(first_seq, prev)`` of a header or anchor line tagged ``tag``."""
+    doc = _parse_line(line)
     if (
         doc is None
-        or doc.get("wal") != 1
+        or doc.get(tag) != 1
         or not isinstance(doc.get("first_seq"), int)
         or not isinstance(doc.get("prev"), str)
     ):
         return None
-    return doc
+    return doc["first_seq"], doc["prev"]  # type: ignore[return-value]
 
 
-def _read_anchor(directory: Path) -> Optional[Tuple[int, str]]:
+def _peek_header(path: Path, disk: Disk) -> Optional[Tuple[int, str]]:
+    """The segment header's chain point, when its first line is intact."""
+    line, newline, _ = (disk.read(path) or b"").partition(b"\n")
+    return _chain_point(line, "wal") if newline else None
+
+
+def _read_anchor(directory: Path, disk: Disk) -> Optional[Tuple[int, str]]:
     """``(first_seq, prev)`` of the reclamation anchor, if one exists.
 
     Raises :class:`WalCorruption` when the anchor file is present but
     unreadable -- callers only ask for it when the chain actually needs
     an anchor, so a broken one is indistinguishable from lost history.
     """
-    path = directory / _ANCHOR_NAME
-    if not path.exists():
+    data = disk.read(directory / _ANCHOR_NAME)
+    if data is None:
         return None
-    doc = _parse_line(path.read_bytes().strip())
-    if (
-        doc is None
-        or doc.get("wal_anchor") != 1
-        or not isinstance(doc.get("first_seq"), int)
-        or not isinstance(doc.get("prev"), str)
-    ):
-        raise WalCorruption(f"{path.name}: unreadable reclamation anchor")
-    return int(doc["first_seq"]), str(doc["prev"])  # type: ignore[arg-type]
+    anchor = _chain_point(data.strip(), "wal_anchor")
+    if anchor is None:
+        raise WalCorruption(f"{_ANCHOR_NAME}: unreadable reclamation anchor")
+    return anchor
 
 
 @dataclass
@@ -282,7 +283,7 @@ class _Scan:
     prev: str = GENESIS
 
 
-def _scan(directory: Path) -> _Scan:
+def _scan(directory: Path, disk: Disk) -> _Scan:
     """Verify every segment; recover the longest provable prefix.
 
     Raises :class:`WalCorruption` for any damage that is not a pure
@@ -294,22 +295,22 @@ def _scan(directory: Path) -> _Scan:
     from it instead of GENESIS.  A chain starting past 0 *without* an
     anchor is leading-segment deletion: halt.
     """
-    paths = _segment_paths(directory)
+    paths = _segment_paths(directory, disk)
     records: List[WalRecord] = []
     prev = GENESIS
     next_seq = 0
     if not paths:
-        if (directory / _ANCHOR_NAME).exists():
+        if disk.read(directory / _ANCHOR_NAME) is not None:
             raise WalCorruption(
                 "reclamation anchor present but no segment files -- the "
                 "segments were deleted out from under it"
             )
         return _Scan([], torn=None, dropped=0)
     anchor_check: Optional[Tuple[int, str]] = None
-    head = _peek_header(paths[0])
-    first_seq = int(head["first_seq"]) if head is not None else 0  # type: ignore[arg-type]
+    head = _peek_header(paths[0], disk)
+    first_seq = head[0] if head is not None else 0
     if first_seq > 0:
-        anchor = _read_anchor(directory)
+        anchor = _read_anchor(directory, disk)
         if anchor is None:
             raise WalCorruption(
                 f"{paths[0].name}: chain starts at seq {first_seq} with no "
@@ -331,11 +332,11 @@ def _scan(directory: Path) -> _Scan:
             # seed the chain from this segment's own header; every
             # following digest verifies it forward, and the anchored
             # segment's header re-checks it against the anchor.
-            next_seq, prev = first_seq, str(head["prev"])  # type: ignore[index]
+            next_seq, prev = head  # type: ignore[misc]
             anchor_check = anchor
     for p_i, path in enumerate(paths):
         final_segment = p_i == len(paths) - 1
-        data = path.read_bytes()
+        data = disk.read(path) or b""
         lines = data.split(b"\n")
         # A well-formed segment ends with a newline: final split is b"".
         offset = 0
@@ -421,16 +422,13 @@ def _scan(directory: Path) -> _Scan:
     return _Scan(records, torn=None, dropped=0, next_seq=next_seq, prev=prev)
 
 
-def read_wal(directory: Union[str, Path]) -> List[WalRecord]:
+def read_wal(directory: Union[str, Path], disk: Optional[Disk] = None) -> List[WalRecord]:
     """The verified record prefix of the WAL at ``directory``.
 
     Read-only: a torn tail is dropped from the result but left on
     disk.  Raises :class:`WalCorruption` on non-tail damage.
     """
-    directory = Path(directory)
-    if not directory.exists():
-        return []
-    return _scan(directory).records
+    return _scan(Path(directory), disk or Disk()).records
 
 
 class IngestWal:
@@ -440,7 +438,7 @@ class IngestWal:
     ``fsync``\\ s it, advancing :attr:`durable_seq`.  Opening an
     existing directory verifies the chain, repairs a torn tail in
     place (truncating the file to the last provable byte) and resumes
-    the chain where it left off.
+    the chain where it left off.  Every file operation goes through ``disk``.
 
     Under a :class:`WalCommitter` the two halves run on two threads:
     ``append`` (and everything else) on the event loop, ``sync`` on the
@@ -457,22 +455,19 @@ class IngestWal:
         directory: Union[str, Path],
         *,
         segment_records: int = 4096,
-        fsync: bool = True,
+        disk: Optional[Disk] = None,
     ) -> None:
         if segment_records <= 0:
             raise WalError("segment_records must be positive")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.disk = disk = disk or Disk()
+        # Also drops the tmp file a crash mid-anchor-write can leave.
+        disk.mkdir(self.directory)
         self.segment_records = segment_records
-        self.fsync = fsync
-        scan = _scan(self.directory)
+        scan = _scan(self.directory, disk)
         self.repaired_tail = 0
         if scan.torn is not None:
-            path, offset = scan.torn
-            with open(path, "r+b") as f:
-                f.truncate(offset)
-                f.flush()
-                os.fsync(f.fileno())
+            disk.truncate(*scan.torn)
             self.repaired_tail = scan.dropped
         self.recovered: List[WalRecord] = scan.records
         # Seed the chain from the scan, not from recovered records: after
@@ -483,22 +478,18 @@ class IngestWal:
         self.durable_seq = self._next_seq - 1
         #: Appended records with their encoded lines, oldest first.
         self._pending: Deque[Tuple[WalRecord, bytes]] = deque()
-        self._file = None
+        self._file: Optional[BinaryIO] = None
         self._segment_path: Optional[Path] = None
         self._segment_count = 0
-        # A crash mid-anchor-write can leave the tmp file behind; the
-        # real anchor (if any) is intact, so the stale tmp is garbage.
-        stale_anchor = self.directory / (_ANCHOR_NAME + ".tmp")
-        if stale_anchor.exists():
-            stale_anchor.unlink()
-        paths = _segment_paths(self.directory)
-        if paths and paths[-1].stat().st_size == 0:
+        #: The first exception a sync raised; it halts the writer.
+        self._failure: Optional[BaseException] = None
+        paths = _segment_paths(self.directory, disk)
+        if paths and not disk.read(paths[-1]):
             # A torn tail can eat the final segment's very header; the
             # repair above then leaves an empty file.  Resuming it
             # would append records under no header, so drop it and let
             # the next sync recreate the segment cleanly.
-            paths[-1].unlink()
-            paths = _segment_paths(self.directory)
+            disk.unlink(paths.pop())
         if paths:
             self._segment_path = paths[-1]
             # Count of records already in the final segment: those with
@@ -512,7 +503,7 @@ class IngestWal:
                 # colliding with an existing file -- e.g. a tail torn
                 # down to its bare header, whose next record must land
                 # *after* that header, not under a second one.
-                self._file = open(self._segment_path, "ab")
+                self._file = disk.open(self._segment_path)
         self.fsyncs = 0
         #: Segment files the latest :meth:`sync` created, oldest first.
         self.opened: List[str] = []
@@ -528,10 +519,20 @@ class IngestWal:
         """Appended records not yet fsynced."""
         return len(self._pending)
 
+    def _writable(self, verb: str) -> None:
+        if self.closed:
+            raise WalError(f"{verb} on a closed WAL")
+        if self._failure is not None:
+            # The failed sync took records off the queue that may or may
+            # not be on disk: any later record could chain past a hole.
+            raise WalError(
+                f"{verb} on a WAL halted by a failed sync: no progress "
+                f"past seq {self.durable_seq} is possible"
+            ) from self._failure
+
     def append(self, session: str, idx: int, op: Dict[str, object]) -> WalRecord:
         """Buffer one record; durable only after a later :meth:`sync`."""
-        if self.closed:
-            raise WalError("append on a closed WAL")
+        self._writable("append")
         record, line = _mint(self._next_seq, session, idx, dict(op), self._prev)
         self._prev = record.digest
         self._next_seq += 1
@@ -541,7 +542,7 @@ class IngestWal:
     # ------------------------------------------------------------------
     def _open_segment(self, first_seq: int, prev: str) -> None:
         path = self.directory / _SEGMENT_FMT.format(first_seq)
-        if path.exists():
+        if self.disk.read(path) is not None:
             # Resume (in __init__) owns every existing-file case; an
             # existing segment here means the writer's idea of the
             # chain has diverged from the directory.  Appending would
@@ -562,68 +563,59 @@ class IngestWal:
             # enters a digest, a trace or any deterministic artifact.
             "created_unix": time.time(),  # lint: allow-wall-clock
         }
-        self._file = open(path, "xb")
+        self._file = self.disk.open(path, "xb")
         self._file.write(canonical_bytes(header) + b"\n")
         # The file's own fsync makes its bytes durable, not its name:
         # until the directory is fsynced a power cut can lose the entry,
         # and the acked records in it would vanish as a clean tail.
-        self._fsync_directory()
+        self.disk.fsync_dir(self.directory)
 
     def sync(self, max_records: Optional[int] = None) -> int:
         """Write up to ``max_records`` pending records, fsync, return
         the new :attr:`durable_seq`.
 
-        ``None`` drains everything pending.  One call is one fsync (or
-        zero, with ``fsync=False`` -- tests' fast fake disk), plus one
-        per segment it closes and one of the directory per segment it
-        creates; group commit is the caller batching many logical
+        ``None`` drains everything pending.  One call is one fsync, plus
+        one per segment it closes and one of the directory per segment
+        it creates; group commit is the caller batching many logical
         commits onto one call.  :attr:`durable_seq` only advances past
-        records an fsync has covered.
+        records an fsync has covered, and any exception halts the WAL.
         """
-        if self.closed:
-            raise WalError("sync on a closed WAL")
+        self._writable("sync")
         count = len(self._pending) if max_records is None else min(
             max_records, len(self._pending)
         )
         self.opened = []
         if count == 0:
             return self.durable_seq
-        for _ in range(count):
-            record, line = self._pending.popleft()
-            if self._file is None or self._segment_count >= self.segment_records:
-                if self._file is not None:
-                    self._fsync_file()
-                    self._file.close()
-                    self.durable_seq = record.seq - 1
-                self._open_segment(record.seq, record.prev)
-            self._file.write(line)
-            self._segment_count += 1
-        self._fsync_file()
+        try:
+            for _ in range(count):
+                record, line = self._pending.popleft()
+                if self._file is None or self._segment_count >= self.segment_records:
+                    if self._file is not None:
+                        self._fsync_file()
+                        self._file.close()
+                        self.durable_seq = record.seq - 1
+                    self._open_segment(record.seq, record.prev)
+                self._file.write(line)
+                self._segment_count += 1
+            self._fsync_file()
+        except BaseException as exc:
+            self._failure = exc
+            raise
         self.durable_seq = record.seq
         return self.durable_seq
 
     def _fsync_file(self) -> None:
-        assert self._file is not None
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
-
-    def _fsync_directory(self) -> None:
-        if self.fsync:
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+        self.disk.fsync(self._file)
+        self.fsyncs += 1
 
     # ------------------------------------------------------------------
     def segment_names(self) -> List[str]:
-        return [p.name for p in _segment_paths(self.directory)]
+        return [p.name for p in _segment_paths(self.directory, self.disk)]
 
     def _segment_covered(self, path: Path, watermarks: Dict[str, int]) -> bool:
         """Every record in the segment is at or below its session's mark."""
-        for line in path.read_bytes().split(b"\n"):
+        for line in (self.disk.read(path) or b"").split(b"\n"):
             if not line.strip():
                 continue
             doc = _parse_line(line)
@@ -635,26 +627,6 @@ class IngestWal:
                 return False
         return True
 
-    def _write_anchor(self, first_seq: int, prev: str) -> None:
-        """Durably record where the chain resumes after reclamation.
-
-        Atomic (write-tmp, fsync, rename, fsync directory): a crash at
-        any point leaves either the previous anchor or the new one,
-        never a torn file -- and the anchor is on disk *before* the
-        first unlink, so a reopen always finds it when it finds a chain
-        that no longer starts at GENESIS.
-        """
-        doc = {"wal_anchor": 1, "first_seq": first_seq, "prev": prev}
-        path = self.directory / _ANCHOR_NAME
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as f:
-            f.write(canonical_bytes(doc) + b"\n")
-            f.flush()
-            if self.fsync:
-                os.fsync(f.fileno())
-        os.replace(tmp, path)
-        self._fsync_directory()
-
     def truncate_covered(self, watermarks: Dict[str, int]) -> List[str]:
         """Reclaim closed segments fully covered by session snapshots.
 
@@ -664,15 +636,15 @@ class IngestWal:
         is at or past that record -- and never the active segment nor
         the final one (the chain needs a surviving anchor segment).
         Before the first unlink, the first surviving segment's header
-        is recorded in the reclamation anchor (:meth:`_write_anchor`)
-        so the next open can verify a chain that starts past seq 0.
-        Returns the deleted file names.
+        is durably recorded in the reclamation anchor, so a reopen that
+        finds a chain no longer starting at GENESIS always finds the
+        anchor vouching for it.  Returns the deleted file names.
         """
         # Runs on the loop while the sync thread may rotate: the thread
         # names a segment active before it creates the file, and closes
         # the previous one first, so a listed path that is not active
         # is closed.
-        paths = _segment_paths(self.directory)
+        paths = _segment_paths(self.directory, self.disk)
         deletable: List[Path] = []
         for path in paths[:-1]:
             if path == self._segment_path:
@@ -683,25 +655,30 @@ class IngestWal:
         if not deletable:
             return []
         survivor = paths[len(deletable)]
-        head = _peek_header(survivor)
+        head = _peek_header(survivor, self.disk)
         if head is None:
             raise WalCorruption(
                 f"{survivor.name}: unreadable segment header; refusing to "
                 f"reclaim the segments before it"
             )
-        self._write_anchor(int(head["first_seq"]), str(head["prev"]))  # type: ignore[arg-type]
-        removed: List[str] = []
+        anchor = {"wal_anchor": 1, "first_seq": head[0], "prev": head[1]}
+        self.disk.write_atomic(
+            self.directory / _ANCHOR_NAME, canonical_bytes(anchor) + b"\n"
+        )
         for path in deletable:
-            path.unlink()
-            removed.append(path.name)
-        return removed
+            self.disk.unlink(path)
+        return [path.name for path in deletable]
 
     def close(self) -> None:
+        """Sync and release the open segment; a halted writer only
+        releases it (nothing more may become durable)."""
         if self.closed:
             return
-        self.sync()
+        if self._failure is None:
+            self.sync()
         if self._file is not None:
-            self._file.close()
+            with contextlib.suppress(OSError):  # its buffer may not flush
+                self._file.close()
             self._file = None
         self.closed = True
 
@@ -806,14 +783,10 @@ class WalCommitter:
                     before = wal.durable_seq
                     # Looked up per call: a sync swapped onto the
                     # instance (a failing disk, in tests) is the one used.
+                    # A sync that fails halts the WAL, so every later
+                    # one raises: the loop never spins on lost records.
                     wal.sync(self.fsync_batch)
                     opened += wal.opened
-                    if wal.durable_seq == before:
-                        raise WalError(
-                            f"sync made no progress past seq {before}: "
-                            f"records up to {target} were lost to an "
-                            f"earlier failed sync"
-                        )
                     self.commits += 1
                     self.committed_records += wal.durable_seq - before
             except Exception as exc:  # noqa: BLE001 - ENOSPC, EIO...

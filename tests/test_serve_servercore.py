@@ -2,8 +2,9 @@
 
 The durability order is a property of the core's steps, so it is pinned
 here by performing each step's effects the way the driver does -- the
-Sync (``IngestWal(fsync=False)``, or a failure), then the writes -- and
-checking the order at every step, instead of through sockets and fsyncs.
+Sync (the WAL's, on a :class:`~tests.crashdisk.CrashDisk` that can fail
+its next fsync), then the writes -- and checking the order at every
+step, instead of through sockets and real fsyncs.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.serve.servercore import ServerCore
 from repro.serve.session import offline_answers
 from repro.serve.snapshots import SnapshotStore
 from repro.serve.wal import IngestWal
+from tests.crashdisk import CrashDisk
 
 ENOSPC = OSError(28, "No space left on device")
 
@@ -28,11 +30,11 @@ class _Clock:
 
 
 class _Store(SnapshotStore):
-    """An in-memory store that checks every snapshot covers only durable
-    records and logs what it saved."""
+    """A store that checks every snapshot covers only durable records and
+    logs what it saved."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, directory, disk):
+        super().__init__(directory, disk=disk)
         self.wal = None
         self.saved = []
 
@@ -49,13 +51,16 @@ class _Store(SnapshotStore):
 class _Harness:
     """A core plus the driver's side of it, performed synchronously."""
 
-    def __init__(self, tmp_path, *, wal=True, **knobs):
+    def __init__(self, tmp_path, *, wal=True, segment_records=4096, **knobs):
         knobs.setdefault("workers", 1)
         self.clock = _Clock()
-        self.store = _Store()
+        self.disk = CrashDisk()
+        self.store = _Store(tmp_path / "snaps", self.disk)
         self.core = ServerCore(ServerConfig(**knobs), self.store, self.clock)
         if wal:
-            self.wal = self.store.wal = IngestWal(tmp_path / "wal", fsync=False)
+            self.wal = self.store.wal = IngestWal(
+                tmp_path / "wal", segment_records=segment_records, disk=self.disk
+            )
             self.core.recover(self.wal)
         self.fail_next = False
         self.seq = 0
@@ -77,9 +82,11 @@ class _Harness:
         error = None
         if step.sync is not None:
             if self.fail_next:
-                error = ENOSPC
-            else:
+                self.disk.fail_fsync(ENOSPC)
+            try:
                 assert self.wal.sync() >= step.sync
+            except OSError as exc:
+                error = exc
         writes = self.core.finish(step, error)
         for replies in writes.values():
             for reply in replies:

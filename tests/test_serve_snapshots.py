@@ -124,6 +124,38 @@ class TestDirectoryStore:
         assert files[0].parent == directory
 
 
+    def test_ids_that_sanitize_alike_keep_their_own_snapshots(self, tmp_path):
+        directory = tmp_path / "snaps"
+        store = SnapshotStore(directory)
+        for sid in ("a/b", "a_b"):
+            session = busy_session()
+            session.session_id = sid
+            store.save(session)
+        assert store.load("a/b")["session"] == "a/b"
+        assert store.load("a_b")["session"] == "a_b"
+        assert SnapshotStore(directory).known() == ["a/b", "a_b"]
+        assert (directory / "a_b.json").exists()  # a safe id keeps its name
+
+    def test_a_long_id_saves_and_restores(self, tmp_path):
+        store = SnapshotStore(tmp_path / "snaps")
+        session = busy_session()
+        session.session_id = "s" * 300
+        store.save(session)
+        assert restore_session(store.load("s" * 300)).session_id == "s" * 300
+        assert [len(p.name) for p in (tmp_path / "snaps").iterdir()] == [70]
+
+    def test_a_swapped_file_is_refused(self, tmp_path):
+        directory = tmp_path / "snaps"
+        store = SnapshotStore(directory)
+        for sid in ("x", "y"):
+            session = busy_session()
+            session.session_id = sid
+            store.save(session)
+        (directory / "x.json").write_bytes((directory / "y.json").read_bytes())
+        with pytest.raises(SimulationError, match="holds session 'y'"):
+            store.load("x")
+
+
 class TestAtomicWrites:
     """A crash mid-save leaves the old snapshot or the new -- never a torn one."""
 

@@ -13,6 +13,7 @@ Two layers:
 """
 
 import asyncio
+import errno
 import functools
 import threading
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.jsonio import canonical_bytes
+from repro.serve.disk import Disk
 from repro.serve.wal import (
     GENESIS,
     IngestWal,
@@ -31,11 +33,15 @@ from repro.serve.wal import (
     read_wal,
     recover_sessions,
 )
+from tests.crashdisk import CrashDisk
+
+#: The real disk: these tests read and damage the files it writes.
+DISK = Disk()
 
 
-def fill(directory, count, *, segment_records=8, session="s", fsync=False):
+def fill(directory, count, *, segment_records=8, session="s"):
     """A WAL with ``count`` checkpoint records, synced and closed."""
-    wal = IngestWal(directory, segment_records=segment_records, fsync=fsync)
+    wal = IngestWal(directory, segment_records=segment_records, disk=DISK)
     for i in range(count):
         wal.append(session, i, {"kind": "checkpoint", "pid": i % 3})
     wal.sync()
@@ -48,7 +54,7 @@ def fill(directory, count, *, segment_records=8, session="s", fsync=False):
 # ----------------------------------------------------------------------
 class TestIngestWal:
     def test_append_is_not_durable_until_sync(self, tmp_path):
-        wal = IngestWal(tmp_path, fsync=False)
+        wal = IngestWal(tmp_path, disk=DISK)
         wal.append("s", 0, {"kind": "checkpoint", "pid": 0})
         assert wal.last_seq == 0 and wal.durable_seq == -1
         assert read_wal(tmp_path) == []  # nothing on disk yet
@@ -57,7 +63,7 @@ class TestIngestWal:
         assert [r.seq for r in read_wal(tmp_path)] == [0]
 
     def test_sync_batches_and_partial_drain(self, tmp_path):
-        wal = IngestWal(tmp_path, fsync=False)
+        wal = IngestWal(tmp_path, disk=DISK)
         for i in range(5):
             wal.append("s", i, {"kind": "checkpoint", "pid": 0})
         assert wal.sync(max_records=2) == 1
@@ -91,7 +97,7 @@ class TestIngestWal:
         import os
         import stat
 
-        wal = IngestWal(tmp_path, segment_records=2, fsync=True)
+        wal = IngestWal(tmp_path, segment_records=2, disk=DISK)
         real_fsync = os.fsync
         dir_fsyncs = []  # (durable_seq, segment files) at each directory fsync
 
@@ -118,7 +124,7 @@ class TestIngestWal:
 
     def test_reopen_resumes_the_chain(self, tmp_path):
         fill(tmp_path, 5, segment_records=4)
-        wal = IngestWal(tmp_path, segment_records=4, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=4, disk=DISK)
         assert len(wal.recovered) == 5
         assert wal.repaired_tail == 0
         wal.append("s", 5, {"kind": "checkpoint", "pid": 1})
@@ -155,7 +161,7 @@ class TestIngestWal:
         """Lines are built from the digest's one encoding of the body;
         they must be the record documents' canonical bytes exactly."""
         directory = tmp_path_factory.mktemp("lines")
-        wal = IngestWal(directory, segment_records=5, fsync=False)
+        wal = IngestWal(directory, segment_records=5, disk=DISK)
         records = [wal.append(*args) for args in appends]
         assert wal.pending() == len(records)
         wal.close()
@@ -176,17 +182,38 @@ class TestIngestWal:
         with pytest.raises(WalError, match="closed"):
             wal.sync()
 
+    def test_a_failed_sync_halts_the_writer(self):
+        """Records a failed fsync took off the queue may or may not be
+        on disk: no later record may chain past them as durable."""
+        disk = CrashDisk()
+        wal = IngestWal("wal", disk=disk)
+        for i in range(3):
+            wal.append("s", i, {"kind": "checkpoint", "pid": 0})
+        assert wal.sync() == 2
+        wal.append("s", 3, {"kind": "checkpoint", "pid": 0})
+        disk.fail_fsync(OSError(errno.ENOSPC, "No space left on device"))
+        with pytest.raises(OSError, match="No space"):
+            wal.sync()
+        with pytest.raises(WalError, match="no progress past seq 2") as info:
+            wal.append("s", 4, {"kind": "checkpoint", "pid": 0})
+        assert info.value.__cause__.errno == errno.ENOSPC
+        with pytest.raises(WalError, match="no progress"):
+            wal.sync()
+        assert wal.durable_seq == 2
+        wal.close()  # releases the segment; neither syncs nor raises
+        assert [r.seq for r in read_wal("wal", disk)] == [0, 1, 2]
+
     def test_torn_tail_is_repaired_on_open(self, tmp_path):
         fill(tmp_path, 3, segment_records=100)
         path = next(tmp_path.glob("wal-*.log"))
         with open(path, "ab") as f:
             f.write(b'{"seq": 3, "ses')  # the crash mid-write
-        wal = IngestWal(tmp_path, fsync=False)
+        wal = IngestWal(tmp_path, disk=DISK)
         assert wal.repaired_tail == 1
         assert len(wal.recovered) == 3
         wal.close()
         # The repair truncated the junk: a fresh open is clean.
-        assert IngestWal(tmp_path, fsync=False).repaired_tail == 0
+        assert IngestWal(tmp_path, disk=DISK).repaired_tail == 0
 
     def test_mid_file_damage_halts(self, tmp_path):
         fill(tmp_path, 6, segment_records=100)
@@ -198,7 +225,7 @@ class TestIngestWal:
             read_wal(tmp_path)
 
     def test_truncate_covered_respects_watermarks(self, tmp_path):
-        wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
         for i in range(9):
             wal.append("s", i, {"kind": "checkpoint", "pid": 0})
         wal.sync()
@@ -217,7 +244,7 @@ class TestIngestWal:
         # reclaimed prefix lives on in the snapshots whose watermarks
         # justified the truncation).
         assert [r.seq for r in read_wal(tmp_path)] == [6, 7, 8]
-        wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
         assert [r.seq for r in wal.recovered] == [6, 7, 8]
         assert wal.repaired_tail == 0
         wal.append("s", 9, {"kind": "checkpoint", "pid": 0})
@@ -228,7 +255,7 @@ class TestIngestWal:
         assert records[-1].prev == records[-2].digest
 
     def test_truncate_stops_at_first_uncovered_segment(self, tmp_path):
-        wal = IngestWal(tmp_path, segment_records=2, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=2, disk=DISK)
         for i in range(4):
             wal.append("a" if i < 2 else "b", i % 2, {"kind": "checkpoint", "pid": 0})
         # Force the writer past both segments so neither is active.
@@ -255,7 +282,7 @@ class TestIngestWal:
         blob = tail.read_bytes()
         with open(tail, "r+b") as f:
             f.truncate(blob.index(b"\n") + 1)  # keep exactly the header
-        wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
         assert [r.seq for r in wal.recovered] == [0, 1, 2]
         for i in range(3, 6):
             wal.append("s", i, {"kind": "checkpoint", "pid": 0})
@@ -264,14 +291,14 @@ class TestIngestWal:
         assert [r.seq for r in read_wal(tmp_path)] == list(range(6))
         # Still exactly one header in the resumed segment.
         assert tail.read_bytes().count(b'"wal":1') == 1
-        assert IngestWal(tmp_path, segment_records=3, fsync=False).repaired_tail == 0
+        assert IngestWal(tmp_path, segment_records=3, disk=DISK).repaired_tail == 0
 
     def test_repaired_tail_resumes_appends(self, tmp_path):
         fill(tmp_path, 3, segment_records=100)
         path = next(tmp_path.glob("wal-*.log"))
         with open(path, "ab") as f:
             f.write(b'{"seq": 3, "ses')  # the crash mid-write
-        wal = IngestWal(tmp_path, segment_records=100, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=100, disk=DISK)
         assert wal.repaired_tail == 1
         wal.append("s", 3, {"kind": "checkpoint", "pid": 0})
         wal.sync()
@@ -286,7 +313,7 @@ class TestIngestWal:
 # ----------------------------------------------------------------------
 class TestReclamationAnchor:
     def _filled(self, tmp_path, count=12):
-        wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
         for i in range(count):
             wal.append("s", i, {"kind": "checkpoint", "pid": 0})
         wal.sync()
@@ -309,7 +336,7 @@ class TestReclamationAnchor:
         name = "wal-00000000000000000003.log"
         (tmp_path / name).write_bytes(saved[name])
         assert [r.seq for r in read_wal(tmp_path)] == list(range(3, 12))
-        wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
         assert [r.seq for r in wal.recovered] == list(range(3, 12))
         wal.close()
 
@@ -339,7 +366,7 @@ class TestReclamationAnchor:
     def test_repeated_reclamation_cycles(self, tmp_path):
         # Snapshot -> truncate -> crash -> reopen, several times over:
         # the anchor must track the frontier, not just the first cut.
-        wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+        wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
         seq = 0
         for cycle in range(3):
             for _ in range(6):
@@ -348,7 +375,7 @@ class TestReclamationAnchor:
             wal.sync()
             wal.truncate_covered({"s": seq - 4})
             wal.close()
-            wal = IngestWal(tmp_path, segment_records=3, fsync=False)
+            wal = IngestWal(tmp_path, segment_records=3, disk=DISK)
             assert wal.last_seq == seq - 1
             recovered = [r.seq for r in wal.recovered]
             assert recovered == list(range(recovered[0], seq))
@@ -361,7 +388,7 @@ class TestReclamationAnchor:
 class TestWalCommitter:
     def test_many_waiters_share_fsyncs(self, tmp_path):
         async def scenario():
-            wal = IngestWal(tmp_path, fsync=True)
+            wal = IngestWal(tmp_path, disk=DISK)
             committer = WalCommitter(wal, fsync_batch=64)
             records = [
                 wal.append("s", i, {"kind": "checkpoint", "pid": 0})
@@ -381,7 +408,7 @@ class TestWalCommitter:
 
     def test_small_batch_caps_records_per_fsync(self, tmp_path):
         async def scenario():
-            wal = IngestWal(tmp_path, fsync=False)
+            wal = IngestWal(tmp_path, disk=DISK)
             committer = WalCommitter(wal, fsync_batch=2)
             for i in range(6):
                 wal.append("s", i, {"kind": "checkpoint", "pid": 0})
@@ -393,7 +420,7 @@ class TestWalCommitter:
 
     def test_cancelled_waiter_neither_aborts_nor_stalls_the_fsync(self, tmp_path):
         async def scenario():
-            wal = IngestWal(tmp_path, fsync=True)
+            wal = IngestWal(tmp_path, disk=DISK)
             committer = WalCommitter(wal, fsync_batch=64)
             records = [
                 wal.append("s", i, {"kind": "checkpoint", "pid": 0})
@@ -434,7 +461,7 @@ class TestWalCommitter:
 
     def test_failing_sync_raises_in_every_waiter_of_its_batch(self, tmp_path):
         async def scenario():
-            wal = IngestWal(tmp_path, fsync=False)
+            wal = IngestWal(tmp_path, disk=DISK)
             committer = WalCommitter(wal, fsync_batch=64)
             first = wal.append("s", 0, {"kind": "checkpoint", "pid": 0})
             await committer.commit(first.seq)  # the sync thread is running
@@ -470,7 +497,7 @@ class TestWalCommitter:
         import os
 
         async def scenario():
-            wal = IngestWal(tmp_path, fsync=True)
+            wal = IngestWal(tmp_path, disk=DISK)
             committer = WalCommitter(wal, fsync_batch=64)
             first = wal.append("s", 0, {"kind": "checkpoint", "pid": 0})
             await committer.commit(first.seq)
@@ -537,7 +564,7 @@ class TestWalCommitter:
 
     def test_bad_batch_rejected(self, tmp_path):
         with pytest.raises(WalError, match="positive"):
-            WalCommitter(IngestWal(tmp_path, fsync=False), fsync_batch=0)
+            WalCommitter(IngestWal(tmp_path, disk=DISK), fsync_batch=0)
 
     def test_pipelined_served_ingest_shares_fsyncs(self, tmp_path):
         """Durability at a fraction of a disk barrier per frame: a

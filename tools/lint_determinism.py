@@ -30,13 +30,14 @@ which the rule deliberately leaves alone.
 
 The rule is lexical: it only sees blocking calls written inside
 ``async def`` bodies, not ones reached *through* sync helpers called
-from a coroutine.  One such case is accepted on purpose: the snapshot
-store's atomic write (``repro.serve.snapshots._write_atomic``) fsyncs
-synchronously on the loop via the sync ``_handle``/eviction path --
-snapshots are rare and their durability must complete before the
-eviction or ack proceeds; the trade-off is documented at the call
-site.  The per-frame WAL fsync, by contrast, must stay off the loop
-(the group committer hands it to the WAL's long-lived sync thread).
+from a coroutine.  One such case is accepted on purpose: the storage
+seam's atomic write (``repro.serve.disk.Disk.write_atomic``), through
+which a snapshot fsyncs synchronously on the loop via the sync
+``_handle``/eviction path -- snapshots are rare and their durability
+must complete before the eviction or ack proceeds; the trade-off is
+documented there.  The per-frame WAL fsync, by contrast, must stay off
+the loop (the group committer hands it to the WAL's long-lived sync
+thread).
 
 One escape hatch, and only one: a line ending in ``# lint:
 allow-wall-clock`` may call ``time.time``/``time.time_ns``.  It exists
