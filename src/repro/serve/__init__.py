@@ -28,11 +28,12 @@ Layers
 * :mod:`repro.serve.router` -- N shard processes supervised by one
   asyncio router (per-shard WAL/snapshots, respawn and parking,
   snapshot-verified rebalance); it publishes the table, clients route;
-* :mod:`repro.serve.clientcore` -- the sans-IO request core both
-  clients share (direct-to-shard routing, unwritten refusals, seeded
-  retry backoff, circuit breaking);
-* :mod:`repro.serve.client` -- the sync and async clients over it
-  (sockets, per-request deadlines, pipelining);
+* :mod:`repro.serve.clientcore` -- the client's sans-IO request core
+  (direct-to-shard routing, unwritten refusals, seeded retry backoff,
+  circuit breaking);
+* :mod:`repro.serve.client` -- the one client transport over it
+  (``AsyncClient``: sockets, per-request deadlines, pipelining) and
+  its blocking face (``Client``);
 * :mod:`repro.serve.loadgen` -- workload replay through N connections;
 * :mod:`repro.serve.chaosproxy` -- seeded wire-level fault injection
   (latency/jitter, throttling, fragmentation, resets, stalls,

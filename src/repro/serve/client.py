@@ -1,18 +1,15 @@
 """Client libraries for the checkpointing service.
 
-Two flavours over the same wire format:
+One transport and a blocking face over it, on one sans-IO
+:class:`~repro.serve.clientcore.RequestCore` that makes every decision
+that is not I/O:
 
-* :class:`Client` -- a plain blocking socket client, one in-flight
-  request at a time.  The right tool for scripts, the CLI ``repro
-  client`` verb and tests.
 * :class:`AsyncClient` -- an asyncio client with *pipelining*: requests
   are matched to replies by their ``seq`` field, so many can be in
   flight per connection.  This is what the load generator drives.
-
-Both are transports over one sans-IO
-:class:`~repro.serve.clientcore.RequestCore`, which makes every
-decision that is not I/O, so they connect the same way (dial, then
-``ping``), speak the same verbs and take the same knobs.
+* :class:`Client` -- an :class:`AsyncClient` run on a private event
+  loop in one daemon thread: one request, one reply, in order.  The
+  right tool for scripts, the CLI ``repro client`` verb and tests.
 
 Both raise :class:`ReplyError` when the server answers ``ok: false``
 (the reply's error code is on the exception, so callers can tell a
@@ -50,14 +47,13 @@ How :class:`AsyncClient` writes (Nagle-style coalescing, no knob):
 now"; it additionally waits for the transport to drain only when the
 transport is actually holding bytes the peer has not taken.
 
-**Deadlines.**  Every call on both clients is bounded -- the sync client by
-its socket timeout, the async client by a per-request ``timeout``
+**Deadlines.**  Every call is bounded by a per-request ``timeout``
 applied to every awaited reply (not just the dial).  A deadline miss
 raises the typed, retryable :class:`RequestTimeout` and *invalidates*
-the connection -- the request may be half-sent or its reply
-half-received, so the framing can no longer be trusted -- until the
-caller reconnects (``Client.reconnect()``, or a fresh
-``AsyncClient.connect()``).  The async deadline is O(1) per wait: a reply that
+the whole client, shard connections included -- the request may be
+half-sent or its reply half-received, so the framing can no longer be
+trusted -- until the caller reconnects (``reconnect()``, which redials
+in place).  The deadline is O(1) per wait: a reply that
 already arrived is returned without yielding or arming anything;
 otherwise one ``loop.call_later`` handle is armed for the wait and
 cancelled when the reply lands.  On expiry it fails the awaited future
@@ -68,9 +64,9 @@ too.
 from __future__ import annotations
 
 import asyncio
-import socket
-import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import threading
+import weakref
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.serve import wire
 from repro.serve.clientcore import (
@@ -171,210 +167,67 @@ class _Verbs:
         return self._ask("ping")
 
 
-def _dial(address: Address, timeout: Optional[float]) -> socket.socket:
-    try:
-        if address[0] != "unix":
-            return socket.create_connection(address[1:], timeout=timeout)
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(address[1])
-        return sock
-    except ConnectionError:
-        raise
-    except OSError as exc:
-        # FileNotFoundError on a missing unix socket, EHOSTUNREACH...
-        # -- normalise so callers handle exactly one exception type.
-        raise ConnectionError(f"cannot connect to {address!r}: {exc}") from exc
-
-
-#: A blocking connection: the socket and the replies it buffered.
-_Conn = Tuple[socket.socket, wire.FrameBuffer]
-
-
 class Client(_Verbs):
-    """Blocking client: one request, one reply, in order.
-
-    ``knobs`` are the :class:`~repro.serve.clientcore.RequestCore`
-    keyword arguments (retry budget, backoff, breaker, tracer,
-    metrics).  Against a router, session frames go to their owning
-    shard over one socket per shard.
+    """Blocking face over an :class:`AsyncClient` on a private event loop
+    in one daemon thread: each method runs the async client's coroutine
+    there and waits, so the face has no retry, refresh or routing rule of
+    its own.  ``timeout`` and ``knobs`` are :meth:`AsyncClient.connect`'s.
+    A failed connect stops the thread before it raises; after
+    :meth:`close` every call raises :class:`ConnectionError`.
     """
 
     def __init__(
         self, address: Union[str, Address], timeout: Optional[float] = 10.0, **knobs: Any
     ) -> None:
         self.address = parse_address(address)
-        self._timeout = timeout
-        self._core = RequestCore(**knobs)
-        #: Shard index -> connection, for each shard dialled so far.
-        self._shards: Dict[int, _Conn] = {}
-        self._connect()
-
-    def _connect(self) -> None:
-        """Dial the peer and make the handshake."""
-        self._entry: _Conn = (_dial(self.address, self._timeout), wire.FrameBuffer())
+        self._loop = loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=loop.run_forever, name="repro-client", daemon=True
+        )
+        #: Stops the loop once: on close, on a failed connect, or at GC.
+        self._halt = weakref.finalize(self, loop.call_soon_threadsafe, loop.stop)
+        self._thread.start()
         try:
-            self._refresh(HANDSHAKE)
-        except (RequestTimeout, ConnectionError) as exc:
-            raise ConnectionError(f"no ping answer from {self.address!r}: {exc}") from exc
-        self._core.invalid = None
+            self._client = self._run(AsyncClient.connect(self.address, timeout, **knobs))
+        except BaseException:
+            self._stop()
+            raise
 
-    def _refresh(self, ping: Mapping[str, object]) -> None:
-        """Ping the dialled peer; route by the table a router answers
-        with, dialling the shards the core asks for."""
-        pong = self._exchange(None, ping)
-        for shard, address in self._core.adopt(pong, self._shards):
-            try:
-                sock = _dial(parse_address(address), self._timeout)
-            except ConnectionError:
-                continue  # its frames are refused unwritten until a refresh
-            self._shards[shard] = (sock, wire.FrameBuffer())
+    def _run(self, coro: Any) -> Any:
+        if not self._halt.alive:
+            coro.close()
+            raise ConnectionError(f"{self!r} is closed")
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    # ------------------------------------------------------------------
-    # recovery-aware reconnect
-    # ------------------------------------------------------------------
-    def reconnect(self, retries: int = 20, delay: float = 0.25) -> None:
-        """Redial a server that went away (e.g. is restarting).
-
-        Retries the dial up to ``retries`` times, ``delay`` seconds
-        apart, because a crashed server replays its WAL *before*
-        binding -- the socket appears only once recovery is complete.
-        Raises the final :class:`ConnectionError` when it never comes
-        back.  Any reply buffered from the old connection is dropped,
-        and so are the shard sockets; the table is re-learnt from the
-        handshake.  Until a dial succeeds, every call refuses at once.
-        """
-        self._close_sockets("reconnect() failed")
-        for _ in range(retries - 1):
-            try:
-                return self._connect()
-            except ConnectionError:
-                time.sleep(delay)
-        self._connect()
-
-    def resume(self, session: str) -> Dict[str, object]:
-        """Reconnect (if needed) and re-greet ``session``.
-
-        Returns the hello reply; against a WAL-backed server it carries
-        ``events`` (ingested frames recovered), ``wal_seq`` (the
-        durable sequence the server's record reaches -- every frame the
-        client saw acked is at or below it) and ``recovered`` (whether
-        the session was rebuilt from the WAL after a crash), so a
-        client knows exactly where to pick up.
-        """
-        try:
-            return self.hello(session)
-        except (ConnectionError, OSError):
-            self.reconnect()
-            return self.hello(session)
-
-    # ------------------------------------------------------------------
-    def call(self, doc: Dict[str, object]) -> Dict[str, object]:
-        """Send one frame, wait for the matching reply (raw, may be
-        ok=false); never resent.
-
-        A session frame goes to its owner by the table, or is refused
-        unwritten when the owner has no connection even after a re-ping;
-        a ``moved`` reply re-pings the peer before it is returned.  A
-        transport failure drops the connection it happened on; the
-        dialled peer's stays invalidated until :meth:`reconnect`.
-        """
-        core = self._core
-        if core.invalid is not None:
-            raise core.invalidated()
-        shard = core.owner(doc.get("kind"), doc.get("session"))
-        if shard is not None and shard not in self._shards:
-            # No connection to the owner: the table may be stale, and a
-            # blocking client can re-ping (dialling it if up) first.
-            self._refresh(core.frame("ping"))
-            if shard not in self._shards:
-                return core.unreachable(doc.get("seq"), shard)
-        reply = self._exchange(shard, doc)
-        if core.stale(reply):
-            self._refresh(core.frame("ping"))
-        return reply
-
-    def _exchange(
-        self, shard: Optional[int], doc: Mapping[str, object]
-    ) -> Dict[str, object]:
-        """One frame out to ``shard`` (None: the dialled peer), its reply
-        back; any transport failure drops the connection it happened on."""
-        try:
-            data = wire.encode_frame(doc)
-        except wire.FrameError as exc:
-            raise FrameTooLarge(exc) from None
-        sock, buffer = self._entry if shard is None else self._shards[shard]
-        try:
-            sock.sendall(data)
-            while True:
-                reply = wire.recv_frame(sock, buffer)
-                if reply is None:
-                    raise ConnectionError("server closed the connection")
-                if reply.get("seq") == doc["seq"]:
-                    return reply
-        except socket.timeout as exc:
-            raise RequestTimeout(
-                self._drop(shard, f"no reply within {self._timeout}s")
-            ) from exc
-        except wire.FrameError as exc:
-            # A truncated or garbled frame (peer died mid-write, hostile
-            # middlebox): the stream is untrustworthy from here on.
-            # Normalised to ConnectionError so callers handle exactly
-            # one retry-after-reconnect exception family.
-            raise ConnectionError(
-                self._drop(shard, f"broken framing from peer ({exc})")
-            ) from exc
-        except ConnectionError as exc:
-            raise ConnectionError(self._drop(shard, str(exc) or repr(exc))) from exc
-
-    def _drop(self, shard: Optional[int], cause: str) -> str:
-        """Close the connection ``cause`` broke; the error's text."""
-        if shard is not None:
-            self._shards.pop(shard)[0].close()
-            return f"{cause}; shard {shard} connection dropped"
-        self._close_sockets(cause)
-        return f"{cause}; connection invalidated, reconnect() first"
-
-    def _close_sockets(self, cause: str) -> None:
-        """Close every connection; calls refuse until a reconnect."""
-        self._core.invalidate(cause)
-        for sock, _ in [self._entry, *self._shards.values()]:
-            sock.close()
-        self._shards.clear()
+    def _stop(self) -> None:
+        self._halt()
+        self._thread.join()
+        self._loop.close()
 
     def request(self, kind: str, **fields: object) -> Dict[str, object]:
-        """Send one request and return its ok reply; raise the rest.
+        """:meth:`AsyncClient.call`: the ok reply, with retry and breaker."""
+        return self._run(self._client.call(kind, **fields))
 
-        Refusals of frames that never reached the owner are resent
-        within the retry budget, after the pause ``RequestCore.settle``
-        picks; the circuit breaker sees every transport-level failure.
-        """
-        core = self._core
-        core.admit(time.monotonic())
-        attempt = 0
-        while True:
-            try:
-                reply = self.call(core.frame(kind, **fields))
-            except (RequestTimeout, ConnectionError):
-                core.failed(time.monotonic())
-                raise
-            delay = core.settle(kind, reply, attempt, time.monotonic())
-            if delay is None:
-                return reply
-            attempt += 1
-            time.sleep(delay)
+    def call(self, doc: Dict[str, object]) -> Dict[str, object]:
+        """:meth:`AsyncClient.exchange`: ``doc``'s raw reply, never resent."""
+        return self._run(self._client.exchange(doc))
 
-    def bye(self) -> None:
-        try:
-            self.call(self._core.frame("bye"))
-        except (ReproError, ConnectionError, OSError):
-            pass
+    def reconnect(self, retries: int = 20, delay: float = 0.25) -> None:
+        """Redial in place; see :meth:`AsyncClient.reconnect`."""
+        self._run(self._client.reconnect(retries, delay))
+
+    def resume(self, session: str) -> Dict[str, object]:
+        """Redial if needed and re-greet; see :meth:`AsyncClient.resume`."""
+        return self._run(self._client.resume(session))
 
     def close(self) -> None:
-        try:
-            self.bye()
-        finally:
-            self._close_sockets("close()")
+        """Say ``bye``, close every connection and stop the thread; a
+        second call does nothing."""
+        if self._halt.alive:
+            try:
+                self._run(self._client.close())
+            finally:
+                self._stop()
 
     def __enter__(self) -> "Client":
         return self
@@ -453,8 +306,8 @@ class AsyncClient(_Verbs):
     async def connect(
         cls, address: Union[str, Address], timeout: Optional[float] = 10.0, **knobs: Any
     ) -> "AsyncClient":
-        """Dial ``address`` and make the handshake; ``knobs`` as
-        :class:`Client` takes them."""
+        """Dial ``address`` and make the handshake; ``knobs`` are the
+        :class:`RequestCore` fields (retries, backoff, breaker, tracer)."""
         client = cls(parse_address(address), timeout, RequestCore(**knobs))
         await client._connect()
         return client
@@ -465,15 +318,15 @@ class AsyncClient(_Verbs):
     async def _connect(self) -> None:
         """Dial the peer and make the handshake; adopt a router's table."""
         self._entry = link = self._start(*await _open_streams(self.address, self._timeout))
-        self._core.invalid = None
         link.pending[0] = handshake = self._loop.create_future()
         link.writer.write(wire.encode_frame(HANDSHAKE))  # not a counted frame
         try:
             pong = await self.reply(handshake)
         except (RequestTimeout, ConnectionError) as exc:
-            link.writer.close()
+            await self._close_links("no ping answer")
             raise ConnectionError(f"no ping answer from {self.address!r}: {exc}") from exc
         await self._adopt(pong)
+        self._core.invalid = None  # not before: a silent peer would swallow frames
 
     def _start(self, reader: asyncio.StreamReader, writer) -> _Link:
         link = _Link(writer)
@@ -543,8 +396,8 @@ class AsyncClient(_Verbs):
                         if stale(reply):
                             self._schedule_refresh()
         except wire.FrameError as exc:
-            # Normalised like the sync client: callers handle exactly
-            # one retry-after-reconnect exception family.
+            # Normalised so callers handle exactly one
+            # retry-after-reconnect exception family.
             error = ConnectionError(f"broken framing from peer ({exc})")
         except (ConnectionError, OSError) as exc:
             error = exc
@@ -580,16 +433,18 @@ class AsyncClient(_Verbs):
         one transport write for the burst -- otherwise.  It is never
         resent.
         """
+        return self._submit(self._core.frame(kind, **fields))
+
+    def _submit(self, doc: Dict[str, object]) -> "asyncio.Future":
         future: asyncio.Future = self._loop.create_future()
         core = self._core
         if core.invalid is not None:
             future.set_exception(core.invalidated())
             future.exception()  # consumed here; awaiting still raises
             return future
-        doc = core.frame(kind, **fields)
         link = self._entry
         if core.table is not None:  # routed; a server's peer skips this
-            shard = core.owner(kind, fields.get("session"))
+            shard = core.owner(doc.get("kind"), doc.get("session"))
             if shard is not None:
                 link = self._shards.get(shard)  # type: ignore[assignment]
                 if link is None or link.closed:  # refused unwritten; re-ping
@@ -702,7 +557,7 @@ class AsyncClient(_Verbs):
             return
         cause = f"{what} within {self._timeout}s"
         future.set_exception(RequestTimeout(
-            f"{cause}; connection invalidated, reconnect via AsyncClient.connect()"
+            f"{cause}; connection invalidated, reconnect() first"
         ))
         self._core.invalidate(cause)
         if self._refreshing is not None:
@@ -715,26 +570,32 @@ class AsyncClient(_Verbs):
             # is woken only by the connection actually going away.
             link.writer.transport.abort()
 
+    async def exchange(self, doc: Dict[str, object]) -> Dict[str, object]:
+        """Send the caller-built frame ``doc``; return its raw reply, never
+        resent.  Waits out the refresh in flight before it sends, and the
+        one a stale reply triggered before it returns."""
+        await self._refreshed()
+        future = self._submit(doc)
+        await self.flush()
+        reply = await self.reply(future)
+        if self._core.stale(reply):
+            await self._refreshed()
+        return reply
+
     async def call(self, kind: str, **fields: object) -> Dict[str, object]:
-        """Send one request and return its ok reply, with
-        :meth:`Client.request`'s retry, backoff and breaker.  Like the
-        sync client it routes by the freshest table: it waits out a
-        refresh in flight before it sends, and the one a refusal asked
-        for before that refusal is resent or raised."""
+        """Send one request and return its ok reply; raise the rest.
+        Refusals of frames that never reached the owner are resent within
+        the retry budget, after the pause ``RequestCore.settle`` picks;
+        the circuit breaker sees every transport-level failure."""
         core, loop = self._core, self._loop
         core.admit(loop.time())
-        await self._refreshed()
         attempt = 0
         while True:
-            future = self.submit(kind, **fields)
             try:
-                await self.flush()
-                reply = await self.reply(future)
+                reply = await self.exchange(core.frame(kind, **fields))
             except (RequestTimeout, ConnectionError):
                 core.failed(loop.time())
                 raise
-            if core.stale(reply):
-                await self._refreshed()
             delay = core.settle(kind, reply, attempt, loop.time())
             if delay is None:
                 return reply
@@ -745,33 +606,64 @@ class AsyncClient(_Verbs):
         reply = await self.call(kind, **fields)
         return reply if key is None else reply[key]
 
-    async def resume(self, session: str) -> Dict[str, object]:
-        """Re-greet ``session``; see :meth:`Client.resume`.
+    async def reconnect(self, retries: int = 20, delay: float = 0.25) -> None:
+        """Redial a server that went away (e.g. is restarting).
 
-        The async client cannot redial in place (its reader tasks own
-        the old transports) -- reconnect by creating a fresh client via
-        :meth:`connect`, then ``resume`` to learn the recovered state.
+        Retries the dial up to ``retries`` times, ``delay`` seconds
+        apart, because a crashed server replays its WAL *before*
+        binding -- the socket appears only once recovery is complete.
+        Raises the final :class:`ConnectionError` when it never comes
+        back.  Every old connection, shards' included, is closed first;
+        the table is re-learnt from the handshake, and until one is
+        answered every call refuses at once.
         """
-        return await self.hello(session)
+        await self._close_links("reconnect() failed")
+        for _ in range(retries - 1):
+            try:
+                return await self._connect()
+            except ConnectionError:
+                await asyncio.sleep(delay)
+        await self._connect()
 
-    async def _close_links(self) -> None:
-        self._core.invalidate("close()")
+    async def resume(self, session: str) -> Dict[str, object]:
+        """Reconnect (if needed) and re-greet ``session``.
+
+        Returns the hello reply; against a WAL-backed server it carries
+        ``events`` (ingested frames recovered), ``wal_seq`` (the
+        durable sequence the server's record reaches -- every frame the
+        client saw acked is at or below it) and ``recovered`` (whether
+        the session was rebuilt from the WAL after a crash), so a
+        client knows exactly where to pick up.
+        """
+        try:
+            return await self.hello(session)
+        except OSError:  # ConnectionError, or a socket error under it
+            await self.reconnect()
+            return await self.hello(session)
+
+    async def _close_links(self, cause: str) -> None:
+        """Close every connection; calls refuse until a reconnect."""
+        self._core.invalidate(cause)
+        links = self._links()
+        tasks = [link.reader_task for link in links]
         if self._refreshing is not None:
-            self._refreshing.cancel()
-        for link in self._links():
-            link.reader_task.cancel()  # type: ignore[union-attr]
+            tasks.append(self._refreshing)
+        for task in tasks:
+            task.cancel()  # type: ignore[union-attr]
+        for link in links:
             link.writer.close()
         await asyncio.gather(
-            *(link.writer.wait_closed() for link in self._links()),
+            *tasks, *(link.writer.wait_closed() for link in links),
             return_exceptions=True,
         )
+        self._shards.clear()
 
     async def close(self) -> None:
         try:
             await self.call("bye")
         except (ReproError, ConnectionError, OSError):
             pass
-        await self._close_links()
+        await self._close_links("close()")
 
     async def __aenter__(self) -> "AsyncClient":
         return self

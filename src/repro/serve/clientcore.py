@@ -1,19 +1,19 @@
-"""The request core both clients share: every client decision that is not I/O.
+"""The client's request core: every client decision that is not I/O.
 
-:class:`~repro.serve.client.Client` (blocking sockets) and
-:class:`~repro.serve.client.AsyncClient` (asyncio) are transports over
-one :class:`RequestCore`.  It allocates seqs and builds frames; adopts
+:class:`~repro.serve.client.AsyncClient` is the one transport over a
+:class:`RequestCore` (:class:`~repro.serve.client.Client` is a blocking
+face over it).  The core allocates seqs and builds frames; adopts
 the routing table from a ``ping`` reply (the :data:`HANDSHAKE` and every
 refresh) and names each session frame's owner; refuses unwritten a
 frame whose owner has no connection -- only ``up`` shards are dialled
 -- with ``shard_down``, or ``shard_degraded`` once the router parked the
 shard; says when a reply means the table may be stale (re-ping the
-router); refuses every frame once a
-connection's framing is untrusted, until the transport reconnects; and
-runs the retry budget, seeded jittered backoff and half-open circuit
-breaker of the retrying calls (``Client.request``, ``AsyncClient.call``).
+router); refuses every frame once a connection's framing is untrusted,
+until the transport reconnects; and runs the retry budget, seeded
+jittered backoff and half-open circuit breaker of the retrying call
+(``AsyncClient.call``, which ``Client.request`` runs).
 
-It owns no socket and reads no clock -- transports pass clock readings
+It owns no socket and reads no clock -- the transport passes clock readings
 in -- so tests drive it with a fake clock, and ``tools/lint_imports.py``
 fails if it imports ``socket``, ``asyncio``, ``select`` or ``time``.
 """
@@ -41,12 +41,12 @@ class ReplyError(ReproError):
 class RequestTimeout(ReproError):
     """The server did not answer within the client's deadline.
 
-    Retryable -- but only over a new connection (``Client.reconnect()``
-    or ``Client.resume()``; a fresh ``AsyncClient.connect()``): the
-    request may be half-sent or its reply half-received, so the
-    connection's framing can no longer be trusted.  The client
-    invalidates the connection when raising this; calling again without
-    reconnecting raises :class:`ConnectionError`.
+    Retryable -- but only over a new connection (``reconnect()`` or
+    ``resume()``): the request may be half-sent or its reply
+    half-received, so the connection's framing can no longer be
+    trusted.  The client invalidates every connection when raising
+    this; calling again without reconnecting raises
+    :class:`ConnectionError`.
     """
 
 
@@ -80,8 +80,8 @@ class FrameTooLarge(ReproError):
 #: ``overloaded`` (shedding means *back off*, a policy the caller owns).
 RETRYABLE_CODES = frozenset({"shard_down", "moved"})
 
-#: The one connect handshake: both clients ping the peer (seq 0) before
-#: their first frame; a router answers with the table to route by.
+#: The one connect handshake: the client pings the peer (seq 0) before
+#: its first frame; a router answers with the table to route by.
 HANDSHAKE: Mapping[str, object] = {"kind": "ping", "seq": 0}
 
 
@@ -89,7 +89,7 @@ HANDSHAKE: Mapping[str, object] = {"kind": "ping", "seq": 0}
 class RequestCore:
     """One client's request state and resilience policy.
 
-    The fields are the knobs both clients accept by name:
+    The fields are the knobs both client faces accept by name:
 
     * ``retries`` -- resends of a refused-unwritten frame (a code in
       :data:`RETRYABLE_CODES`) before its refusal is raised;

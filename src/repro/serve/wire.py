@@ -18,10 +18,9 @@ would encode past :data:`MAX_FRAME` is answered ``reply_too_large``
 (:func:`encode_reply`), never dropped.
 
 The codec is sans-IO at its core (:class:`RawFrameBuffer` splits byte
-chunks into frames, :class:`FrameBuffer` decodes them) with thin
-adapters for asyncio streams (:func:`read_frame`) and blocking sockets
-(:func:`recv_frame` / :func:`send_frame`); clients, servers and the
-router share it, so none can drift from the others.
+chunks into frames, :class:`FrameBuffer` decodes them) with a thin
+adapter for asyncio streams (:func:`read_frame`); clients, servers and
+the router share it, so none can drift from the others.
 """
 
 from __future__ import annotations
@@ -194,27 +193,6 @@ async def read_frame(reader) -> Optional[Dict[str, object]]:
     except asyncio.IncompleteReadError:
         raise FrameError("connection closed inside a frame payload") from None
     return decode_frame(payload)
-
-
-# ----------------------------------------------------------------------
-# blocking socket adapters (the sync client)
-# ----------------------------------------------------------------------
-def send_frame(sock, doc: object) -> None:
-    sock.sendall(encode_frame(doc))
-
-
-def recv_frame(sock, buffer: FrameBuffer) -> Optional[Dict[str, object]]:
-    """Read one frame from a blocking socket via ``buffer``; None at EOF."""
-    while True:
-        doc = buffer.next_doc()
-        if doc is not None:
-            return doc
-        data = sock.recv(65536)
-        if not data:
-            if buffer.pending():
-                raise FrameError("connection closed inside a frame")
-            return None
-        buffer.feed(data)
 
 
 def error_reply(seq: object, code: str, detail: str) -> Dict[str, object]:

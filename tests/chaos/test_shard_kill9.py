@@ -4,11 +4,12 @@ The sharded promise is the single-process durability contract *scoped
 to a key range*.  With clients dialling each session's shard directly,
 SIGKILL-ing one shard process mid-commit must
 
-* degrade only the sessions that shard owns: the frame in flight on
-  the dead connection raises ``ConnectionError`` (its fate is unknown:
-  the shard may have made it durable before dying), every later frame
-  for the victim is refused unwritten with ``shard_down`` until the
-  supervisor's respawn, and every other session keeps acking at 100%;
+* degrade only the sessions that shard owns: a frame in flight on the
+  dead connection raises ``ConnectionError`` (its fate is unknown: the
+  shard may have made it durable before dying), every frame for the
+  victim after the client saw its connection die is refused unwritten
+  with ``shard_down`` until the supervisor's respawn, and every other
+  session keeps acking at 100%;
 * lose no acked frame of the victim -- after the respawn and WAL
   replay, the session's recovered log is an exact prefix of what the
   driver sent, at least as long as the acked count; and
@@ -124,10 +125,12 @@ def test_shard_kill9_degrades_only_its_key_range(tmp_path, seed):
         )
         kill_thread.start()
 
-        # Stream until the victim's connection dies under a frame.  Its
-        # fate is unknown, so it stays in ``sent`` without an ack; a
-        # healthy session losing its connection would mean the blast
-        # radius escaped the victim's key range.
+        # Stream until the kill surfaces on a victim frame: one in flight
+        # on the dying connection has an unknown fate, so it stays in
+        # ``sent`` without an ack; one sent after the client saw the
+        # connection die was refused unwritten, so it leaves ``sent``.  A
+        # healthy session failing would mean the blast radius escaped the
+        # victim's key range.
         order = sorted(loads)
         deadline = time.monotonic() + 30.0
         op_i = 0
@@ -139,6 +142,11 @@ def test_shard_kill9_degrades_only_its_key_range(tmp_path, seed):
                 _drive_one(client, rng, sid, loads[sid])
             except ConnectionError:
                 assert sid == victim_sid, f"healthy session {sid} lost its shard"
+                break
+            except ReplyError as exc:
+                assert sid == victim_sid, f"healthy session {sid} was refused"
+                assert exc.code == "shard_down"
+                loads[sid]["sent"].pop()
                 break
         kill_thread.join(timeout=5.0)
 

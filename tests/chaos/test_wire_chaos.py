@@ -444,12 +444,16 @@ def test_crash_looping_shard_is_parked_not_respawned_forever(tmp_path):
         assert kills > config.flap_max_restarts
 
         # Terminal and honest: the victim's connection died with its
-        # first process (fate unknown), and then the parked key range
+        # first process while no frame was on it, and the client's
+        # reader saw it go, so the first frame is refused unwritten by
+        # the table the client held then; the re-ping that refusal
+        # triggers learns the park, and from then on the key range
         # answers a typed, non-retryable error immediately -- no hang,
         # no silent retry.
         started = time.monotonic()
-        with pytest.raises(ConnectionError):
+        with pytest.raises(ReplyError) as first:
             client.checkpoint(victim_sid, pid=0)
+        assert first.value.code in ("shard_down", "shard_degraded")
         with pytest.raises(ReplyError) as err:
             client.checkpoint(victim_sid, pid=0)
         assert err.value.code == "shard_degraded"

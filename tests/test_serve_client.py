@@ -1,11 +1,15 @@
 """Client-side plumbing: address parsing, error mapping, dead sockets."""
 
+import ast
 import asyncio
+import contextlib
+import gc
 import os
 import socket
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,24 @@ class _ScriptedServer:
         self.close()
 
 
+def send_frame(sock, doc):
+    sock.sendall(wire.encode_frame(doc))
+
+
+def recv_frame(sock, buffer):
+    """Read one frame from a blocking socket via ``buffer``; None at EOF."""
+    while True:
+        doc = buffer.next_doc()
+        if doc is not None:
+            return doc
+        data = sock.recv(65536)
+        if not data:
+            if buffer.pending():
+                raise wire.FrameError("connection closed inside a frame")
+            return None
+        buffer.feed(data)
+
+
 def _answer_handshake(conn):
     """``AsyncClient.connect`` opens with ``ping`` (seq 0): answer it as
     a plain server does, so each handler scripts only what follows.  Any
@@ -173,17 +195,17 @@ def _answer_handshake(conn):
         return
     if doc.get("kind") == "ping" and doc.get("seq") == 0:
         conn.recv(size, socket.MSG_WAITALL)
-        wire.send_frame(conn, {"ok": True, "seq": 0, "pong": True, "role": "server"})
+        send_frame(conn, {"ok": True, "seq": 0, "pong": True, "role": "server"})
 
 
 def _serve_ok(conn):
     """Speak the real protocol: every request gets ``{"ok": true}``."""
     buffer = wire.FrameBuffer()
     while True:
-        doc = wire.recv_frame(conn, buffer)
+        doc = recv_frame(conn, buffer)
         if doc is None:
             return
-        wire.send_frame(conn, {"ok": True, "seq": doc["seq"], "echo": doc["kind"]})
+        send_frame(conn, {"ok": True, "seq": doc["seq"], "echo": doc["kind"]})
 
 
 class _Blocking:
@@ -206,8 +228,13 @@ class _Blocking:
         return result if self._loop is None else self._loop.run_until_complete(result)
 
     @property
+    def transport(self):
+        """The :class:`AsyncClient` doing the I/O (the face's own, for sync)."""
+        return self.client if self._loop is not None else self.client._client
+
+    @property
     def core(self):
-        return self.client._core
+        return self.transport._core
 
     def request(self, kind, **fields):
         call = self.client.request if self._loop is None else self.client.call
@@ -222,29 +249,15 @@ class _Blocking:
         method = getattr(self.client, name)
         return lambda *args, **kwargs: self._run(method(*args, **kwargs))
 
-    def reconnect(self, retries, delay):
-        """:meth:`Client.reconnect`.  An async client cannot redial in
-        place, so a fresh one is connected over the same core (its seqs
-        and breaker); if that fails, the closed one stays."""
-        if self._loop is None:
-            return self.client.reconnect(retries=retries, delay=delay)
-        old = self.client
-        self._run(old._close_links())
-
-        async def redial():
-            fresh = AsyncClient(old.address, old._timeout, old._core)
-            await fresh._connect()
-            return fresh
-
-        self.client = self._run(redial())
-
     def shutdown(self):
-        """Drop the sockets without a ``bye`` (a scripted peer may be
+        """Drop the connections without a ``bye`` (a scripted peer may be
         stalled or gone) and release the loop."""
         if self._loop is None:
-            self.client._close_sockets("close()")
+            with contextlib.suppress(ConnectionError):  # the test closed it
+                self.client._run(self.transport._close_links("close()"))
+            self.client.close()  # its bye is refused at once
             return
-        self._run(self.client._close_links())
+        self._run(self.client._close_links("close()"))
         self._loop.close()
 
 
@@ -274,7 +287,7 @@ class TestTimeoutInvalidation:
         def handler(index, conn):
             if index == 0:
                 buffer = wire.FrameBuffer()
-                wire.recv_frame(conn, buffer)
+                recv_frame(conn, buffer)
                 # Half a reply: a 64-byte frame's prefix plus 10 bytes,
                 # then silence -- exactly the desync the old client
                 # kept in self._buffer.
@@ -316,6 +329,33 @@ class TestTimeoutInvalidation:
             client.request("query")
         assert time.monotonic() - started < 1.0
 
+    def test_reconnect_to_a_silent_peer_refuses_at_once(self, tmp_path, connect):
+        """The redial reaches a peer that accepts and never answers the
+        handshake.  Calls stay refused while the pong is awaited (a frame
+        written then would go down a link that never answers), and once
+        the handshake times out the next call is a prompt refusal."""
+        path = tmp_path / "silent.sock"
+        server = _ScriptedServer(path, lambda index, conn: _serve_ok(conn))
+        client = connect(f"unix:{path}", timeout=0.3)
+        server.close()
+        os.unlink(path)
+        during, release = [], threading.Event()
+
+        def silent(index, conn):
+            recv_frame(conn, wire.FrameBuffer())  # the handshake ping
+            during.append(client.core.invalid)  # read while it is awaited
+            release.wait(timeout=10.0)
+
+        with _ScriptedServer(path, silent, handshake=False):
+            with pytest.raises(ConnectionError, match="no ping answer"):
+                client.reconnect(retries=1, delay=0.01)
+            started = time.monotonic()
+            with pytest.raises(ConnectionError, match="invalidated"):
+                client.raw("query")
+            assert time.monotonic() - started < 1.0
+            release.set()
+        assert len(during) == 1 and during[0] is not None
+
     def test_timeout_is_a_repro_error(self):
         assert issubclass(RequestTimeout, ReproError)
 
@@ -337,19 +377,19 @@ class TestShardDownRetry:
         def handler(index, conn):
             buffer = wire.FrameBuffer()
             while True:
-                doc = wire.recv_frame(conn, buffer)
+                doc = recv_frame(conn, buffer)
                 if doc is None:
                     return
                 seen.append(doc["kind"])
                 if len(seen) <= down_for:
-                    wire.send_frame(
+                    send_frame(
                         conn,
                         wire.error_reply(
                             doc["seq"], "shard_down", "shard 1 restarting"
                         ),
                     )
                 else:
-                    wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+                    send_frame(conn, {"ok": True, "seq": doc["seq"]})
 
         path = tmp_path / "down.sock"
         with _ScriptedServer(path, handler):
@@ -361,10 +401,10 @@ class TestShardDownRetry:
         def handler(index, conn):
             buffer = wire.FrameBuffer()
             while True:
-                doc = wire.recv_frame(conn, buffer)
+                doc = recv_frame(conn, buffer)
                 if doc is None:
                     return
-                wire.send_frame(
+                send_frame(
                     conn, wire.error_reply(doc["seq"], "shard_down", "dead")
                 )
 
@@ -380,11 +420,11 @@ class TestShardDownRetry:
         def handler(index, conn):
             buffer = wire.FrameBuffer()
             while True:
-                doc = wire.recv_frame(conn, buffer)
+                doc = recv_frame(conn, buffer)
                 if doc is None:
                     return
                 calls.append(doc)
-                wire.send_frame(
+                send_frame(
                     conn, wire.error_reply(doc["seq"], "bad_request", "nope")
                 )
 
@@ -411,7 +451,7 @@ def _router_handler(shard_address, state, pings, frames=None):
     def handler(index, conn):
         buffer = wire.FrameBuffer()
         while True:
-            doc = wire.recv_frame(conn, buffer)
+            doc = recv_frame(conn, buffer)
             if doc is None:
                 return
             if frames is not None:
@@ -426,7 +466,7 @@ def _router_handler(shard_address, state, pings, frames=None):
                 reply = wire.error_reply(doc["seq"], "moved", "dial the owner")
             else:
                 reply = {"ok": True, "seq": doc["seq"]}
-            wire.send_frame(conn, reply)
+            send_frame(conn, reply)
 
     return handler
 
@@ -439,7 +479,7 @@ class TestOnlyUnwrittenFramesAreRetried:
         copies = []
 
         def shard(index, conn):
-            doc = wire.recv_frame(conn, wire.FrameBuffer())
+            doc = recv_frame(conn, wire.FrameBuffer())
             if doc is not None:
                 copies.append(doc)
             conn.close()  # accepted, maybe applied, never answered
@@ -509,7 +549,7 @@ class TestOnlyUnwrittenFramesAreRetried:
         with _ScriptedServer(router_path, handler, handshake=False):
             client = connect(f"unix:{router_path}", timeout=2.0)
             assert client.core.table is not None
-            assert client.client._shards == {}
+            assert client.transport._shards == {}
             if isinstance(client.client, AsyncClient):
                 frames_sent = client.client.frames_sent
                 future = client.client.submit("checkpoint", session="s", pid=0)
@@ -534,7 +574,7 @@ class TestOnlyUnwrittenFramesAreRetried:
         parked = threading.Event()
 
         def shard(index, conn):
-            wire.recv_frame(conn, wire.FrameBuffer())
+            recv_frame(conn, wire.FrameBuffer())
             parked.set()  # the supervisor gave up on it ...
             conn.close()  # ... and the frame in flight has an unknown fate
 
@@ -587,9 +627,9 @@ class TestOversizedRequest:
 
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            while (doc := wire.recv_frame(conn, buffer)) is not None:
+            while (doc := recv_frame(conn, buffer)) is not None:
                 seen.append(doc["kind"])
-                wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+                send_frame(conn, {"ok": True, "seq": doc["seq"]})
 
         path = tmp_path / "big.sock"
         with _ScriptedServer(path, handler):
@@ -642,10 +682,11 @@ class TestOversizedReplyAsync(TestOversizedReply):
 
 
 class TestResumeAcrossRestart:
-    """``Client.resume`` against a WAL-backed server restarting
-    mid-conversation: the re-greet lands on the recovered session."""
+    """``resume`` against a WAL-backed server restarting
+    mid-conversation: the re-greet redials in place and lands on the
+    recovered session."""
 
-    def test_resume_reports_recovered_state(self, tmp_path):
+    def test_resume_reports_recovered_state(self, tmp_path, connect):
         from repro.serve.server import ServerConfig, serve_in_thread
 
         config = ServerConfig(
@@ -653,7 +694,7 @@ class TestResumeAcrossRestart:
             wal_dir=str(tmp_path / "wal"),
         )
         with serve_in_thread(config) as handle:
-            client = Client(handle.connect_address())
+            client = connect(handle.connect_address())
             client.hello("s", n=3)
             client.checkpoint("s", pid=0)
             client.send("s", src=0, dst=1)
@@ -668,6 +709,131 @@ class TestResumeAcrossRestart:
             status = client.query("s", "rdt_status")
             assert status["events"] == 2
             client.close()
+
+
+class TestResumeAcrossRestartAsync(TestResumeAcrossRestart):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
+
+
+class TestShardDeadline:
+    """One deadline rule: a miss on a shard connection invalidates the
+    whole client, the router's connection too, because the client cannot
+    tell a slow shard from a torn frame; ``reconnect()`` makes it whole."""
+
+    def test_a_shard_deadline_invalidates_the_client(self, tmp_path, connect):
+        release = threading.Event()
+
+        def shard(index, conn):
+            if index == 0:
+                recv_frame(conn, wire.FrameBuffer())
+                release.wait(timeout=10.0)  # never answered in time
+            else:
+                _serve_ok(conn)
+
+        shard_path = tmp_path / "shard.sock"
+        router_path = tmp_path / "router.sock"
+        with _ScriptedServer(shard_path, shard), _ScriptedServer(
+            router_path, _router_handler(f"unix:{shard_path}", "up", []),
+            handshake=False,
+        ):
+            client = connect(f"unix:{router_path}", timeout=0.3, retries=0)
+            with pytest.raises(RequestTimeout, match="reconnect"):
+                client.checkpoint("s", pid=0)
+            with pytest.raises(ConnectionError, match="invalidated"):
+                client.ping()  # the router's connection went with it
+            release.set()
+            client.reconnect(retries=3, delay=0.05)
+            assert client.checkpoint("s", pid=0)["echo"] == "checkpoint"
+            assert client.ping()["role"] == "router"
+
+
+class TestShardDeadlineAsync(TestShardDeadline):
+    """The same tests against :class:`AsyncClient`."""
+
+    flavour = "async"
+
+
+class TestClientFace:
+    """The blocking face's lifecycle: its loop thread never outlives it."""
+
+    def test_failed_connects_leave_no_thread_behind(self):
+        gc.collect()  # let unclosed faces of earlier tests stop first
+        before = set(threading.enumerate())
+        for _ in range(50):
+            with pytest.raises(ConnectionError, match="cannot connect"):
+                Client("unix:/missing")
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_failed_handshake_stops_the_thread(self, tmp_path):
+        path = tmp_path / "mute.sock"
+        release = threading.Event()
+        before = set(threading.enumerate())
+        with _ScriptedServer(path, lambda i, c: release.wait(10.0), handshake=False):
+            # Holding the traceback keeps the half-built face alive, so
+            # only its own stop, not its collection, can end the thread.
+            with pytest.raises(ConnectionError, match="no ping answer") as _failed:
+                Client(f"unix:{path}", timeout=0.2)
+            added = set(threading.enumerate()) - before
+            release.set()
+        assert not [t for t in added if t.name == "repro-client"]
+
+    def test_calls_after_close_refuse_at_once(self, tmp_path):
+        path = tmp_path / "ok.sock"
+        with _ScriptedServer(path, lambda index, conn: _serve_ok(conn)):
+            client = Client(f"unix:{path}", timeout=5.0)
+            assert client.ping()["ok"] is True
+            client.close()
+            client.close()  # a second close does nothing
+            started = time.monotonic()
+            with pytest.raises(ConnectionError, match="closed"):
+                client.ping()
+            with pytest.raises(ConnectionError, match="closed"):
+                client.call({"kind": "ping", "seq": 99})
+            assert time.monotonic() - started < 1.0
+            assert not client._thread.is_alive()
+
+
+#: What a second socket transport in ``repro.serve.client`` would need.
+BANNED_IMPORTS = {"socket", "time"}
+BANNED_CALLS = {"sendall", "recv"}
+
+
+def transport_violations(source):
+    """``[(name, line), ...]`` for each banned import or call in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            names = [f".{node.func.attr}"] if node.func.attr in BANNED_CALLS else []
+        else:
+            continue
+        found += [
+            (name, node.lineno) for name in names
+            if name in BANNED_IMPORTS or name.lstrip(".") in BANNED_CALLS
+        ]
+    return found
+
+
+class TestOneTransport:
+    """``Client`` is a face over ``AsyncClient``: the client module opens
+    no socket of its own, so no second transport can grow back."""
+
+    def test_the_scan_sees_a_second_transport(self):
+        source = "import socket\nfrom time import sleep\ns.sendall(b'')\ns.recv(4)\n"
+        assert transport_violations(source) == [
+            ("socket", 1), ("time", 2), (".sendall", 3), (".recv", 4),
+        ]
+
+    def test_the_client_module_holds_one_transport(self):
+        from repro.serve import client as module
+
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert transport_violations(source) == []
 
 
 class TestAsyncClientLoopApi:
@@ -704,10 +870,10 @@ class TestAsyncClientDeadline:
             # Greet, then go silent forever: read and discard frames,
             # never reply -- the proxy's "stall" fault, scripted.
             buffer = wire.FrameBuffer()
-            doc = wire.recv_frame(conn, buffer)
+            doc = recv_frame(conn, buffer)
             if doc is not None:
-                wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
-            while wire.recv_frame(conn, buffer) is not None:
+                send_frame(conn, {"ok": True, "seq": doc["seq"]})
+            while recv_frame(conn, buffer) is not None:
                 pass
 
         path = tmp_path / "stall.sock"
@@ -731,7 +897,7 @@ class TestAsyncClientDeadline:
     def test_deadline_failure_fails_other_inflight_futures(self, tmp_path):
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            while wire.recv_frame(conn, buffer) is not None:
+            while recv_frame(conn, buffer) is not None:
                 pass  # never answer anything
 
         path = tmp_path / "stall2.sock"
@@ -876,7 +1042,7 @@ class TestBrokenFraming:
     def test_truncated_frame_invalidates_and_normalises(self, tmp_path):
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            doc = wire.recv_frame(conn, buffer)
+            doc = recv_frame(conn, buffer)
             if doc is None:
                 return
             # Half a reply, then FIN: truncate-on-close.
@@ -899,13 +1065,13 @@ class TestBrokenFraming:
 
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            first = wire.recv_frame(conn, buffer)
-            wire.recv_frame(conn, buffer)
+            first = recv_frame(conn, buffer)
+            recv_frame(conn, buffer)
             conn.sendall(
                 wire.encode_frame({"ok": True, "seq": first["seq"]})
                 + b"\x00\x00\x00\x05not-j"
             )
-            while wire.recv_frame(conn, buffer) is not None:
+            while recv_frame(conn, buffer) is not None:
                 pass
 
         path = tmp_path / "garbage.sock"
@@ -925,7 +1091,7 @@ class TestBrokenFraming:
     def test_async_truncated_frame_normalises(self, tmp_path):
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            if wire.recv_frame(conn, buffer) is None:
+            if recv_frame(conn, buffer) is None:
                 return
             conn.sendall(b"\x00\x00\x00\x40" + b'{"ok": true, "seq"')
             conn.close()
@@ -974,11 +1140,11 @@ class TestAsyncClientCoalescing:
         def handler(index, conn):
             buffer = wire.FrameBuffer()
             while True:
-                doc = wire.recv_frame(conn, buffer)
+                doc = recv_frame(conn, buffer)
                 if doc is None:
                     return
                 seen.append(doc["seq"])
-                wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+                send_frame(conn, {"ok": True, "seq": doc["seq"]})
 
         path = tmp_path / "burst.sock"
 
@@ -1026,10 +1192,10 @@ class TestAsyncClientCoalescing:
         def handler(index, conn):
             buffer = wire.FrameBuffer()
             while True:
-                doc = wire.recv_frame(conn, buffer)
+                doc = recv_frame(conn, buffer)
                 if doc is None:
                     return
-                wire.send_frame(
+                send_frame(
                     conn, wire.error_reply(doc["seq"], "overloaded", "queue full")
                 )
 
@@ -1066,10 +1232,10 @@ class TestAsyncClientCoalescing:
 
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            doc = wire.recv_frame(conn, buffer)
+            doc = recv_frame(conn, buffer)
             release.wait(timeout=10.0)
             # Out of budget: the client must ignore this.
-            wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+            send_frame(conn, {"ok": True, "seq": doc["seq"]})
 
         path = tmp_path / "hole.sock"
 
@@ -1101,9 +1267,9 @@ class TestAsyncClientCoalescing:
     def test_timeout_none_waits_without_a_timer(self, tmp_path):
         def handler(index, conn):
             buffer = wire.FrameBuffer()
-            doc = wire.recv_frame(conn, buffer)
+            doc = recv_frame(conn, buffer)
             time.sleep(0.1)
-            wire.send_frame(conn, {"ok": True, "seq": doc["seq"]})
+            send_frame(conn, {"ok": True, "seq": doc["seq"]})
             _serve_ok(conn)
 
         path = tmp_path / "nodl2.sock"

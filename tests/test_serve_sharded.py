@@ -266,7 +266,7 @@ class TestMoved:
         with Client(handle.connect_address()) as client:
             client.hello(sid, n=2)
             client.checkpoint(sid, pid=0)
-            assert client._core.table.layout.owner(sid) == 0
+            assert client._client._core.table.layout.owner(sid) == 0
             with Client(handle.connect_address()) as admin:
                 assert admin.request(
                     "rebalance", session=sid, target=1
@@ -274,7 +274,7 @@ class TestMoved:
             # The stale table still says shard 0, which answers moved;
             # the client re-pings the router and resends to shard 1.
             assert client.checkpoint(sid, pid=1)["ok"] is True
-            assert client._core.table.layout.owner(sid) == 1
+            assert client._client._core.table.layout.owner(sid) == 1
             assert client.query(sid, "rdt_status")["events"] == 2
 
     def test_async_client_hands_moved_back_and_refreshes(self, handle):
@@ -507,17 +507,18 @@ class TestRouterErrorPaths:
 
     def test_session_frames_are_refused_moved_at_the_router(self, handle):
         """The router carries no session frame: a peer that sends one
-        there (the sync client's first frame does) is told ``moved``."""
+        there is told ``moved``."""
         import socket
 
         from repro.serve import wire
+        from tests.test_serve_client import recv_frame, send_frame
 
         with socket.socket(socket.AF_UNIX) as sock:
             sock.connect(handle.address[1])
-            wire.send_frame(
+            send_frame(
                 sock, {"kind": "checkpoint", "seq": 1, "session": "s", "pid": 0}
             )
-            reply = wire.recv_frame(sock, wire.FrameBuffer())
+            reply = recv_frame(sock, wire.FrameBuffer())
         assert reply["ok"] is False and reply["error"] == "moved"
 
     def test_shard_errors_pass_through_verbatim(self, handle):

@@ -25,8 +25,10 @@ calls inside ``async def`` bodies** -- ``time.sleep`` (use
 ``.accept()``, ``.sendall()`` ...) and synchronous disk barriers
 (``os.fsync`` / ``os.fdatasync``, which the ingest WAL runs on its
 sync thread) stall every session sharing the loop.  The
-blocking clients in ``repro.serve.client`` are plain sync functions,
-which the rule deliberately leaves alone.
+blocking ``Client`` in ``repro.serve.client`` is a plain sync face that
+waits, from its caller's thread, on an ``AsyncClient`` running on the
+face's own loop thread; its methods are not coroutines, so the rule
+leaves them alone, and the loop it waits on never blocks.
 
 The rule is lexical: it only sees blocking calls written inside
 ``async def`` bodies, not ones reached *through* sync helpers called
