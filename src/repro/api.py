@@ -307,7 +307,6 @@ def sweep(
     baseline: str = "fdas",
     seeds: Sequence[int] = (0, 1),
     verify_rdt: bool = False,
-    backend: str = "auto",
     workers: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     cache: Union[ResultCache, str, None, bool] = False,
@@ -328,11 +327,10 @@ def sweep(
     varies (default the paper's ``basic_rate``); ``scenario_at``
     overrides the scenario factory entirely for custom sweeps.
 
-    ``backend`` picks the execution strategy: ``"serial"`` pins one
-    in-process worker, ``"process"`` requires the process pool (with
-    ``workers`` processes, default CPU count), ``"auto"`` lets the
-    runner decide (parallel when picklable and CPUs allow, serial
-    otherwise -- results are bit-identical either way).  ``cache``
+    ``workers`` sizes the process pool: ``1`` runs serial and in
+    process; ``None`` lets the runner decide (parallel over the visible
+    CPUs when the cells are picklable, serial otherwise -- results are
+    bit-identical either way).  ``cache``
     defaults to off; pass a path or :class:`ResultCache` to memoise
     cells, or ``None`` to honour the ``REPRO_SWEEP_CACHE`` env var.
     ``cell_timeout`` bounds one cell's wall time on the process backend;
@@ -340,14 +338,6 @@ def sweep(
     :func:`repro.harness.runner.run_sweep`).
     """
     _validate_protocols([*protocols, baseline])
-    if backend not in ("auto", "serial", "process"):
-        raise SimulationError(
-            f"unknown backend {backend!r}; use auto, serial or process"
-        )
-    if backend == "serial":
-        workers = 1
-    elif backend == "process" and workers is None:
-        workers = None  # run_sweep resolves to the visible CPU count
     if scenario_at is None:
         scenario_at = _ScenarioAt(
             _workload_factory(workload, workload_args),

@@ -346,7 +346,6 @@ def cmd_sweep(args) -> int:
         protocols=args.protocols,
         baseline=args.baseline,
         seeds=args.seeds,
-        backend=args.backend,
         workers=args.workers,
         cache=args.cache if args.cache is not None else False,
         **_workload_spec(args),
@@ -719,12 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocols", nargs="+", default=["bhmr"])
     p.add_argument("--baseline", default="fdas")
     p.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
-    p.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "serial", "process"],
-        help="sweep execution backend (default: auto)",
-    )
     p.add_argument(
         "--workers", type=int, default=None, help="process-pool size"
     )

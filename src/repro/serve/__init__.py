@@ -25,9 +25,12 @@ Layers
 * :mod:`repro.serve.shardmap` -- deterministic consistent-hash session
   ownership for multi-process deployments, and the routing table
   clients build from a router's ``ping``;
-* :mod:`repro.serve.router` -- N shard processes supervised by one
-  asyncio router (per-shard WAL/snapshots, respawn and parking,
-  snapshot-verified rebalance); it publishes the table, clients route;
+* :mod:`repro.serve.routecore` / :mod:`repro.serve.router` -- every
+  router decision, sans-IO (respawn backoff and parking, the ``ping``
+  table and ``stats``, rebalance plans, the reconcile decision), and
+  the asyncio driver that runs N shard processes (per-shard
+  WAL/snapshots, snapshot-verified rebalance and re-home) and performs
+  them; the router publishes the table, clients route;
 * :mod:`repro.serve.clientcore` -- the client's sans-IO request core
   (direct-to-shard routing, unwritten refusals, seeded retry backoff,
   circuit breaking);

@@ -22,7 +22,7 @@ import asyncio
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.serve import wire
 from repro.serve.client import format_address
@@ -37,6 +37,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Address of a running server: ``("tcp", host, port)`` or ``("unix", path)``.
 Address = Tuple[str, ...]
+
+
+async def open_listener(
+    handler: Callable, unix_path: Optional[str], host: str, port: int
+) -> Tuple[asyncio.AbstractServer, Address]:
+    """Serve ``handler`` on ``unix_path``, or else on ``host:port``
+    (``0``: an ephemeral port); returns the listener and its address."""
+    if unix_path is not None:
+        server = await asyncio.start_unix_server(handler, path=unix_path)
+        return server, ("unix", unix_path)
+    server = await asyncio.start_server(handler, host=host, port=port)
+    bound_host, bound_port = server.sockets[0].getsockname()[:2]
+    return server, ("tcp", bound_host, bound_port)
 
 
 @dataclass
@@ -173,18 +186,12 @@ class CheckpointServer:
         ]
         if self.config.idle_timeout is not None:
             self._tasks.append(asyncio.ensure_future(self._housekeep()))
-        if self.config.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._serve_conn, path=self.config.unix_path
-            )
-            self.address: Address = ("unix", self.config.unix_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._serve_conn, host=self.config.host, port=self.config.port
-            )
-            sock = self._server.sockets[0]
-            host, port = sock.getsockname()[:2]
-            self.address = ("tcp", host, port)
+        self._server, self.address = await open_listener(
+            self._serve_conn,
+            self.config.unix_path,
+            self.config.host,
+            self.config.port,
+        )
         self._trace("serve.start", address=list(self.address))
         return self.address
 

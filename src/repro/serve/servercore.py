@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.serve import wire
 from repro.serve.session import ServeSession, SessionError
 from repro.serve.shardmap import ShardMap
-from repro.serve.snapshots import SnapshotStore, restore_session
+from repro.serve.snapshots import SnapshotStore, rebuild_session, restore_session
 from repro.serve.wal import IngestWal, recover_sessions
 from repro.types import ReproError, SimulationError
 
@@ -128,26 +128,14 @@ class ServerCore:
         on top of the newest valid snapshots.  Damage beyond a torn
         (never-acknowledged) tail was already raised by opening it."""
         self.wal = wal
-        snapshots: Dict[str, Doc] = {}
-        for sid in self.store.known():
-            doc = self.store.load(sid)
-            if doc is not None:
-                snapshots[sid] = doc
+        snapshots = self.store.load_all()
         recovered = recover_sessions(wal.recovered, snapshots)
         for sid in sorted(recovered):
             rec = recovered[sid]
             snap = snapshots.get(sid)
+            session = rebuild_session(rec, snap, metrics=self.metrics)
             if snap is not None:
-                # Digest-checked replay of the snapshot prefix, then
-                # the WAL tail applied op by op on top of it.
-                session = restore_session(snap, metrics=self.metrics)
-                for op in rec.log[len(session.ingest_log):]:
-                    session.apply(dict(op))
                 self._snap_marks[sid] = int(snap.get("wal_seq", -1))  # type: ignore[arg-type]
-            else:
-                session = ServeSession.replay_log(
-                    sid, rec.n, rec.protocol, rec.log, metrics=self.metrics
-                )
             self.sessions[sid] = session
             self._wal_tail[sid] = self._recovered[sid] = rec.wal_seq
             self._trace(

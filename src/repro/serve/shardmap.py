@@ -20,8 +20,10 @@ On top of the ring sits one small escape hatch: an explicit
 ``overrides`` table written by the ``rebalance`` admin verb.  A session
 in ``overrides`` lives where the table says, not where the ring says;
 the table is part of the serialized document, so a router restart
-cannot silently forget a migration.  The startup reconcile pass
-(:meth:`Router.reconcile_layout <repro.serve.router.Router._reconcile>`)
+cannot silently forget a migration.  The startup reconcile pass --
+decided by :meth:`RouteCore.reconcile
+<repro.serve.routecore.RouteCore.reconcile>`, performed by
+:meth:`Router._reconcile <repro.serve.router.Router._reconcile>` --
 folds overrides back into ring placement by physically moving the
 sessions, then clears the table -- overrides are a migration in flight,
 not a second source of truth.

@@ -32,6 +32,7 @@ from repro.types import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
+    from repro.serve.wal import RecoveredSession
 
 
 #: Snapshot document version.  It names the digest preimage (the shape
@@ -102,6 +103,33 @@ def restore_session(
     return session
 
 
+def rebuild_session(
+    recovered: "RecoveredSession",
+    snapshot: Optional[Dict[str, object]],
+    metrics: Optional["MetricsRegistry"] = None,
+) -> ServeSession:
+    """The live session a WAL recovery proves: a digest-checked
+    :func:`restore_session` of its snapshot, then the WAL tail applied op
+    by op on top; a replay of the whole log when there is no snapshot.
+
+    A server recovering its own WAL and a router re-homing sessions
+    across a resize both rebuild through here, so neither can carry a
+    damaged snapshot forward under a fresh digest.
+    """
+    if snapshot is None:
+        return ServeSession.replay_log(
+            recovered.session_id,
+            recovered.n,
+            recovered.protocol,
+            recovered.log,
+            metrics=metrics,
+        )
+    session = restore_session(snapshot, metrics=metrics)
+    for op in recovered.log[len(session.ingest_log):]:
+        session.apply(dict(op))
+    return session
+
+
 #: An id that is its own snapshot file name (``<id>.json``, 255 bytes).
 _SAFE_ID = re.compile(r"[A-Za-z0-9._-]{1,250}")
 
@@ -157,6 +185,12 @@ class SnapshotStore:
                 f"{doc.get('session')!r}"
             )
         return doc
+
+    def load_all(self) -> Dict[str, Dict[str, object]]:
+        """Every stored snapshot document, by session id."""
+        return {
+            sid: doc for sid in self.known() if (doc := self.load(sid)) is not None
+        }
 
     def pop(self, session_id: str) -> Optional[Dict[str, object]]:
         """Load and forget (a restored session owns its state again)."""

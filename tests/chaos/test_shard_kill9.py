@@ -105,7 +105,7 @@ def test_shard_kill9_degrades_only_its_key_range(tmp_path, seed):
         data_dir=str(data_dir),
     ) as handle:
         router = handle.server
-        by_shard = _session_per_shard(router._map, seed)
+        by_shard = _session_per_shard(router.core.map, seed)
         victim_sid = by_shard[VICTIM]
         victim_pid = router._shards[VICTIM].proc.pid
 

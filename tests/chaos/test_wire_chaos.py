@@ -397,6 +397,7 @@ def test_crash_looping_shard_is_parked_not_respawned_forever(tmp_path):
     """Repeated SIGKILLs inside the flap window must trip the wire:
     the shard is parked terminally ``shard_degraded`` (non-retryable,
     operator action required) while the other shard keeps serving."""
+    from repro.serve.routecore import FLAP_MAX_RESTARTS
     from repro.serve.router import Router, RouterConfig
 
     metrics = MetricsRegistry()
@@ -404,10 +405,6 @@ def test_crash_looping_shard_is_parked_not_respawned_forever(tmp_path):
         unix_path=str(tmp_path / "router.sock"),
         shard_procs=2,
         data_dir=str(tmp_path / "data"),
-        restart_backoff=0.05,
-        restart_backoff_cap=0.2,
-        flap_window=60.0,
-        flap_max_restarts=2,
     )
     handle = ServerHandle(Router(config, metrics=metrics))
     try:
@@ -416,7 +413,7 @@ def test_crash_looping_shard_is_parked_not_respawned_forever(tmp_path):
         by_shard, i = {}, 0
         while len(by_shard) < 2:
             sid = f"flap-{i}"
-            by_shard.setdefault(router._map.owner(sid), sid)
+            by_shard.setdefault(router.core.map.owner(sid), sid)
             i += 1
         victim_sid, healthy_sid = by_shard[0], by_shard[1]
 
@@ -441,7 +438,7 @@ def test_crash_looping_shard_is_parked_not_respawned_forever(tmp_path):
                 except ProcessLookupError:
                     pass
             time.sleep(0.05)
-        assert kills > config.flap_max_restarts
+        assert kills > FLAP_MAX_RESTARTS
 
         # Terminal and honest: the victim's connection died with its
         # first process while no frame was on it, and the client's

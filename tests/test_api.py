@@ -87,7 +87,7 @@ class TestSweep:
         )
         via_api = api.sweep(
             workload="random", xs=(0.1, 0.4), protocols=("bhmr",),
-            seeds=(0,), n=3, duration=10.0, backend="serial",
+            seeds=(0,), n=3, duration=10.0, workers=1,
         )
         assert via_api.ratio_series() == direct.ratio_series()
         assert via_api.forced_series() == direct.forced_series()
@@ -97,20 +97,16 @@ class TestSweep:
             workload="random", xs=(0.1, 0.4), protocols=("bhmr",),
             seeds=(0,), n=3, duration=10.0,
         )
-        serial = api.sweep(backend="serial", **kwargs)
-        auto = api.sweep(backend="auto", **kwargs)
+        serial = api.sweep(workers=1, **kwargs)
+        auto = api.sweep(**kwargs)
         assert [c.to_dict() for c in serial.comparisons] == [
             c.to_dict() for c in auto.comparisons
         ]
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SimulationError, match="backend"):
-            api.sweep(backend="threads")
-
     def test_sweeping_n_coerces_int(self):
         sweep = api.sweep(
             workload="random", xs=(3, 4), x_label="n",
-            protocols=("bhmr",), seeds=(0,), duration=8.0, backend="serial",
+            protocols=("bhmr",), seeds=(0,), duration=8.0, workers=1,
         )
         assert sweep.xs == [3, 4]
         assert all(

@@ -214,7 +214,7 @@ class TestObsFlags:
     def test_sweep_backend_serial_flag(self, capsys):
         code, out = run_cli(
             capsys, "sweep", "-n", "3", "--duration", "10",
-            "--rates", "0.1", "--seeds", "0", "--backend", "serial",
+            "--rates", "0.1", "--seeds", "0", "--workers", "1",
         )
         assert code == 0 and "basic_rate" in out
 
@@ -413,8 +413,7 @@ class TestServeKnobs:
             host="127.0.0.1", port=7463, unix_path=sock, shard_procs=2,
             data_dir=str(tmp_path / "d"), replicas=64, workers=1,
             queue_depth=1024, idle_timeout=None, fsync_batch=64,
-            spawn_timeout=30.0, restart_backoff=0.2,
-            restart_backoff_cap=5.0, flap_window=30.0, flap_max_restarts=5,
+            spawn_timeout=30.0,
         )
         assert not (tmp_path / "d").exists()
 

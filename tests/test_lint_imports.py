@@ -132,6 +132,10 @@ def test_the_request_core_is_sans_io(lint):
     assert "repro.serve.clientcore" in lint.SANS_IO
 
 
+def test_the_router_core_is_sans_io(lint):
+    assert "repro.serve.routecore" in lint.SANS_IO
+
+
 def test_a_time_import_in_the_server_core_fails_the_lint(lint, tmp_path):
     assert "repro.serve.servercore" in lint.SANS_IO
     shutil.copytree(REPO_ROOT / "src", tmp_path / "src")

@@ -36,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # the guard: durable-file syscalls live in disk.py
 # ----------------------------------------------------------------------
 #: The ``os`` calls that make (or open the way to making) a file durable.
-GUARDED = {"fsync", "fdatasync", "replace", "open"}
+GUARDED = {"fsync", "fdatasync", "replace", "rename", "open"}
 
 #: Files allowed to make guarded calls, and how many each may make: the
 #: seam itself, and the router's publish of a shard's unix socket under

@@ -20,6 +20,7 @@ restart.
 
 import asyncio
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +28,15 @@ from repro import api
 from repro.core.registry import PROTOCOLS
 from repro.obs.jsonio import canonical_dumps
 from repro.serve.client import AsyncClient, Client, ReplyError
-from repro.serve.session import offline_answers
+from repro.serve.disk import Disk
+from repro.serve.router import Router, RouterConfig
+from repro.serve.session import ServeSession, offline_answers
 from repro.serve.shardmap import ShardMap, ShardTable
+from repro.serve.snapshots import SnapshotStore, restore_session, snapshot_doc
+from repro.serve.wal import IngestWal
 from repro.sim.generate import generate_trace
 from repro.sim.trace import TraceOpKind
+from repro.types import SimulationError
 from repro.workloads import WORKLOADS
 
 N = 3
@@ -158,7 +164,7 @@ def test_sessions_actually_spread_across_shards(handle):
 def _session_on(router, shard, prefix):
     """A session id the router's layout homes on ``shard``."""
     i = 0
-    while router._map.owner(f"{prefix}-{i}") != shard:
+    while router.core.map.owner(f"{prefix}-{i}") != shard:
         i += 1
     return f"{prefix}-{i}"
 
@@ -178,7 +184,7 @@ class TestAdminContract:
             "router", SHARDS, SHARDS
         )
         assert reply["degraded"] == []
-        assert reply["layout"] == router._map.to_doc()
+        assert reply["layout"] == router.core.map.to_doc()
         assert reply["table"] == [
             {"shard": k, "address": router._shards[k].address, "state": "up"}
             for k in range(SHARDS)
@@ -186,7 +192,7 @@ class TestAdminContract:
         scheme = "unix:" if which == "unix" else "127.0.0.1:"
         assert all(row["address"].startswith(scheme) for row in reply["table"])
         table = ShardTable.from_ping(reply)
-        assert table.layout == router._map and table.states == ["up"] * SHARDS
+        assert table.layout == router.core.map and table.states == ["up"] * SHARDS
 
     def test_stats_rows_and_totals(self, handle):
         router = handle.server
@@ -199,7 +205,7 @@ class TestAdminContract:
             assert row["restarts"] == 0 and row["degraded"] is False
             assert isinstance(row["forwarded"], int)
         assert stats["shed"] == 0
-        assert stats["layout"] == router._map.to_doc()
+        assert stats["layout"] == router.core.map.to_doc()
 
     def test_forwarded_counts_the_session_frames_each_shard_answered(
         self, handle
@@ -332,7 +338,7 @@ class TestRebalance:
                         )
 
             feed(trace.ops[:cut])
-            source = handle.server._map.owner(session_id)
+            source = handle.server.core.map.owner(session_id)
             target = (source + 1) % SHARDS
             reply = client.call(
                 {
@@ -346,7 +352,7 @@ class TestRebalance:
             assert reply["moved"] is True
             assert reply["from"] == source and reply["shard"] == target
             assert reply["events"] == cut
-            assert handle.server._map.owner(session_id) == target
+            assert handle.server.core.map.owner(session_id) == target
             # The move is durable: the override survives in the layout
             # file the next incarnation will read.
             stored = ShardMap.load(
@@ -366,7 +372,7 @@ class TestRebalance:
     def test_rebalance_to_current_owner_is_a_noop(self, handle):
         with Client(handle.connect_address()) as client:
             client.hello("rebal-noop", n=2)
-            owner = handle.server._map.owner("rebal-noop")
+            owner = handle.server.core.map.owner("rebal-noop")
             reply = client.call(
                 {
                     "kind": "rebalance",
@@ -394,8 +400,9 @@ class TestRebalanceOverTcp(TestRebalance):
 class TestResizeAcrossRestart:
     """Changing ``shard_procs`` across a restart triggers the offline
     reconcile: every session is re-homed to its new ring owner with an
-    integrity-checked snapshot, old WALs are retired, and the layout
-    file converges to the pure ring."""
+    integrity-checked snapshot (``TestReconcileOnDisk`` feeds it a
+    damaged one), old WALs are retired, and the layout file converges
+    to the pure ring."""
 
     transport = "unix"
 
@@ -445,7 +452,7 @@ class TestResizeAcrossRestart:
             with Client(h.connect_address()) as client:
                 client.hello(sid, n=2)
                 client.checkpoint(sid, pid=0)
-                ring_owner = h.server._map.ring_owner(sid)
+                ring_owner = h.server.core.map.ring_owner(sid)
                 target = (ring_owner + 1) % 3
                 reply = client.call(
                     {
@@ -473,6 +480,98 @@ class TestResizeAcrossRestart:
 
 class TestResizeAcrossRestartOverTcp(TestResizeAcrossRestart):
     transport = "tcp"
+
+
+class TestReconcileOnDisk:
+    """The offline reconcile over a hand-built data dir, called directly:
+    no shard process, no socket."""
+
+    def test_a_damaged_snapshot_stops_the_start_before_any_file_moves(
+        self, tmp_path
+    ):
+        data = tmp_path / "data"
+        layout = ShardMap(2)
+        sid = next(
+            f"bad-{i}" for i in range(1000) if layout.owner(f"bad-{i}") == 0
+        )
+        ops = [{"kind": "checkpoint", "pid": pid} for pid in (0, 1, 1)]
+        doc = snapshot_doc(ServeSession.replay_log(sid, 2, "bhmr", ops))
+        doc["log"][2]["pid"] = 0  # damage the log under its old digest
+        with pytest.raises(SimulationError, match="integrity"):
+            restore_session(doc)
+        SnapshotStore(data / "shard-00" / "snaps").put(sid, doc)
+        layout.save(data / "shardmap.json")
+        def files():
+            return {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+
+        before = files()
+
+        router = Router(RouterConfig(shard_procs=3, data_dir=str(data)))
+        with pytest.raises(SimulationError, match="integrity") as err:
+            router._reconcile()
+        assert repr(sid) in str(err.value)
+        assert str(router.data_dir / "shard-00") in str(err.value)
+        assert files() == before
+        assert sorted(p.name for p in data.iterdir()) == ["shard-00", "shardmap.json"]
+
+    def test_directory_changes_are_durable_before_the_layout_is_saved(
+        self, tmp_path, monkeypatch
+    ):
+        data = tmp_path / "data"
+        layout = ShardMap(2)
+        # Two sessions that stay home and two that move to the new shard.
+        ids = [f"r-{i}" for i in range(1000)]
+        sids = [s for s in ids if ShardMap(3).owner(s) != 2][:2]
+        sids += [s for s in ids if ShardMap(3).owner(s) == 2][:2]
+        for k in range(2):
+            home = data / f"shard-{k:02d}"
+            wal, store = IngestWal(home / "wal"), SnapshotStore(home / "snaps")
+            for sid in (s for s in sids if layout.owner(s) == k):
+                wal.append(sid, -1, {"n": 2, "protocol": "bhmr"})
+                op = {"kind": "checkpoint", "pid": 0}
+                seq = wal.append(sid, 0, op).seq
+                store.save(ServeSession.replay_log(sid, 2, "bhmr", [op]), seq)
+            wal.sync()
+            wal.close()
+        layout.save(data / "shardmap.json")
+
+        calls = []
+        for name in ("replace", "unlink", "fsync_dir", "write_atomic"):
+            def record(self, *args, _real=getattr(Disk, name), _name=name):
+                paths = args[:2] if _name == "replace" else args[:1]
+                calls.append((_name, *(str(p) for p in paths)))
+                return _real(self, *args)
+            monkeypatch.setattr(Disk, name, record)
+        router = Router(RouterConfig(shard_procs=3, data_dir=str(data)))
+        router._reconcile()
+        monkeypatch.undo()
+
+        root = router.data_dir
+        saved = calls.index(("write_atomic", str(root / "shardmap.json")))
+        discarded = 0
+        for k in range(2):
+            home, snaps = root / f"shard-{k:02d}", root / f"shard-{k:02d}" / "snaps"
+            retired = calls.index(
+                ("replace", str(home / "wal"), str(home / "wal-retired"))
+            )
+            last_sync = {
+                d: max(i for i, c in enumerate(calls) if c == ("fsync_dir", str(d)))
+                for d in (home, snaps)
+            }
+            unlinks = [
+                i for i, c in enumerate(calls)
+                if c[0] == "unlink" and Path(c[1]).parent == snaps
+            ]
+            discarded += len(unlinks)
+            assert retired < last_sync[home] < saved
+            assert all(i < last_sync[snaps] for i in unlinks)
+            assert last_sync[snaps] < saved
+            assert not (home / "wal").exists()
+        assert discarded > 0
+        assert ShardMap.load(root / "shardmap.json") == ShardMap(3)
+        for sid in sids:
+            home = root / f"shard-{ShardMap(3).owner(sid):02d}"
+            assert SnapshotStore(home / "snaps").known().count(sid) == 1
 
 
 def test_relative_data_dir_works(tmp_path, monkeypatch):

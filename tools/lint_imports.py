@@ -53,7 +53,11 @@ LIBRARY_ENTRY_POINTS = {
 }
 
 #: Modules that must stay sans-IO (clock readings are passed in).
-SANS_IO = ("repro.serve.clientcore", "repro.serve.servercore")
+SANS_IO = (
+    "repro.serve.clientcore",
+    "repro.serve.servercore",
+    "repro.serve.routecore",
+)
 
 #: What a sans-IO module may not import.
 IO_MODULES = frozenset({"socket", "asyncio", "select", "time"})
