@@ -21,24 +21,26 @@ messages per channel -- and the test suite verifies the cut is always a
 consistent global checkpoint capturing exactly the crossing messages.
 
 Unlike the CIC protocols, this runs *live* (control messages interleave
-with application traffic), so it has its own driver built directly on
-the kernel instead of the trace replayer.
+with application traffic), so it cannot be a replay of a finished trace:
+the runner is a :class:`repro.sim.generate.TraceGenerator` whose markers
+share the generator's scheduler, FIFO channels and RNG, and whose
+events go through the one :class:`repro.events.builder.Recorder`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.metrics import RunMetrics, metrics_from_history
-from repro.events.event import CheckpointKind, Event, EventKind, Message
+from repro.events.builder import Recorder
+from repro.events.event import CheckpointKind
 from repro.events.history import History
-from repro.events.validate import validate_history
 from repro.sim.channel import ChannelMap
 from repro.sim.delays import DelayModel
-from repro.sim.kernel import Scheduler
+from repro.sim.generate import TraceGenerator
 from repro.types import MessageId, ProcessId, SimulationError
-from repro.workloads.base import Workload, WorkloadContext
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -67,37 +69,11 @@ class CoordinatedResult:
     metrics: RunMetrics
 
 
-class _ProcessState:
-    """Chandy-Lamport per-process, per-snapshot bookkeeping."""
-
-    def __init__(self, pid: ProcessId, n: int) -> None:
-        self.pid = pid
-        self.n = n
-        self.recorded: Set[int] = set()
-        # (snapshot_id, src) -> list of recorded message ids, while open.
-        self.recording: Dict[Tuple[int, ProcessId], List[MessageId]] = {}
-        self.closed: Dict[Tuple[int, ProcessId], List[MessageId]] = {}
-
-    def start_recording(self, snapshot_id: int, except_src: Optional[ProcessId]):
-        for src in range(self.n):
-            if src == self.pid or src == except_src:
-                continue
-            self.recording[(snapshot_id, src)] = []
-
-    def note_app_message(self, src: ProcessId, msg_id: MessageId) -> None:
-        for (sid, rsrc), log in self.recording.items():
-            if rsrc == src:
-                log.append(msg_id)
-
-    def close_channel(self, snapshot_id: int, src: ProcessId) -> List[MessageId]:
-        return self.recording.pop((snapshot_id, src), [])
-
-
-class ChandyLamportRunner(WorkloadContext):
+class ChandyLamportRunner(TraceGenerator):
     """Runs a workload live, taking periodic coordinated snapshots.
 
-    Also acts as the workload's context (sends go through the same FIFO
-    channels as markers).
+    The workload runs on the generator (no basic checkpoints); markers
+    travel the same FIFO channels as application messages.
     """
 
     def __init__(
@@ -108,140 +84,59 @@ class ChandyLamportRunner(WorkloadContext):
         seed: int = 0,
         snapshot_period: float = 20.0,
         delay: Optional[DelayModel] = None,
-        max_events: int = 1_000_000,
     ) -> None:
-        import random
-
         if n <= 1:
             raise SimulationError("Chandy-Lamport needs at least two processes")
-        self.workload = workload
-        self.n = n
-        self.duration = duration
-        self.rng = random.Random(seed)
+        super().__init__(
+            n,
+            workload,
+            duration=duration,
+            seed=seed,
+            basic_rate=0.0,
+            channels=ChannelMap(n, delay=delay, fifo=True),
+        )
         self.snapshot_period = snapshot_period
-        self.scheduler = Scheduler()
-        self.channels = ChannelMap(n, delay=delay, fifo=True)
-        self.max_events = max_events
-        # Event recording.
-        self._events: List[List[Event]] = [[] for _ in range(n)]
-        self._messages: Dict[MessageId, Message] = {}
-        self._ckpt_index = [0] * n
-        self._last_time = [-1.0] * n
-        self._next_msg = 0
-        self._payloads: Dict[MessageId, Any] = {}
-        self._stopped = False
-        # Chandy-Lamport state.
-        self._proc = [_ProcessState(pid, n) for pid in range(n)]
+        self._sizes: Dict[MessageId, int] = {}
+        self.recorder = Recorder(n, self._sizes)
+        for pid in range(n):
+            self.recorder.record_checkpoint(pid, 0.0, CheckpointKind.INITIAL)
+        # Chandy-Lamport state.  Per process, its incoming channels still
+        # being recorded: (snapshot_id, src) -> message ids received so far.
+        self._recording: List[Dict[Tuple[int, ProcessId], List[MessageId]]] = [
+            {} for _ in range(n)
+        ]
         self._snapshot_seq = 0
         self._snapshots: Dict[int, SnapshotRecord] = {}
         self._pending_channels: Dict[int, int] = {}
         self.control_messages = 0
-        for pid in range(n):
-            self._record_checkpoint(pid, 0.0, CheckpointKind.INITIAL)
 
     # ------------------------------------------------------------------
-    # event recording helpers
+    # application traffic, recorded as it happens
     # ------------------------------------------------------------------
-    def _time_for(self, pid: ProcessId, requested: float) -> float:
-        time = max(requested, self._last_time[pid] + 1e-9)
-        self._last_time[pid] = time
-        return time
-
-    def _append(self, pid: ProcessId, kind: EventKind, **fields) -> Event:
-        ev = Event(
-            pid=pid,
-            seq=len(self._events[pid]),
-            kind=kind,
-            time=self._time_for(pid, self.scheduler.now),
-            **fields,
-        )
-        self._events[pid].append(ev)
-        return ev
-
-    def _record_checkpoint(
-        self, pid: ProcessId, time: float, kind: CheckpointKind
-    ) -> int:
-        if kind is CheckpointKind.INITIAL:
-            index = 0
-        else:
-            self._ckpt_index[pid] += 1
-            index = self._ckpt_index[pid]
-        ev = Event(
-            pid=pid,
-            seq=len(self._events[pid]),
-            kind=EventKind.CHECKPOINT,
-            time=self._time_for(pid, time),
-            checkpoint_index=index,
-            checkpoint_kind=kind,
-        )
-        self._events[pid].append(ev)
-        return index
-
-    # ------------------------------------------------------------------
-    # WorkloadContext API
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    def send(
-        self, src: ProcessId, dst: ProcessId, size: int = 1, payload: Any = None
+    def record_send(
+        self, src: ProcessId, dst: ProcessId, size: int, payload: Any
     ) -> MessageId:
-        if src == dst or not (0 <= src < self.n and 0 <= dst < self.n):
-            raise SimulationError(f"bad send {src}->{dst}")
-        if self._stopped or self.now > self.duration:
-            return -1
-        msg_id = self._next_msg
-        self._next_msg += 1
-        ev = self._append(src, EventKind.SEND, msg_id=msg_id)
-        self._messages[msg_id] = Message(
-            msg_id=msg_id, src=src, dst=dst, send_seq=ev.seq, size=size
-        )
-        self._payloads[msg_id] = payload
-        arrival = self.channels.arrival_time(src, dst, self.now, self.rng)
-        self.scheduler.schedule_at(
-            arrival, lambda: self._deliver_app(msg_id, src, dst)
-        )
+        msg_id = super().record_send(src, dst, size, payload)
+        if msg_id != -1:
+            self._sizes[msg_id] = size
+            self.recorder.record_send(src, dst, msg_id, self.scheduler.now)
         return msg_id
 
-    def set_timer(self, pid: ProcessId, delay: float, tag: Hashable = None) -> None:
-        self.scheduler.schedule(delay, lambda: self._fire_timer(pid, tag))
-
-    def payload_of(self, msg_id: MessageId) -> Any:
-        return self._payloads.get(msg_id)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    # ------------------------------------------------------------------
-    # delivery paths
-    # ------------------------------------------------------------------
-    def _fire_timer(self, pid: ProcessId, tag: Hashable) -> None:
-        if self._stopped or self.now > self.duration:
-            return
-        self.workload.on_timer(self, pid, tag)
-
-    def _deliver_app(self, msg_id: MessageId, src: ProcessId, dst: ProcessId):
-        m = self._messages[msg_id]
-        ev = self._append(dst, EventKind.DELIVER, msg_id=msg_id)
-        self._messages[msg_id] = Message(
-            msg_id=m.msg_id,
-            src=m.src,
-            dst=m.dst,
-            send_seq=m.send_seq,
-            deliver_seq=ev.seq,
-            size=m.size,
-        )
-        self._proc[dst].note_app_message(src, msg_id)
-        if not self._stopped:
-            self.workload.on_deliver(self, dst, src, msg_id)
+    def record_deliver(
+        self, msg_id: MessageId, src: ProcessId, dst: ProcessId
+    ) -> None:
+        self.recorder.record_deliver(dst, src, msg_id, self.scheduler.now)
+        for (_, rsrc), log in self._recording[dst].items():
+            if rsrc == src:
+                log.append(msg_id)
+        super().record_deliver(msg_id, src, dst)
 
     # ------------------------------------------------------------------
     # Chandy-Lamport proper
     # ------------------------------------------------------------------
     def _send_marker(self, src: ProcessId, dst: ProcessId, snapshot_id: int):
         self.control_messages += 1
-        arrival = self.channels.arrival_time(src, dst, self.now, self.rng)
+        arrival = self.channels.arrival_time(src, dst, self.scheduler.now, self.rng)
         self.scheduler.schedule_at(
             arrival, lambda: self._on_marker(dst, src, snapshot_id)
         )
@@ -249,17 +144,19 @@ class ChandyLamportRunner(WorkloadContext):
     def _record_and_flood(
         self, pid: ProcessId, snapshot_id: int, first_marker_src: Optional[ProcessId]
     ) -> None:
-        state = self._proc[pid]
-        state.recorded.add(snapshot_id)
-        index = self._record_checkpoint(pid, self.now, CheckpointKind.FORCED)
-        self._snapshots[snapshot_id].cut[pid] = index
-        state.start_recording(snapshot_id, except_src=first_marker_src)
+        ev = self.recorder.record_checkpoint(
+            pid, self.scheduler.now, CheckpointKind.FORCED
+        )
+        self._snapshots[snapshot_id].cut[pid] = ev.checkpoint_index
+        for src in range(self.n):
+            if src != pid and src != first_marker_src:
+                self._recording[pid][(snapshot_id, src)] = []
         for dst in range(self.n):
             if dst != pid:
                 self._send_marker(pid, dst, snapshot_id)
 
     def _initiate_snapshot(self) -> None:
-        if self._stopped or self.now > self.duration:
+        if self.stopped or self.scheduler.now > self.duration:
             return
         snapshot_id = self._snapshot_seq
         self._snapshot_seq += 1
@@ -273,24 +170,22 @@ class ChandyLamportRunner(WorkloadContext):
         self.scheduler.schedule(self.snapshot_period, self._initiate_snapshot)
 
     def _on_marker(self, pid: ProcessId, src: ProcessId, snapshot_id: int):
-        state = self._proc[pid]
         snap = self._snapshots[snapshot_id]
-        if snapshot_id not in state.recorded:
+        if pid not in snap.cut:
             # First marker: record now; channel src -> pid is empty.
             self._record_and_flood(pid, snapshot_id, first_marker_src=src)
             snap.channel_states[(src, pid)] = []
         else:
-            snap.channel_states[(src, pid)] = state.close_channel(snapshot_id, src)
+            log = self._recording[pid].pop((snapshot_id, src), [])
+            snap.channel_states[(src, pid)] = log
         self._pending_channels[snapshot_id] -= 1
 
     # ------------------------------------------------------------------
     def run(self) -> CoordinatedResult:
         if self.snapshot_period > 0:
             self.scheduler.schedule(self.snapshot_period, self._initiate_snapshot)
-        self.workload.on_start(self)
-        self.scheduler.run(max_events=self.max_events)
-        history = History(self._events, self._messages).closed()
-        validate_history(history)
+        self.generate()
+        history = self.recorder.build(close=True)
         complete = [
             snap
             for sid, snap in sorted(self._snapshots.items())

@@ -78,7 +78,6 @@ from repro.serve.wire import (
     FrameError,
     decode_frame,
     encode_frame,
-    read_frame,
 )
 
 __all__ = [
@@ -112,7 +111,6 @@ __all__ = [
     "encode_frame",
     "offline_answers",
     "parse_address",
-    "read_frame",
     "read_wal",
     "recover_sessions",
     "run_load",

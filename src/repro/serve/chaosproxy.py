@@ -178,7 +178,7 @@ class ChaosSchedule:
 class _FrameSplitter:
     """Tracks wire-frame boundaries across chunks so ``"frame"`` mode
     can split forwarded bytes exactly between frames (without decoding
-    payloads -- lengths only, like the router's RawFrameBuffer)."""
+    payloads -- lengths only, like ``wire.RawFrameBuffer``)."""
 
     __slots__ = ("_header", "_remaining")
 

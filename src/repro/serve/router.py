@@ -410,11 +410,16 @@ class Router:
     ) -> None:
         task = asyncio.current_task()
         self._conns.add(task)  # type: ignore[arg-type]
+        buffer = wire.FrameBuffer()
         try:
             while not self._stopping:
-                doc = await wire.read_frame(reader)
+                doc = buffer.next_doc()
                 if doc is None:
-                    return
+                    data = await reader.read(65536)
+                    if not data:
+                        return
+                    buffer.feed(data)
+                    continue
                 writer.write(wire.encode_reply(await self._answer(doc)))
                 if doc.get("kind") == "bye":
                     return

@@ -17,10 +17,10 @@ sidecar without holding any protocol state of its own.  A reply that
 would encode past :data:`MAX_FRAME` is answered ``reply_too_large``
 (:func:`encode_reply`), never dropped.
 
-The codec is sans-IO at its core (:class:`RawFrameBuffer` splits byte
-chunks into frames, :class:`FrameBuffer` decodes them) with a thin
-adapter for asyncio streams (:func:`read_frame`); clients, servers and
-the router share it, so none can drift from the others.
+The codec is sans-IO (:class:`RawFrameBuffer` splits byte chunks into
+frames, :class:`FrameBuffer` decodes them); clients, servers and the
+router all read through a :class:`FrameBuffer` fed by chunked reads, so
+none can drift from the others.
 """
 
 from __future__ import annotations
@@ -166,33 +166,6 @@ class FrameBuffer:
     def pending(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
         return self._raw.pending()
-
-
-# ----------------------------------------------------------------------
-# asyncio stream adapters
-# ----------------------------------------------------------------------
-async def read_frame(reader) -> Optional[Dict[str, object]]:
-    """Read one frame from an ``asyncio.StreamReader``; None at EOF.
-
-    EOF mid-frame (a peer that died between prefix and payload) raises
-    :class:`FrameError` -- silence is only legal on a frame boundary.
-    """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed inside a frame prefix") from None
-    (length,) = _LEN.unpack(prefix)
-    if length > MAX_FRAME:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME}")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise FrameError("connection closed inside a frame payload") from None
-    return decode_frame(payload)
 
 
 def error_reply(seq: object, code: str, detail: str) -> Dict[str, object]:

@@ -46,7 +46,7 @@ from repro.recovery.failure import CrashSpec
 from repro.recovery.manager import OnlineRecovery, RecoveryManager
 from repro.recovery.recovery_line import recovery_line
 from repro.sim.faults import CrashSchedule
-from repro.sim.replay import Recorder, apply_op, finish_fold
+from repro.sim.replay import apply_op, finish_fold, trace_recorder
 from repro.sim.trace import Trace, TraceOp, TraceOpKind
 from repro.types import MessageId, ProcessId, RecoveryError
 
@@ -158,7 +158,7 @@ class _CrashEngine:
         self.tracer = tracer
         self.metrics = metrics
         self.family = ProtocolFamily(protocol_factory, trace.n, tracer, metrics)
-        self.recorder = Recorder(trace)
+        self.recorder = trace_recorder(trace)
         # The manager gets no tracer: its live graph re-absorbs edges
         # during re-execution, and closure.* re-emissions would make the
         # trace depend on internal dedup details rather than the run.

@@ -134,7 +134,7 @@ class TraceGenerator:
                 channels=self.channels,
                 model=net_faults,
                 config=transport if transport is not None else TransportConfig(),
-                deliver=self._arrive,
+                deliver=self.record_deliver,
                 rng=net_faults.rng_for(seed),
                 tracer=tracer,
                 metrics=metrics,
@@ -171,11 +171,13 @@ class TraceGenerator:
         else:
             arrival = self.channels.arrival_time(src, dst, now, self.rng)
             self.scheduler.schedule_at(
-                arrival, lambda: self._arrive(msg_id, src, dst)
+                arrival, lambda: self.record_deliver(msg_id, src, dst)
             )
         return msg_id
 
-    def _arrive(self, msg_id: MessageId, src: ProcessId, dst: ProcessId) -> None:
+    def record_deliver(
+        self, msg_id: MessageId, src: ProcessId, dst: ProcessId
+    ) -> None:
         now = self.scheduler.now
         self.ops.append(
             TraceOp(now, TraceOpKind.DELIVER, dst, peer=src, msg_id=msg_id)

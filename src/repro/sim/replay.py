@@ -15,16 +15,16 @@ differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.analysis.metrics import RunMetrics, metrics_from_history
 from repro.obs.profile import NULL_PROFILER
 from repro.core.piggyback import Piggyback
 from repro.core.protocol import CheckpointProtocol, ProtocolFamily
-from repro.events.event import CheckpointKind, Event, EventKind, Message
+from repro.events.builder import Recorder
+from repro.events.event import CheckpointKind
 from repro.events.history import History
-from repro.events.validate import validate_history
 from repro.sim.trace import Trace, TraceOp, TraceOpKind
 from repro.types import MessageId, ProcessId, SimulationError
 
@@ -33,112 +33,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import Profiler
     from repro.obs.tracer import Tracer
 
-#: Minimal spacing between consecutive events of one process; trace op
-#: times are macroscopic (O(0.01+)) so nudges never reorder anything.
-_EPS = 1e-9
 
-
-class Recorder:
-    """Accumulates per-process event lists with strictly increasing times;
-    the replayer's sink for the family's steps."""
-
-    def __init__(self, trace: Trace) -> None:
-        self.n = n = trace.n
-        self.events: List[List[Event]] = [[] for _ in range(n)]
-        self.messages: Dict[MessageId, Message] = {}
-        self._sizes = {
-            op.msg_id: op.size for op in trace if op.kind is TraceOpKind.SEND
-        }
-        self._ckpt_index = [0] * n
-        self._last_time = [-1.0] * n
-        for pid in range(n):
-            self.record_checkpoint(pid, 0.0, CheckpointKind.INITIAL)
-
-    def _time_for(self, pid: ProcessId, requested: float) -> float:
-        time = max(requested, self._last_time[pid] + _EPS)
-        self._last_time[pid] = time
-        return time
-
-    def _append(self, pid: ProcessId, kind: EventKind, time: float, **fields) -> Event:
-        ev = Event(
-            pid=pid,
-            seq=len(self.events[pid]),
-            kind=kind,
-            time=self._time_for(pid, time),
-            **fields,
-        )
-        self.events[pid].append(ev)
-        return ev
-
-    def record_checkpoint(self, pid: int, time: float, kind: CheckpointKind) -> Event:
-        if kind is CheckpointKind.INITIAL:
-            index = 0
-        else:
-            self._ckpt_index[pid] += 1
-            index = self._ckpt_index[pid]
-        return self._append(
-            pid,
-            EventKind.CHECKPOINT,
-            time,
-            checkpoint_index=index,
-            checkpoint_kind=kind,
-        )
-
-    def record_send(self, pid: int, dst: int, msg: int, time: float) -> Event:
-        ev = self._append(pid, EventKind.SEND, time, msg_id=msg)
-        self.messages[msg] = Message(
-            msg_id=msg, src=pid, dst=dst, send_seq=ev.seq, size=self._sizes[msg]
-        )
-        return ev
-
-    def record_deliver(self, pid: int, sender: int, msg: int, time: float) -> Event:
-        m = self.messages[msg]
-        ev = self._append(pid, EventKind.DELIVER, time, msg_id=msg)
-        self.messages[msg] = Message(
-            msg_id=m.msg_id,
-            src=m.src,
-            dst=m.dst,
-            send_seq=m.send_seq,
-            deliver_seq=ev.seq,
-            size=m.size,
-        )
-        return ev
-
-    def snapshot(self, pid: ProcessId) -> tuple:
-        """Opaque restore token for ``pid``'s current recorded state."""
-        return (len(self.events[pid]), self._ckpt_index[pid], self._last_time[pid])
-
-    def restore(self, pid: ProcessId, snap: tuple) -> List[Event]:
-        """Roll ``pid`` back to a :meth:`snapshot`; returns the undone events.
-
-        Sends after the snapshot are forgotten (their re-execution
-        re-records them identically); deliveries after it revert the
-        message to in-transit.  Restoring ``_last_time`` is what makes a
-        piecewise-deterministic re-execution reproduce byte-identical
-        event times.
-        """
-        n_events, ckpt_index, last_time = snap
-        undone = self.events[pid][n_events:]
-        del self.events[pid][n_events:]
-        self._ckpt_index[pid] = ckpt_index
-        self._last_time[pid] = last_time
-        for ev in undone:
-            if ev.is_send:
-                del self.messages[ev.msg_id]
-            elif ev.is_deliver:
-                # The send side may already be undone (both endpoints
-                # rolled back): then there is no entry left to revert.
-                m = self.messages.get(ev.msg_id)
-                if m is not None:
-                    self.messages[ev.msg_id] = replace(m, deliver_seq=None)
-        return undone
-
-    def build(self, close: bool) -> History:
-        history = History(self.events, self.messages)
-        if close:
-            history = history.closed()
-        validate_history(history)
-        return history
+def trace_recorder(trace: Trace) -> Recorder:
+    """A recorder sized for ``trace``'s messages, holding every initial
+    checkpoint ``C(p, 0)`` at time 0."""
+    recorder = Recorder(
+        trace.n, {op.msg_id: op.size for op in trace if op.kind is TraceOpKind.SEND}
+    )
+    for pid in range(trace.n):
+        recorder.record_checkpoint(pid, 0.0, CheckpointKind.INITIAL)
+    return recorder
 
 
 @dataclass
@@ -180,7 +84,7 @@ def replay(
     """
     profiler = profiler or NULL_PROFILER
     family = ProtocolFamily(protocol_factory, trace.n, tracer=tracer, metrics=metrics)
-    recorder = Recorder(trace)
+    recorder = trace_recorder(trace)
     piggybacks: Dict[MessageId, Piggyback] = {}
     with profiler.phase("simulate"):
         for op in trace:

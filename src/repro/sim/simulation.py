@@ -9,7 +9,6 @@ examples, the benchmarks and most tests use.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -117,15 +116,6 @@ class Simulation:
         """The protocol-independent trace (generated lazily, cached)."""
         if self._trace is None:
             cfg = self.config
-            transport = cfg.transport
-            if cfg.net_faults is not None and cfg.fifo:
-                # Physical copies cannot honour channel-level FIFO under
-                # loss/retransmission; the transport reconstructs the
-                # same observable ordering at the receiver instead.
-                transport = dataclasses.replace(
-                    transport if transport is not None else TransportConfig(),
-                    fifo=True,
-                )
             generator = TraceGenerator(
                 cfg.n,
                 self.workload,
@@ -137,7 +127,7 @@ class Simulation:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 net_faults=cfg.net_faults,
-                transport=transport,
+                transport=cfg.transport,
             )
             with (self.profiler or NULL_PROFILER).phase("generate"):
                 self._trace = generator.generate()

@@ -17,9 +17,10 @@ is the classical one:
   after ``max_attempts`` tries and flags the link ``net.degraded``
   instead of retrying forever, which is what keeps the scheduler from
   deadlocking under a permanent partition or 100% loss;
-* with ``fifo=True`` the receiver additionally reconstructs per-link
-  FIFO order from transport sequence numbers, releasing held messages
-  when a predecessor is delivered or abandoned.
+* over a FIFO :class:`~repro.sim.channel.ChannelMap` the receiver
+  additionally reconstructs per-link FIFO order from transport sequence
+  numbers, releasing held messages when a predecessor is delivered or
+  abandoned.
 
 Every random decision (loss rolls, duplicate rolls, per-copy delays,
 retransmission jitter) draws from the single RNG handed in by the
@@ -57,8 +58,7 @@ class TransportConfig:
     adds seeded jitter uniform in ``[0, jitter * current_rto]`` to break
     synchronisation.  ``max_attempts`` is the watchdog bound: a message
     still unacked after that many physical attempts abandons the send
-    and flags its link degraded.  ``fifo`` turns on per-link FIFO
-    reconstruction at the receiver.
+    and flags its link degraded.
     """
 
     rto: float = 4.0
@@ -66,7 +66,6 @@ class TransportConfig:
     max_rto: float = 30.0
     jitter: float = 0.25
     max_attempts: int = 8
-    fifo: bool = False
 
     def __post_init__(self) -> None:
         if self.rto <= 0 or self.max_rto < self.rto:
@@ -136,7 +135,8 @@ class ReliableTransport:
     ----------
     scheduler, channels:
         The simulation kernel and the delay model of the physical links
-        (the same :class:`ChannelMap` a reliable run would use).
+        (the same :class:`ChannelMap` a reliable run would use; a FIFO
+        map turns on per-link FIFO reconstruction at the receiver).
     model:
         The physical fault model.
     config:
@@ -144,7 +144,7 @@ class ReliableTransport:
     deliver:
         ``(msg_id, src, dst) -> None`` -- the protocol-layer delivery
         hook, invoked exactly once per message (in per-link seq order
-        when ``config.fifo``).
+        when ``channels.fifo``).
     rng:
         The seeded stream all physical randomness draws from.
     """
@@ -294,7 +294,7 @@ class ReliableTransport:
             self._degraded_links.append(link)
             if self.metrics is not None:
                 self.metrics.inc("net.degraded_links")
-        if self.config.fifo and pending.msg_id not in self._received:
+        if self.channels.fifo and pending.msg_id not in self._received:
             # Leave no hole: successors held behind the abandoned seq
             # must still go out (in order).
             self._abandoned_seqs.setdefault(link, set()).add(pending.seq)
@@ -310,7 +310,7 @@ class ReliableTransport:
         first = msg_id not in self._received
         if first and not pending.abandoned:
             self._received.add(msg_id)
-            if self.config.fifo:
+            if self.channels.fifo:
                 self._fifo_held.setdefault(link, {})[pending.seq] = msg_id
                 self._fifo_release(link)
             else:

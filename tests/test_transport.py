@@ -196,6 +196,30 @@ def test_unordered_delivery_actually_happens_without_fifo():
     assert inversions > 0
 
 
+def test_fifo_channel_map_orders_links_without_simulation():
+    """FIFO is a property of the ChannelMap the generator is handed: a
+    direct ``generate_trace`` under net faults must keep per-link send
+    order too, not only a run that goes through ``Simulation``."""
+    model = NetFaultModel.uniform(loss=0.2, duplicate=0.1, reorder=0.3, seed=0)
+    out_of_order = 0
+    for seed in range(5):
+        gen = TraceGenerator(
+            4,
+            RandomUniformWorkload(send_rate=1.0),
+            duration=25.0,
+            seed=seed,
+            channels=ChannelMap(4, fifo=True),
+            net_faults=model,
+        )
+        sends, delivers = link_sequences(gen.generate())
+        undelivered = set(gen.net_report.undelivered)
+        out_of_order += sum(
+            delivers.get(link, []) != [m for m in ids if m not in undelivered]
+            for link, ids in sends.items()
+        )
+    assert out_of_order == 0
+
+
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
