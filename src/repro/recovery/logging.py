@@ -17,7 +17,7 @@ Determinism Is Almost True") applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.analysis.consistency import in_transit_of_cut
 from repro.events.event import Message
@@ -68,43 +68,55 @@ class SenderLog:
     def __len__(self) -> int:
         return len(self._messages)
 
+    def __contains__(self, msg_id: object) -> bool:
+        return msg_id in self._messages
+
+    def __iter__(self) -> Iterator[MessageId]:
+        return iter(self._messages)
+
     def lookup(self, msg_id: MessageId) -> Message:
         return self._messages[msg_id]
 
+    def discard(self, msg_id: MessageId) -> None:
+        """Forget ``msg_id`` if it is logged (a no-op otherwise)."""
+        self._messages.pop(msg_id, None)
+
     def collect_garbage(self, history: History, floor: Mapping[ProcessId, int]) -> int:
-        """Drop messages that no future recovery line can ever need.
+        """Drop the messages :func:`reclaimable` says no future line needs.
 
         ``floor`` is the cut of an advanced recovery floor (see
-        :func:`repro.recovery.gc.global_recovery_floor`): no rollback
-        will ever cross it again.  A logged message ``m`` is dead iff it
-        lies entirely at or below the floor **on both sides**:
-        ``send_interval(m) <= floor[src]`` *and* it was delivered with
-        ``deliver_interval(m) <= floor[dst]``.
-
-        The sender-side condition alone is NOT safe: a message sent at
-        or below the floor but delivered above it *crosses* the floor
-        (it is exactly one of ``floor.messages_to_replay``), and any
-        later recovery line ``L' >= floor`` with
-        ``L'[dst] < deliver_interval(m)`` still needs it replayed from
-        this log.  Undelivered messages sent at or below the floor cross
-        every future line for the same reason and are likewise kept.
-
-        Returns the number of messages dropped.
+        :func:`repro.recovery.gc.global_recovery_floor`).  Returns the
+        number of messages dropped.
         """
-        safe_interval = floor[self.pid]
-        dead = []
-        for mid, m in self._messages.items():
-            if history.send_interval(m) > safe_interval:
-                continue
-            if not m.delivered:
-                continue  # permanently in transit: crosses every future line
-            deliver_interval = history.deliver_interval(m)
-            assert deliver_interval is not None
-            if deliver_interval <= floor[m.dst]:
-                dead.append(mid)
+        sent, delivered = history.send_interval, history.deliver_interval
+        dead = [
+            mid
+            for mid, m in self._messages.items()
+            if reclaimable(sent(m), delivered(m), floor[self.pid], floor[m.dst])
+        ]
         for mid in dead:
             del self._messages[mid]
         return len(dead)
+
+
+def reclaimable(
+    send_interval: int, deliver_interval: Optional[int], floor_src: int, floor_dst: int
+) -> bool:
+    """The one log-GC rule: a logged message is dead iff it lies at or
+    below the recovery floor **on both sides** (sent in an interval
+    ``<= floor_src`` *and* delivered in one ``<= floor_dst``).
+
+    The sender-side condition alone is NOT safe: a message sent at or
+    below the floor but delivered above it *crosses* the floor, and a
+    later line ``L' >= floor`` with ``L'[dst] < deliver_interval`` still
+    needs it replayed.  An undelivered message (``deliver_interval is
+    None``) crosses every future line and is never reclaimable.
+    """
+    return (
+        deliver_interval is not None
+        and send_interval <= floor_src
+        and deliver_interval <= floor_dst
+    )
 
 
 def build_sender_logs(history: History) -> Dict[ProcessId, SenderLog]:

@@ -9,6 +9,8 @@ deliveries), maintaining
 
 * a live :class:`~repro.graph.incremental.IncrementalRGraph` whose
   frontier nodes stand for every process's currently-open interval,
+* one record per sent message and its intervals (a
+  :class:`~repro.serve.session.ServeSession` reads it: :meth:`sent_message`),
 * live per-process :class:`~repro.recovery.logging.SenderLog`\\ s, and
 * the interval bookkeeping needed to turn a crash into a rollback.
 
@@ -34,9 +36,10 @@ undone).  Both indexes are derived from the records and stay out of
 :meth:`state`.  The scans they replaced are the oracles of
 ``tests/test_online_vector_queries.py``.
 
-:meth:`collect_garbage` runs the *safe* log-GC rule online (both-sides
-condition -- see :mod:`repro.recovery.gc`): messages are reclaimed only
-when sent *and* delivered at or below the current total-failure floor.
+:meth:`collect_garbage` runs the one log-GC rule,
+:func:`~repro.recovery.logging.reclaimable`, online: messages are
+reclaimed only when sent *and* delivered at or below the current
+total-failure floor.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.events.event import Message
 from repro.graph.incremental import IncrementalRGraph
-from repro.recovery.logging import SenderLog
+from repro.recovery.logging import SenderLog, reclaimable
 from repro.types import MessageId, ProcessId, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -182,6 +185,11 @@ class RecoveryManager:
         self.logs[message.src].record(message)
         self._event_count[message.src] += 1
 
+    def sent_message(self, msg_id: MessageId) -> Optional[Message]:
+        """The message sent as ``msg_id``, or ``None`` if none was."""
+        record = self._records.get(msg_id)
+        return None if record is None else record.message
+
     def on_deliver(self, message: Message, t: float = 0.0) -> None:
         """``message`` was just delivered: hook its R-graph edge.
 
@@ -313,13 +321,11 @@ class RecoveryManager:
         plan = self.replay_plan_ids(cut)
         for mid in plan:
             src = self._records[mid].message.src
-            try:
-                self.logs[src].lookup(mid)
-            except KeyError:
+            if mid not in self.logs[src]:
                 raise RecoveryError(
                     f"message m{mid} crosses the recovery line but is gone "
                     f"from P{src}'s sender log (unsafely garbage-collected?)"
-                ) from None
+                )
         return OnlineRecovery(
             time=t,
             crashed=tuple(sorted(set(pids))),
@@ -364,8 +370,7 @@ class RecoveryManager:
         for mid in dead_sends:
             src = in_transit.pop(mid).message.src
             del self._records[mid]
-            if mid in self.logs[src]._messages:
-                del self.logs[src]._messages[mid]
+            self.logs[src].discard(mid)
 
     # ------------------------------------------------------------------
     # online garbage collection (the safe rule, live)
@@ -375,24 +380,17 @@ class RecoveryManager:
         return self.online_recovery_line(list(range(self.n)))
 
     def collect_garbage(self) -> OnlineGC:
-        """Trim the sender logs with the safe (both-sides) rule.
-
-        A logged message dies only when sent *and* delivered at or below
-        the current floor; crossing and in-transit messages survive, so
-        every future :meth:`crash` can still serve its replay plan.
-        """
+        """Trim the sender logs at the current floor with
+        :func:`~repro.recovery.logging.reclaimable`, so every future
+        :meth:`crash` can still serve its replay plan."""
         floor = self.recovery_floor()
         dropped: List[MessageId] = []
         for mid, record in self._records.items():
-            if record.send_interval > floor[record.message.src]:
-                continue
-            if record.deliver_interval is None:
-                continue
-            if record.deliver_interval > floor[record.message.dst]:
-                continue
-            log = self.logs[record.message.src]
-            if mid in log._messages:
-                del log._messages[mid]
+            src, dst = record.message.src, record.message.dst
+            if mid in self.logs[src] and reclaimable(
+                record.send_interval, record.deliver_interval, floor[src], floor[dst]
+            ):
+                self.logs[src].discard(mid)
                 dropped.append(mid)
         self.gc_dropped.update(dropped)
         if self.metrics is not None:
@@ -436,7 +434,7 @@ class RecoveryManager:
             "logs": {
                 str(pid): {
                     "stable_upto": log.stable_upto,
-                    "messages": sorted(log._messages),
+                    "messages": sorted(log),
                 }
                 for pid, log in self.logs.items()
             },

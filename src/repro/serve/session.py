@@ -13,7 +13,8 @@ exist offline:
   leaves it: it is held only while its message is in transit, and
   replies carry the decision, not the vectors;
 * a :class:`~repro.recovery.manager.RecoveryManager` (which owns the
-  live :class:`~repro.graph.incremental.IncrementalRGraph`), so
+  live :class:`~repro.graph.incremental.IncrementalRGraph` and the one
+  record of each sent message, read back at deliver), so
   ``rdt_status`` / ``z_cycles`` / ``recovery_line`` queries answer from
   incrementally-maintained closure state in O(update), never O(replay);
 * an append-only **ingest log** of every accepted operation.
@@ -88,7 +89,6 @@ class ServeSession:
         self.manager = RecoveryManager(n, tracer=tracer, metrics=metrics)
         #: Every accepted ingest op, in order -- the recorded stream.
         self.ingest_log: List[Dict[str, object]] = []
-        self._messages: Dict[int, Message] = {}
         #: The piggybacks of the messages in transit, by message id.
         self._piggybacks: Dict[int, Piggyback] = {}
         self._next_msg_id = 0
@@ -155,7 +155,7 @@ class ServeSession:
     def _apply_deliver(self, doc: Dict[str, object]) -> Dict[str, object]:
         msg_id = doc.get("msg_id")
         # ``1.0`` and ``False`` hash equal to message ids 1 and 0.
-        message = self._messages.get(msg_id) if type(msg_id) is int else None
+        message = self.manager.sent_message(msg_id) if type(msg_id) is int else None
         if message is None:
             raise SessionError(f"deliver of unknown msg_id {msg_id!r}")
         # Delivery consumes the piggyback: one is held only while its
@@ -184,11 +184,10 @@ class ServeSession:
     def record_send(self, pid: int, dst: int, msg: int, time: float) -> None:
         seq = len(self.ingest_log) - 1
         message = Message(msg_id=msg, src=pid, dst=dst, send_seq=seq)
-        self._messages[msg] = message
         self.manager.on_send(message, time)
 
     def record_deliver(self, pid: int, sender: int, msg: int, time: float) -> None:
-        self.manager.on_deliver(self._messages[msg], time)
+        self.manager.on_deliver(self.manager.sent_message(msg), time)
 
     # ------------------------------------------------------------------
     # queries (read-only, never logged)

@@ -2,7 +2,6 @@
 
 from repro.storage.store import (
     CheckpointRecord,
-    LogRecord,
     StableStore,
     StorageError,
 )
@@ -10,7 +9,6 @@ from repro.storage.timeline import StorageReport, simulate_storage
 
 __all__ = [
     "CheckpointRecord",
-    "LogRecord",
     "StableStore",
     "StorageError",
     "StorageReport",

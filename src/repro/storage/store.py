@@ -5,7 +5,9 @@ operators measure them in bytes of stable storage.  This module models
 the per-process stable store -- checkpoint records plus the sender
 message log -- with simple, explicit cost parameters, so the garbage
 collection machinery (:mod:`repro.recovery.gc`) can be evaluated in the
-unit that matters.
+unit that matters.  The log is a
+:class:`~repro.recovery.logging.SenderLog`, so it is trimmed by the one
+reclaim rule and by nothing else.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.types import CheckpointId, MessageId, ProcessId, ReproError
+from repro.recovery.logging import SenderLog
+from repro.types import CheckpointId, ProcessId, ReproError
 
 
 class StorageError(ReproError):
@@ -27,20 +30,16 @@ class CheckpointRecord:
     written_at: float
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    msg_id: MessageId
-    bytes: int
-    written_at: float
-
-
 class StableStore:
-    """One process's stable storage: checkpoints + sender log."""
+    """One process's stable storage: checkpoints + sender log.
+
+    The byte counters cover the checkpoints; the timeline prices ``log``.
+    """
 
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid
         self._checkpoints: Dict[int, CheckpointRecord] = {}
-        self._log: Dict[MessageId, LogRecord] = {}
+        self.log = SenderLog(pid)
         self.bytes_written = 0
         self.peak_bytes = 0
 
@@ -54,13 +53,6 @@ class StableStore:
         self.bytes_written += size
         self._track_peak()
 
-    def log_message(self, msg_id: MessageId, size: int, now: float) -> None:
-        if msg_id in self._log:
-            raise StorageError(f"message {msg_id} already logged")
-        self._log[msg_id] = LogRecord(msg_id, size, now)
-        self.bytes_written += size
-        self._track_peak()
-
     def discard_checkpoint(self, index: int) -> int:
         try:
             return self._checkpoints.pop(index).bytes
@@ -69,26 +61,12 @@ class StableStore:
                 f"P{self.pid} has no checkpoint {index} on stable storage"
             ) from None
 
-    def discard_log_below(self, interval: int, send_intervals: Dict[MessageId, int]):
-        """Drop logged messages sent in intervals <= ``interval``."""
-        dead = [
-            mid
-            for mid in self._log
-            if send_intervals.get(mid, interval + 1) <= interval
-        ]
-        freed = 0
-        for mid in dead:
-            freed += self._log.pop(mid).bytes
-        return freed
-
     # ------------------------------------------------------------------
     def checkpoint_indices(self) -> List[int]:
         return sorted(self._checkpoints)
 
     def usage_bytes(self) -> int:
-        return sum(r.bytes for r in self._checkpoints.values()) + sum(
-            r.bytes for r in self._log.values()
-        )
+        return sum(r.bytes for r in self._checkpoints.values())
 
     def _track_peak(self) -> None:
         self.peak_bytes = max(self.peak_bytes, self.usage_bytes())
@@ -96,5 +74,5 @@ class StableStore:
     def __repr__(self) -> str:
         return (
             f"<StableStore P{self.pid} ckpts={len(self._checkpoints)} "
-            f"log={len(self._log)} bytes={self.usage_bytes()}>"
+            f"log={len(self.log)} bytes={self.usage_bytes()}>"
         )

@@ -58,21 +58,25 @@ def simulate_storage(
     ``gc_interval=None`` disables garbage collection (storage grows
     monotonically); otherwise the floor-based collector runs every
     ``gc_interval`` simulated time units, discarding checkpoints
-    strictly below the floor and log entries at or below it.
+    strictly below the floor and the log entries
+    :func:`~repro.recovery.logging.reclaimable` frees (judging them by
+    their final deliver interval is exact: a message delivered after the
+    GC time lands above that time's floor).
     """
     history = history.closed()
     n = history.num_processes
     stores = {pid: StableStore(pid) for pid in range(n)}
-    send_intervals = {
-        m.msg_id: history.send_interval(m) for m in history.messages.values()
-    }
+    log_written = 0
     samples: List[Tuple[float, int]] = []
     reclaimed = 0
     gc_runs = 0
     next_gc = gc_interval
 
     def total() -> int:
-        return sum(store.usage_bytes() for store in stores.values())
+        return sum(
+            store.usage_bytes() + message_bytes * len(store.log)
+            for store in stores.values()
+        )
 
     def run_gc(now: float) -> int:
         nonlocal gc_runs
@@ -83,7 +87,7 @@ def simulate_storage(
             for index in store.checkpoint_indices():
                 if index < floor.cut[pid]:
                     freed += store.discard_checkpoint(index)
-            freed += store.discard_log_below(floor.cut[pid], send_intervals)
+            freed += message_bytes * store.log.collect_garbage(history, floor.cut)
         return freed
 
     for ev in history.events_by_time():
@@ -100,14 +104,15 @@ def simulate_storage(
             samples.append((ev.time, total()))
         elif ev.kind is EventKind.SEND and log_messages:
             assert ev.msg_id is not None
-            stores[ev.pid].log_message(ev.msg_id, message_bytes, ev.time)
+            stores[ev.pid].log.record(history.message(ev.msg_id))
+            log_written += message_bytes
             samples.append((ev.time, total()))
 
     return StorageReport(
         samples=samples,
         peak_bytes=max((bytes_ for _, bytes_ in samples), default=0),
         final_bytes=total(),
-        bytes_written=sum(store.bytes_written for store in stores.values()),
+        bytes_written=sum(s.bytes_written for s in stores.values()) + log_written,
         bytes_reclaimed=reclaimed,
         gc_runs=gc_runs,
         stores=stores,

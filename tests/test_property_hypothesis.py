@@ -323,9 +323,9 @@ def test_gc_never_drops_a_message_a_later_line_needs(inputs, frac):
     logs = build_sender_logs(history)
     dropped = set()
     for pid, log in logs.items():
-        before = set(log._messages)
+        before = set(log)
         log.collect_garbage(history, floor.cut)
-        dropped |= before - set(log._messages)
+        dropped |= before - set(log)
 
     for r in range(1, n + 1):
         for crashed in itertools.combinations(range(n), r):

@@ -29,6 +29,7 @@ from repro.recovery import (
     recovery_line_rgraph,
     replay_plan,
 )
+from repro.recovery.logging import reclaimable
 from repro.sim import Simulation, SimulationConfig
 from repro.types import PatternError, RecoveryError
 from repro.workloads import RandomUniformWorkload
@@ -98,7 +99,7 @@ class TestOnlineLine:
         b.checkpoint(0)
         b.deliver(m)
         manager = RecoveryManager.from_history(b.build(close=True))
-        del manager.logs[0]._messages[m]
+        manager.logs[0].discard(m)
         with pytest.raises(RecoveryError):
             manager.crash([1])
 
@@ -224,8 +225,8 @@ class TestUnsafeOldRule:
         # The pre-fix rule: drop on send_interval <= floor[src] alone.
         old_rule_dead = [
             mid
-            for mid, msg in logs[0]._messages.items()
-            if h.send_interval(msg) <= floor.cut[0]
+            for mid in logs[0]
+            if h.send_interval(h.message(mid)) <= floor.cut[0]
         ]
         assert old_rule_dead == [m]  # the old rule WOULD reclaim m ...
         line = recovery_line(h, {1: CrashSpec(1)})
@@ -242,6 +243,13 @@ class TestUnsafeOldRule:
         line = recovery_line(h, {1: CrashSpec(1)})
         for msg in replay_plan(h, line.cut).messages():
             assert logs[msg.src].lookup(msg.msg_id).msg_id == msg.msg_id
+
+    def test_reclaimable_needs_both_sides(self):
+        # (send_interval, deliver_interval, floor_src, floor_dst)
+        assert reclaimable(1, 1, 1, 1)
+        assert not reclaimable(1, 2, 1, 1)  # crosses: delivered above
+        assert not reclaimable(2, 1, 1, 1)  # sent above the floor
+        assert not reclaimable(0, None, 1, 1)  # in transit forever
 
     def test_undelivered_below_floor_is_kept(self):
         b = PatternBuilder(2)
@@ -265,7 +273,7 @@ class TestOnlineGC:
         report = collect_garbage(h, logs=logs)
         assert gc.reclaimed_log_messages == report.reclaimed_log_messages
         for pid in range(3):
-            assert set(manager.logs[pid]._messages) == set(logs[pid]._messages)
+            assert set(manager.logs[pid]) == set(logs[pid])
 
     def test_dropped_never_needed_by_any_later_crash(self):
         h = simulated_history(protocol="independent", seed=17)

@@ -96,6 +96,9 @@ def test_piggybacks_live_only_while_in_transit(protocol, n, ops):
         else:
             continue
         assert set(session._piggybacks) == set(in_flight)
+        # The session reads messages from the manager's records, so the
+        # two views of what is in transit must agree.
+        assert set(session.manager._in_transit) == set(session._piggybacks)
         if delivered:
             events = len(session.ingest_log)
             with pytest.raises(SessionError, match="delivered twice"):

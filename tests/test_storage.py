@@ -3,6 +3,8 @@
 import pytest
 
 from repro.events import figure1_pattern
+from repro.events.event import Message
+from repro.recovery import global_recovery_floor
 from repro.sim import Simulation, SimulationConfig
 from repro.storage import StableStore, StorageError, simulate_storage
 from repro.types import CheckpointId as C
@@ -13,9 +15,12 @@ class TestStableStore:
     def test_write_and_usage(self):
         s = StableStore(0)
         s.write_checkpoint(C(0, 0), 100, now=0.0)
-        s.log_message(5, 10, now=1.0)
-        assert s.usage_bytes() == 110
-        assert s.bytes_written == 110
+        s.log.record(Message(msg_id=5, src=0, dst=1, send_seq=1))
+        # The store's counters price checkpoints; log entries are priced
+        # by the timeline, per entry.
+        assert s.usage_bytes() == 100
+        assert s.bytes_written == 100
+        assert 5 in s.log and len(s.log) == 1
 
     def test_peak_tracks_high_water(self):
         s = StableStore(0)
@@ -38,14 +43,6 @@ class TestStableStore:
     def test_discard_unknown_rejected(self):
         with pytest.raises(StorageError):
             StableStore(0).discard_checkpoint(7)
-
-    def test_log_gc_by_send_interval(self):
-        s = StableStore(0)
-        s.log_message(1, 10, now=0.0)
-        s.log_message(2, 10, now=1.0)
-        freed = s.discard_log_below(3, {1: 2, 2: 5})
-        assert freed == 10
-        assert s.usage_bytes() == 10
 
 
 def simulated_history(protocol="bhmr", seed=1):
@@ -76,8 +73,6 @@ class TestTimeline:
         assert with_gc.bytes_written == no_gc.bytes_written
 
     def test_gc_never_discards_at_or_above_floor(self):
-        from repro.recovery import global_recovery_floor
-
         h = simulated_history()
         report = simulate_storage(h, gc_interval=10.0)
         floor = global_recovery_floor(h)
@@ -105,3 +100,29 @@ class TestTimeline:
             h, checkpoint_bytes=10, message_bytes=1, log_messages=True
         )
         assert report.bytes_written == h.num_checkpoints() * 10 + h.num_messages()
+
+
+@pytest.mark.parametrize("protocol", ["independent", "bcs", "bhmr", "fdas"])
+def test_gc_keeps_every_message_crossing_the_floor(protocol):
+    """Log GC drops an entry only when it is at or below the floor on
+    both sides.  A floor only rises, so a message crossing the final
+    floor crossed every earlier GC floor too: checking the end state
+    covers every GC run.  (The sender-side-only rule dropped 11 / 4 /
+    4 / 5 such entries on this run.)"""
+    sim = Simulation(
+        RandomUniformWorkload(send_rate=2.0),
+        SimulationConfig(n=4, duration=60.0, seed=3, basic_rate=0.3),
+    )
+    h = sim.run(protocol).history
+    report = simulate_storage(h, gc_interval=10.0)
+    assert report.bytes_reclaimed > 0
+    floor = global_recovery_floor(h).cut
+    crossing = [
+        m
+        for m in h.messages.values()
+        if h.send_interval(m) <= floor[m.src]
+        and (not m.delivered or h.deliver_interval(m) > floor[m.dst])
+    ]
+    assert crossing
+    lost = [m.msg_id for m in crossing if m.msg_id not in report.stores[m.src].log]
+    assert lost == []
