@@ -52,11 +52,10 @@ class BHMRProtocol(CheckpointProtocol):
     def __init__(self, pid: ProcessId, n: int) -> None:
         super().__init__(pid, n)
         # (S0): causal starts as the identity; simple[i] is permanently
-        # true, other entries start false (reset of take_checkpoint).
-        self.causal: List[List[bool]] = [
-            [self.diagonal_true and k == j for j in range(n)] for k in range(n)
-        ]
-        self.simple: List[bool] = [j == pid for j in range(n)]
+        # true, other entries start false (reset of take_checkpoint).  Both
+        # are bits: causal[k] is row k (bit l is causal[k][l]), simple one int.
+        self.causal: List[int] = [int(self.diagonal_true) << k for k in range(n)]
+        self.simple: int = 1 << pid
         #: Attribution of forced checkpoints to the predicate that fired
         #: (a delivery may trip both).  Filled by the driver sequence
         #: wants_forced_checkpoint -> on_checkpoint(forced=True).
@@ -68,10 +67,9 @@ class BHMRProtocol(CheckpointProtocol):
     def on_checkpoint(self, forced: bool = False) -> None:
         """take_checkpoint of Figure 6 (resets beyond the base's)."""
         super().on_checkpoint(forced)
-        for j in range(self.n):
-            if j != self.pid:
-                self.simple[j] = False
-                self.causal[self.pid][j] = False
+        own = 1 << self.pid
+        self.simple &= own
+        self.causal[self.pid] &= own
         if forced and self._pending_cause:
             fired_c1, fired_c2 = self._pending_cause
             self.c1_fires += 1 if fired_c1 else 0
@@ -80,9 +78,7 @@ class BHMRProtocol(CheckpointProtocol):
 
     def make_piggyback(self, dst: ProcessId) -> Piggyback:
         return BHMRPiggyback(
-            tdv=tuple(self.tdv),
-            simple=tuple(self.simple),
-            causal=tuple(tuple(row) for row in self.causal),
+            tdv=tuple(self.tdv), simple=self.simple, causal=tuple(self.causal)
         )
 
     # ------------------------------------------------------------------
@@ -103,33 +99,28 @@ class BHMRProtocol(CheckpointProtocol):
         if not isinstance(pb, (BHMRPiggyback, BHMRNoSimplePiggyback)):
             raise ProtocolError(f"{self.name} cannot interpret {type(pb).__name__}")
         super().on_receive(pb, sender)
-        for k in range(self.n):
-            if pb.tdv[k] > self.tdv[k]:
-                self.tdv[k] = pb.tdv[k]
-                self._set_simple_from(pb, k, replace=True)
-                for l in range(self.n):
-                    self.causal[k][l] = pb.causal_entry(k, l)
-            elif pb.tdv[k] == self.tdv[k]:
-                self._set_simple_from(pb, k, replace=False)
-                for l in range(self.n):
-                    self.causal[k][l] = self.causal[k][l] or pb.causal_entry(k, l)
+        tdv, causal, m_causal = self.tdv, self.causal, pb.causal
+        newer = same = 0  # bit k: m.TDV[k] > TDV[k], resp. ==
+        for k, m_entry in enumerate(pb.tdv):
+            if m_entry > tdv[k]:
+                tdv[k] = m_entry
+                causal[k] = m_causal[k]
+                newer |= 1 << k
+            elif m_entry == tdv[k]:
+                causal[k] |= m_causal[k]
+                same |= 1 << k
+        if self.uses_simple:
+            # simple[k] := m.simple[k] where m is newer, and-ed where equal.
+            m_simple = pb.simple
+            self.simple = self.simple & ~newer & (m_simple | ~same) | m_simple & newer
         # The message itself is a causal chain from the sender's current
         # interval; close the knowledge transitively.
+        own, via = 1 << self.pid, 1 << sender
         if self.diagonal_true or sender != self.pid:
-            self.causal[sender][self.pid] = True
+            causal[sender] |= own
         for l in range(self.n):
-            if not self.diagonal_true and l == self.pid:
-                continue
-            self.causal[l][self.pid] = self.causal[l][self.pid] or self.causal[l][sender]
-
-    def _set_simple_from(self, pb: Piggyback, k: int, replace: bool) -> None:
-        if not self.uses_simple:
-            return
-        assert isinstance(pb, BHMRPiggyback)
-        if replace:
-            self.simple[k] = pb.simple[k]
-        else:
-            self.simple[k] = self.simple[k] and pb.simple[k]
+            if causal[l] & via and (self.diagonal_true or l != self.pid):
+                causal[l] |= own
 
 
 class BHMRNoSimpleProtocol(BHMRProtocol):
@@ -143,10 +134,7 @@ class BHMRNoSimpleProtocol(BHMRProtocol):
     uses_simple = False
 
     def make_piggyback(self, dst: ProcessId) -> Piggyback:
-        return BHMRNoSimplePiggyback(
-            tdv=tuple(self.tdv),
-            causal=tuple(tuple(row) for row in self.causal),
-        )
+        return BHMRNoSimplePiggyback(tdv=tuple(self.tdv), causal=tuple(self.causal))
 
     def wants_forced_checkpoint(self, pb: Piggyback, sender: ProcessId) -> bool:
         if not isinstance(pb, BHMRNoSimplePiggyback):

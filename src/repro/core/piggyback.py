@@ -49,37 +49,50 @@ class FlagPiggyback(Piggyback):
         return 1
 
 
+def _bools(bits: int, n: int) -> Tuple[bool, ...]:
+    return tuple(bool(bits >> j & 1) for j in range(n))
+
+
 @dataclass(frozen=True)
 class BHMRPiggyback(Piggyback):
     """The full BHMR control state: ``TDV``, ``simple``, ``causal``.
 
-    ``causal`` is an ``n x n`` boolean matrix flattened row-major into a
-    tuple of row tuples; ``simple`` is a boolean vector.  Both are copies
-    (snapshots) of the sender's state at send time.
+    ``causal`` holds the ``n x n`` boolean matrix as ``n`` row ints (bit
+    ``j`` of row ``k`` is ``causal[k][j]``), ``simple`` the vector as one
+    int; both are snapshots of the sender's state at send time.
     """
 
     tdv: Tuple[int, ...]
-    simple: Tuple[bool, ...]
-    causal: Tuple[Tuple[bool, ...], ...]
+    simple: int
+    causal: Tuple[int, ...]
 
     def size_bits(self) -> int:
         n = len(self.tdv)
         return INDEX_BITS * n + n + n * n
 
     def causal_entry(self, k: int, j: int) -> bool:
-        return self.causal[k][j]
+        return bool(self.causal[k] >> j & 1)
+
+    def __repr__(self) -> str:
+        n = len(self.tdv)
+        return (f"BHMRPiggyback(tdv={self.tdv!r}, simple={_bools(self.simple, n)!r}, "
+                f"causal={tuple(_bools(row, n) for row in self.causal)!r})")
 
 
 @dataclass(frozen=True)
 class BHMRNoSimplePiggyback(Piggyback):
-    """Variant 1 of section 5.1: TDV + causal matrix, no simple vector."""
+    """Variant 1 of section 5.1: TDV + causal row ints, no simple vector."""
 
     tdv: Tuple[int, ...]
-    causal: Tuple[Tuple[bool, ...], ...]
+    causal: Tuple[int, ...]
 
     def size_bits(self) -> int:
         n = len(self.tdv)
         return INDEX_BITS * n + n * n
 
-    def causal_entry(self, k: int, j: int) -> bool:
-        return self.causal[k][j]
+    causal_entry = BHMRPiggyback.causal_entry
+
+    def __repr__(self) -> str:
+        n = len(self.tdv)
+        causal = tuple(_bools(row, n) for row in self.causal)
+        return f"BHMRNoSimplePiggyback(tdv={self.tdv!r}, causal={causal!r})"

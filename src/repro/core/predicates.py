@@ -11,14 +11,13 @@ the predicates are exposed here as standalone functions so that
 * users can study *why* a particular delivery forced a checkpoint.
 
 Conventions: ``tdv`` is the local vector, ``m_tdv`` the piggybacked one;
-boolean structures follow Figure 6's names.
+boolean structures follow Figure 6's names, held as bits: ``m_causal``
+is one int per row (bit ``j`` of row ``k`` is ``m.causal[k][j]``), ``m_simple`` one int.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-BoolMatrix = Tuple[Tuple[bool, ...], ...]
+from typing import Sequence
 
 
 def new_dependency(tdv: Sequence[int], m_tdv: Sequence[int]) -> bool:
@@ -30,7 +29,7 @@ def c1(
     tdv: Sequence[int],
     sent_to: Sequence[bool],
     m_tdv: Sequence[int],
-    m_causal: BoolMatrix,
+    m_causal: Sequence[int],
 ) -> bool:
     """Predicate C1 of the paper (section 4.1.1).
 
@@ -47,7 +46,7 @@ def c1(
         if not sent:
             continue
         for k in new_deps:
-            if not m_causal[k][j]:
+            if not (m_causal[k] >> j) & 1:
                 return True
     return False
 
@@ -56,7 +55,7 @@ def c2(
     pid: int,
     tdv: Sequence[int],
     m_tdv: Sequence[int],
-    m_simple: Sequence[bool],
+    m_simple: int,
 ) -> bool:
     """Predicate C2 of the paper (section 4.1.2).
 
@@ -66,7 +65,7 @@ def c2(
 
         m.TDV[i] == TDV[i] and not m.simple[i]
     """
-    return m_tdv[pid] == tdv[pid] and not m_simple[pid]
+    return m_tdv[pid] == tdv[pid] and not (m_simple >> pid) & 1
 
 
 def c2_prime(pid: int, tdv: Sequence[int], m_tdv: Sequence[int]) -> bool:

@@ -48,7 +48,11 @@ class SenderLog:
 
     ``stable_upto`` tracks the last checkpoint index whose interval's
     messages are known to be on stable storage; everything later is
-    volatile and lost if this process crashes.
+    volatile and lost if this process crashes.  It is reported (in
+    :meth:`RecoveryManager.state`), never decided on: no recovery or GC
+    rule reads it.  Only the crash engine and :func:`build_sender_logs`
+    call :meth:`flush`; the serve path never does, so every serve
+    snapshot records ``stable_upto == 0``.
     """
 
     def __init__(self, pid: ProcessId) -> None:

@@ -33,7 +33,8 @@ class CheckpointRecord:
 class StableStore:
     """One process's stable storage: checkpoints + sender log.
 
-    The byte counters cover the checkpoints; the timeline prices ``log``.
+    The byte counters cover the checkpoints (``usage_bytes`` is a running
+    total, kept by write and discard); the timeline prices ``log``.
     """
 
     def __init__(self, pid: ProcessId) -> None:
@@ -42,6 +43,7 @@ class StableStore:
         self.log = SenderLog(pid)
         self.bytes_written = 0
         self.peak_bytes = 0
+        self._usage = 0
 
     # ------------------------------------------------------------------
     def write_checkpoint(self, cid: CheckpointId, size: int, now: float) -> None:
@@ -51,25 +53,25 @@ class StableStore:
             raise StorageError(f"{cid} already on stable storage")
         self._checkpoints[cid.index] = CheckpointRecord(cid, size, now)
         self.bytes_written += size
-        self._track_peak()
+        self._usage += size
+        self.peak_bytes = max(self.peak_bytes, self._usage)
 
     def discard_checkpoint(self, index: int) -> int:
         try:
-            return self._checkpoints.pop(index).bytes
+            size = self._checkpoints.pop(index).bytes
         except KeyError:
             raise StorageError(
                 f"P{self.pid} has no checkpoint {index} on stable storage"
             ) from None
+        self._usage -= size
+        return size
 
     # ------------------------------------------------------------------
     def checkpoint_indices(self) -> List[int]:
         return sorted(self._checkpoints)
 
     def usage_bytes(self) -> int:
-        return sum(r.bytes for r in self._checkpoints.values())
-
-    def _track_peak(self) -> None:
-        self.peak_bytes = max(self.peak_bytes, self.usage_bytes())
+        return self._usage
 
     def __repr__(self) -> str:
         return (

@@ -12,6 +12,7 @@ from repro.events.io import history_to_dict
 from repro.events.random_pattern import ping_pong_domino_pattern, random_pattern
 from repro.types import SimulationError
 from repro.workloads import WORKLOADS, RandomUniformWorkload, RingWorkload
+from repro.workloads.base import Workload
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,23 @@ def _snapshot_doc(snap) -> dict:
     }
 
 
+class _TimerAtPeriod(Workload):
+    """Every process's timer fires at each multiple of ``period`` and
+    sends to its right neighbour: the same instants as the marker rounds
+    of a run with ``snapshot_period=period``."""
+
+    def __init__(self, period: float) -> None:
+        self.period = period
+
+    def on_start(self, ctx):
+        for pid in range(ctx.n):
+            ctx.set_timer(pid, self.period)
+
+    def on_timer(self, ctx, pid, tag):
+        ctx.send(pid, (pid + 1) % ctx.n)
+        ctx.set_timer(pid, self.period)
+
+
 class TestByteIdentityPins:
     """Digests recorded before the runner moved onto the trace generator
     and the builder onto the shared recorder: every history, cut,
@@ -116,6 +134,8 @@ class TestByteIdentityPins:
         "random": "ff853539ff75a9aeed1eca4ea5cf959a6dbbca65ff7ffded95344a216abb4819",
         "ring": "e4a65b20415ab64e61d9a4b8b80cda8137fdb9b1f221a1490bb588e7848470bd",
     }
+
+    TIMER_TIE = "bb098314382f8465a68f6b6a0034d7f4171179476a701af37280bb949cb011c8"
 
     PATTERNS = {
         "figure1": "612ffafec3c1e68c26c26fa9d76c74a2708a9af43095e5298b0b4816d7323d0a",
@@ -141,6 +161,24 @@ class TestByteIdentityPins:
                     "control": res.control_messages,
                 })
         assert _digest(runs) == self.GRID[name]
+
+    def test_timer_tied_with_the_first_marker_round(self):
+        """The first marker round is scheduled before the workload's
+        ``on_start``, so at a tie the initiator records its state before
+        the timer's send (which is then post-snapshot, not in transit)."""
+        runs = []
+        for n in (2, 4):
+            for seed in (0, 1):
+                res = run_chandy_lamport(
+                    _TimerAtPeriod(7.0), n=n, duration=30, seed=seed,
+                    snapshot_period=7,
+                )
+                runs.append({
+                    "history": history_to_dict(res.history),
+                    "snapshots": [_snapshot_doc(s) for s in res.snapshots],
+                    "control": res.control_messages,
+                })
+        assert _digest(runs) == self.TIMER_TIE
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_builder_patterns(self, name):

@@ -53,10 +53,10 @@ class TestValueSemantics:
             pb.tdv = (3, 4)  # type: ignore[misc]
 
     def test_causal_entry_accessor(self):
-        pb = BHMRNoSimplePiggyback(
-            tdv=(0, 0), causal=((True, False), (False, True))
-        )
+        # Rows as bits: row 0 is (True, False), row 1 (False, True).
+        pb = BHMRNoSimplePiggyback(tdv=(0, 0), causal=(0b01, 0b10))
         assert pb.causal_entry(0, 0) and not pb.causal_entry(0, 1)
+        assert pb.causal_entry(1, 1) and not pb.causal_entry(1, 0)
 
     def test_snapshots_are_equal_by_value(self):
         a = TDVPiggyback(tdv=(1, 2))

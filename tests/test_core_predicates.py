@@ -1,6 +1,7 @@
 """Unit tests for the standalone forcing predicates."""
 
 from repro.core import predicates
+from tests.oracles.bhmr import decode_matrix
 
 
 class TestNewDependency:
@@ -14,7 +15,8 @@ class TestC1:
     def test_requires_a_sent_to_and_a_new_uncovered_dep(self):
         tdv = [1, 0, 0]
         m_tdv = (0, 1, 0)  # new dependency on P1
-        no_cover = ((False,) * 3,) * 3
+        no_cover = (0, 0, 0)
+        assert decode_matrix(no_cover, 3) == ((False,) * 3,) * 3
         assert predicates.c1(tdv, [False, False, True], m_tdv, no_cover)
         assert not predicates.c1(tdv, [False, False, False], m_tdv, no_cover)
 
@@ -22,7 +24,8 @@ class TestC1:
         tdv = [1, 0, 0]
         m_tdv = (0, 1, 0)
         # causal[1][2] true: the chain towards P2 has a sibling.
-        causal = (
+        causal = (0b000, 0b100, 0b000)
+        assert decode_matrix(causal, 3) == (
             (False, False, False),
             (False, False, True),
             (False, False, False),
@@ -38,9 +41,10 @@ class TestC1:
 
 class TestC2Family:
     def test_c2_needs_equal_own_entry_and_nonsimple(self):
-        assert predicates.c2(0, [3, 0], (3, 1), (False, True))
-        assert not predicates.c2(0, [3, 0], (2, 1), (False, True))
-        assert not predicates.c2(0, [3, 0], (3, 1), (True, True))
+        # m.simple as bits: 0b10 is (False, True), 0b11 is (True, True).
+        assert predicates.c2(0, [3, 0], (3, 1), 0b10)
+        assert not predicates.c2(0, [3, 0], (2, 1), 0b10)
+        assert not predicates.c2(0, [3, 0], (3, 1), 0b11)
 
     def test_c2_prime(self):
         assert predicates.c2_prime(0, [3, 0], (3, 1))

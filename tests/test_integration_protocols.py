@@ -11,11 +11,19 @@ on the recorded patterns:
 * the negative control: independent checkpointing violates RDT.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis import check_rdt, min_consistent_gcp, useless_checkpoints
 from repro.clocks import tdv_snapshots
-from repro.core import RDT_FAMILY, BHMRProtocol, protocol_factory
+from repro.core import (
+    RDT_FAMILY,
+    BHMRCausalOnlyProtocol,
+    BHMRProtocol,
+    ProtocolFamily,
+    protocol_factory,
+)
 from repro.core import predicates
 from repro.events import CheckpointKind
 from repro.sim import Simulation, SimulationConfig, replay
@@ -27,6 +35,7 @@ from repro.workloads import (
     RandomUniformWorkload,
     RingWorkload,
 )
+from tests.test_bhmr_bitsets import NullSink
 
 SCENARIOS = [
     ("random", lambda: RandomUniformWorkload(send_rate=1.5), 4),
@@ -152,6 +161,77 @@ class TestPredicateImplications:
         sim = simulate(make, n, seed=17)
         replay(sim.trace, lambda pid, nn: _InstrumentedBHMR(pid, nn))
         assert _InstrumentedBHMR.checks > 20, env
+
+
+class _InstrumentedCausalOnly(BHMRCausalOnlyProtocol):
+    """Variant 2 of section 5.1 against Wang's FDAS at every arrival.
+
+    With the causal diagonal kept false, ``C1`` implies ``C_FDAS`` by
+    construction; on every reachable state checked so far the converse
+    holds too, so the two decide alike.  Asserted both ways, pointwise.
+    """
+
+    checks = 0
+    fdas_true = 0
+
+    def wants_forced_checkpoint(self, pb, sender):
+        decision = super().wants_forced_checkpoint(pb, sender)
+        v_c1 = predicates.c1(self.tdv, self.sent_to, pb.tdv, pb.causal)
+        v_fdas = predicates.c_fdas(self.after_first_send, self.tdv, pb.tdv)
+        assert decision == v_c1
+        assert v_c1 == v_fdas, "C1 (diagonal false) <=> C_FDAS"
+        _InstrumentedCausalOnly.checks += 1
+        _InstrumentedCausalOnly.fdas_true += v_fdas
+        return decision
+
+
+#: Feeds for variant 2: n = 2-4, mostly sends and deliveries, and "r"
+#: relays -- deliver the newest message in transit and have its receiver
+#: send on at once -- so chains k -> j -> s -> i are long and common.
+relay_feeds = st.tuples(
+    st.integers(2, 4),
+    st.lists(
+        st.tuples(st.sampled_from("ssddrrrc"), st.integers(0, 3), st.integers(0, 7)),
+        min_size=20,
+        max_size=80,
+    ),
+)
+
+
+def _run_relay_feed(n, feed):
+    family = ProtocolFamily(_InstrumentedCausalOnly, n)
+    sink = NullSink()
+    in_transit = []  # (msg, src, dst, piggyback)
+
+    def send(src, b, step):
+        dst = (src + 1 + b % (n - 1)) % n
+        in_transit.append((step, src, dst, family.send(src, dst, step, step, sink)))
+
+    for step, (op, a, b) in enumerate(feed):
+        if op == "c":
+            family.checkpoint(a % n, step, sink)
+        elif op == "s":
+            send(a % n, b, step)
+        elif in_transit:
+            msg, src, dst, pb = in_transit.pop(-1 if op == "r" else b % len(in_transit))
+            family.arrive(dst, src, msg, pb, step, sink)
+            if op == "r":
+                send(dst, b, step)
+
+
+class TestVariant2IsFDASPointwise:
+    @pytest.mark.parametrize("env,make,n", SCENARIOS)
+    def test_on_the_integration_scenarios(self, env, make, n):
+        _InstrumentedCausalOnly.checks = _InstrumentedCausalOnly.fdas_true = 0
+        sim = simulate(make, n, seed=17)
+        replay(sim.trace, _InstrumentedCausalOnly)
+        assert _InstrumentedCausalOnly.checks > 20, env
+        assert _InstrumentedCausalOnly.fdas_true > 0, env
+
+    @given(relay_feeds)
+    @settings(max_examples=500, deadline=None)
+    def test_on_dense_relay_feeds(self, inputs):
+        _run_relay_feed(*inputs)
 
 
 class TestConservativenessOrdering:
