@@ -52,6 +52,28 @@ def _message_constraints(history: History):
     return out
 
 
+def propagate_rollback(
+    history: History, cut: Dict[ProcessId, int]
+) -> Dict[ProcessId, int]:
+    """Rollback propagation: lower ``cut`` (in place) to the greatest
+    consistent cut at or below it, and return it.
+
+    Greatest fixpoint over :func:`_message_constraints`: while some kept
+    delivery has an undone send (an orphan), roll its receiver back to
+    just before the delivery.  An entry may reach ``-1`` only if the
+    initial global checkpoint is not below ``cut``.
+    """
+    constraints = _message_constraints(history)
+    changed = True
+    while changed:
+        changed = False
+        for src, send_iv, dst, deliver_iv in constraints:
+            if cut[src] < send_iv and cut[dst] >= deliver_iv:
+                cut[dst] = deliver_iv - 1
+                changed = True
+    return cut
+
+
 def min_consistent_gcp(
     history: History, fixed: Iterable[CheckpointId]
 ) -> Optional[Dict[ProcessId, int]]:
@@ -100,9 +122,10 @@ def max_consistent_gcp(
 
     Greatest-fixpoint dual of :func:`min_consistent_gcp`: start from the
     last checkpoint of every non-fixed process and lower receiver cuts
-    below any orphan delivery.  This is exactly classic rollback
-    propagation; :func:`repro.recovery.recovery_line.recovery_line` wraps
-    it with crash bookkeeping.
+    below any orphan delivery (:func:`propagate_rollback`, the classic
+    rollback propagation that
+    :func:`repro.recovery.recovery_line.recovery_line` runs from crash
+    bounds).
     """
     history = history.closed()
     cut: Dict[ProcessId, int] = {
@@ -115,14 +138,7 @@ def max_consistent_gcp(
             return None
         fixed_map[cid.pid] = cid.index
         cut[cid.pid] = cid.index
-    constraints = _message_constraints(history)
-    changed = True
-    while changed:
-        changed = False
-        for src, send_iv, dst, deliver_iv in constraints:
-            if cut[src] < send_iv and cut[dst] >= deliver_iv:
-                cut[dst] = deliver_iv - 1
-                changed = True
+    propagate_rollback(history, cut)
     for pid, index in fixed_map.items():
         if cut[pid] != index:
             return None

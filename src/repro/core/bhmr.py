@@ -48,6 +48,8 @@ class BHMRProtocol(CheckpointProtocol):
     diagonal_true = True
     #: Does this variant maintain/piggyback the ``simple`` vector?
     uses_simple = True
+    #: The piggyback this variant sends, and the only one it interprets.
+    piggyback_type: type = BHMRPiggyback
 
     def __init__(self, pid: ProcessId, n: int) -> None:
         super().__init__(pid, n)
@@ -82,9 +84,14 @@ class BHMRProtocol(CheckpointProtocol):
         )
 
     # ------------------------------------------------------------------
-    def wants_forced_checkpoint(self, pb: Piggyback, sender: ProcessId) -> bool:
-        if not isinstance(pb, BHMRPiggyback):
+    def _refuse_foreign(self, pb: Piggyback) -> None:
+        """Both the predicate and the update refuse, before reading or
+        changing any state, a piggyback of another variant."""
+        if not isinstance(pb, self.piggyback_type):
             raise ProtocolError(f"{self.name} cannot interpret {type(pb).__name__}")
+
+    def wants_forced_checkpoint(self, pb: Piggyback, sender: ProcessId) -> bool:
+        self._refuse_foreign(pb)
         fired_c1 = predicates.c1(self.tdv, self.sent_to, pb.tdv, pb.causal)
         fired_c2 = predicates.c2(self.pid, self.tdv, pb.tdv, pb.simple)
         # Memoise the attribution for the driver's on_checkpoint(forced)
@@ -96,8 +103,7 @@ class BHMRProtocol(CheckpointProtocol):
     # ------------------------------------------------------------------
     def on_receive(self, pb: Piggyback, sender: ProcessId) -> None:
         """The control-variable update block of statement (S2)."""
-        if not isinstance(pb, (BHMRPiggyback, BHMRNoSimplePiggyback)):
-            raise ProtocolError(f"{self.name} cannot interpret {type(pb).__name__}")
+        self._refuse_foreign(pb)
         super().on_receive(pb, sender)
         tdv, causal, m_causal = self.tdv, self.causal, pb.causal
         newer = same = 0  # bit k: m.TDV[k] > TDV[k], resp. ==
@@ -132,13 +138,13 @@ class BHMRNoSimpleProtocol(BHMRProtocol):
 
     name = "bhmr-nosimple"
     uses_simple = False
+    piggyback_type = BHMRNoSimplePiggyback
 
     def make_piggyback(self, dst: ProcessId) -> Piggyback:
         return BHMRNoSimplePiggyback(tdv=tuple(self.tdv), causal=tuple(self.causal))
 
     def wants_forced_checkpoint(self, pb: Piggyback, sender: ProcessId) -> bool:
-        if not isinstance(pb, BHMRNoSimplePiggyback):
-            raise ProtocolError(f"{self.name} cannot interpret {type(pb).__name__}")
+        self._refuse_foreign(pb)
         fired_c1 = predicates.c1(self.tdv, self.sent_to, pb.tdv, pb.causal)
         fired_c2p = predicates.c2_prime(self.pid, self.tdv, pb.tdv)
         self._pending_cause = (fired_c1, fired_c2p)
@@ -157,8 +163,7 @@ class BHMRCausalOnlyProtocol(BHMRNoSimpleProtocol):
     diagonal_true = False
 
     def wants_forced_checkpoint(self, pb: Piggyback, sender: ProcessId) -> bool:
-        if not isinstance(pb, BHMRNoSimplePiggyback):
-            raise ProtocolError(f"{self.name} cannot interpret {type(pb).__name__}")
+        self._refuse_foreign(pb)
         fired_c1 = predicates.c1(self.tdv, self.sent_to, pb.tdv, pb.causal)
         self._pending_cause = (fired_c1, False)
         return fired_c1

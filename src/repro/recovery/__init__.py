@@ -16,9 +16,9 @@ from repro.recovery.gc import (
 )
 from repro.recovery.logging import (
     ReplayPlan,
-    SenderLog,
     build_sender_logs,
     replay_plan,
+    trim_log,
 )
 from repro.recovery.manager import OnlineGC, OnlineRecovery, RecoveryManager
 from repro.recovery.recovery_line import (
@@ -41,7 +41,6 @@ __all__ = [
     "RecoveryLine",
     "RecoveryManager",
     "ReplayPlan",
-    "SenderLog",
     "build_sender_logs",
     "domino_depth",
     "domino_depths_by_rounds",
@@ -51,4 +50,5 @@ __all__ = [
     "replay_plan",
     "restart_bounds",
     "rollback_distance",
+    "trim_log",
 ]

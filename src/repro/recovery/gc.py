@@ -31,13 +31,13 @@ can still be rolled back into the crossing delivery's interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.events.history import History
 from repro.recovery.failure import CrashSpec
-from repro.recovery.logging import SenderLog
+from repro.recovery.logging import trim_log
 from repro.recovery.recovery_line import RecoveryLine, recovery_line
-from repro.types import CheckpointId, ProcessId
+from repro.types import CheckpointId, MessageId, ProcessId
 
 
 @dataclass
@@ -91,7 +91,7 @@ def obsolete_checkpoints(
 
 def collect_garbage(
     history: History,
-    logs: Optional[Dict[ProcessId, SenderLog]] = None,
+    logs: Optional[Dict[ProcessId, Set[MessageId]]] = None,
     at_time: Optional[float] = None,
 ) -> GCReport:
     """One GC pass: identify obsolete checkpoints, trim sender logs.
@@ -100,7 +100,7 @@ def collect_garbage(
     live deployment) is trimmed in place: messages sent *and delivered*
     at or below the floor can never need replay again.  Messages merely
     sent below it may still cross a later recovery line and are kept
-    (see :meth:`repro.recovery.logging.SenderLog.collect_garbage`).
+    (see :func:`repro.recovery.logging.reclaimable`).
     """
     history = history.closed()
     floor = global_recovery_floor(history, at_time=at_time)
@@ -112,8 +112,8 @@ def collect_garbage(
     total = history.num_checkpoints()
     reclaimed_msgs = 0
     if logs is not None:
-        for pid, log in logs.items():
-            reclaimed_msgs += log.collect_garbage(history, floor.cut)
+        for log in logs.values():
+            reclaimed_msgs += trim_log(log, history, floor.cut)
     return GCReport(
         line=floor,
         obsolete_checkpoints=obsolete,

@@ -7,17 +7,19 @@ is sender-based logging: each sender keeps its outgoing messages in a
 volatile log, flushed to stable storage at checkpoints; on recovery,
 messages crossing the line are replayed from the senders' logs.
 
-This module implements the bookkeeping: what must be logged, what can be
-garbage-collected once a recovery line advances, and the replay plan for
-a concrete recovery.  Combined with RDT and piecewise determinism this
-is the setting in which the paper's reference [4] ("When Piecewise
-Determinism Is Almost True") applies.
+This module implements the bookkeeping: a sender log is the set of ids
+of the messages its process sent and still keeps; what can be
+garbage-collected once a recovery line advances (the one rule,
+:func:`reclaimable`); and the replay plan for a concrete recovery.
+Combined with RDT and piecewise determinism this is the setting in
+which the paper's reference [4] ("When Piecewise Determinism Is Almost
+True") applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.analysis.consistency import in_transit_of_cut
 from repro.events.event import Message
@@ -43,66 +45,6 @@ class ReplayPlan:
         return out
 
 
-class SenderLog:
-    """The message log of one process.
-
-    ``stable_upto`` tracks the last checkpoint index whose interval's
-    messages are known to be on stable storage; everything later is
-    volatile and lost if this process crashes.  It is reported (in
-    :meth:`RecoveryManager.state`), never decided on: no recovery or GC
-    rule reads it.  Only the crash engine and :func:`build_sender_logs`
-    call :meth:`flush`; the serve path never does, so every serve
-    snapshot records ``stable_upto == 0``.
-    """
-
-    def __init__(self, pid: ProcessId) -> None:
-        self.pid = pid
-        self._messages: Dict[MessageId, Message] = {}
-        self.stable_upto: int = 0
-
-    def record(self, m: Message) -> None:
-        if m.src != self.pid:
-            raise ValueError(f"message {m.msg_id} was not sent by P{self.pid}")
-        self._messages[m.msg_id] = m
-
-    def flush(self, checkpoint_index: int) -> None:
-        """Mark the log stable up to (the send interval of) a checkpoint."""
-        self.stable_upto = max(self.stable_upto, checkpoint_index)
-
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __contains__(self, msg_id: object) -> bool:
-        return msg_id in self._messages
-
-    def __iter__(self) -> Iterator[MessageId]:
-        return iter(self._messages)
-
-    def lookup(self, msg_id: MessageId) -> Message:
-        return self._messages[msg_id]
-
-    def discard(self, msg_id: MessageId) -> None:
-        """Forget ``msg_id`` if it is logged (a no-op otherwise)."""
-        self._messages.pop(msg_id, None)
-
-    def collect_garbage(self, history: History, floor: Mapping[ProcessId, int]) -> int:
-        """Drop the messages :func:`reclaimable` says no future line needs.
-
-        ``floor`` is the cut of an advanced recovery floor (see
-        :func:`repro.recovery.gc.global_recovery_floor`).  Returns the
-        number of messages dropped.
-        """
-        sent, delivered = history.send_interval, history.deliver_interval
-        dead = [
-            mid
-            for mid, m in self._messages.items()
-            if reclaimable(sent(m), delivered(m), floor[self.pid], floor[m.dst])
-        ]
-        for mid in dead:
-            del self._messages[mid]
-        return len(dead)
-
-
 def reclaimable(
     send_interval: int, deliver_interval: Optional[int], floor_src: int, floor_dst: int
 ) -> bool:
@@ -123,13 +65,36 @@ def reclaimable(
     )
 
 
-def build_sender_logs(history: History) -> Dict[ProcessId, SenderLog]:
-    """Reconstruct every process's sender log from a recorded history."""
-    logs = {pid: SenderLog(pid) for pid in range(history.num_processes)}
+def trim_log(
+    log: Set[MessageId], history: History, floor: Mapping[ProcessId, int]
+) -> int:
+    """Drop from ``log`` the ids :func:`reclaimable` says no future line
+    needs; returns how many were dropped.
+
+    ``floor`` is the cut of an advanced recovery floor (see
+    :func:`repro.recovery.gc.global_recovery_floor`).
+    """
+    dead = []
+    for mid in log:
+        m = history.message(mid)
+        if reclaimable(
+            history.send_interval(m),
+            history.deliver_interval(m),
+            floor[m.src],
+            floor[m.dst],
+        ):
+            dead.append(mid)
+    log.difference_update(dead)
+    return len(dead)
+
+
+def build_sender_logs(history: History) -> Dict[ProcessId, Set[MessageId]]:
+    """Every process's sender log (the ids it sent) from a recorded history."""
+    logs: Dict[ProcessId, Set[MessageId]] = {
+        pid: set() for pid in range(history.num_processes)
+    }
     for m in history.messages.values():
-        logs[m.src].record(m)
-    for pid in range(history.num_processes):
-        logs[pid].flush(history.last_index(pid))
+        logs[m.src].add(m.msg_id)
     return logs
 
 

@@ -11,7 +11,8 @@ deliveries), maintaining
   frontier nodes stand for every process's currently-open interval,
 * one record per sent message and its intervals (a
   :class:`~repro.serve.session.ServeSession` reads it: :meth:`sent_message`),
-* live per-process :class:`~repro.recovery.logging.SenderLog`\\ s, and
+* live per-process sender logs (the ids each process sent and still
+  keeps), and
 * the interval bookkeeping needed to turn a crash into a rollback.
 
 At crash time, :meth:`crash` answers from that live state alone: the
@@ -49,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.events.event import Message
 from repro.graph.incremental import IncrementalRGraph
-from repro.recovery.logging import SenderLog, reclaimable
+from repro.recovery.logging import reclaimable
 from repro.types import MessageId, ProcessId, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,9 +129,7 @@ class RecoveryManager:
     ) -> None:
         self.n = n
         self.rgraph = IncrementalRGraph(n, tracer=tracer, metrics=metrics)
-        self.logs: Dict[ProcessId, SenderLog] = {
-            pid: SenderLog(pid) for pid in range(n)
-        }
+        self.logs: Dict[ProcessId, Set[MessageId]] = {pid: set() for pid in range(n)}
         self.tracer = tracer
         self.metrics = metrics
         self._records: Dict[MessageId, _MessageRecord] = {}
@@ -182,7 +181,7 @@ class RecoveryManager:
         send_interval = self.last_taken(message.src) + 1
         record = _MessageRecord(message, send_interval)
         self._records[message.msg_id] = self._in_transit[message.msg_id] = record
-        self.logs[message.src].record(message)
+        self.logs[message.src].add(message.msg_id)
         self._event_count[message.src] += 1
 
     def sent_message(self, msg_id: MessageId) -> Optional[Message]:
@@ -408,10 +407,10 @@ class RecoveryManager:
         """A JSON-safe snapshot of the whole live state.
 
         Messages serialise once (under ``records``, together with their
-        interval bookkeeping); sender-log membership and stability marks
-        are stored by id.  The integrity digest of
-        ``repro.serve.snapshots`` hashes this document; restore replays
-        the ingest log and must arrive at the same one.
+        interval bookkeeping); sender-log membership is stored by id.
+        The integrity digest of ``repro.serve.snapshots`` hashes this
+        document; restore replays the ingest log and must arrive at the
+        same one.
         """
         records = [
             [
@@ -431,13 +430,7 @@ class RecoveryManager:
             "records": records,
             "event_count": list(self._event_count),
             "count_at_ckpt": [list(counts) for counts in self._count_at_ckpt],
-            "logs": {
-                str(pid): {
-                    "stable_upto": log.stable_upto,
-                    "messages": sorted(log),
-                }
-                for pid, log in self.logs.items()
-            },
+            "logs": {str(pid): sorted(log) for pid, log in self.logs.items()},
             "gc_dropped": sorted(self.gc_dropped),
         }
 

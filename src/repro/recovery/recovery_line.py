@@ -3,9 +3,9 @@
 Given a set of crashes, the *recovery line* is the latest consistent
 global checkpoint in which every crashed process sits at (or before) its
 last stable checkpoint.  It is computed by classical rollback
-propagation -- the greatest-fixpoint dual already implemented in
-:func:`repro.analysis.gcp.max_consistent_gcp`, generalised here to
-per-process upper bounds instead of pinned values.
+propagation -- the greatest fixpoint :func:`repro.analysis.gcp.propagate_rollback`
+that :func:`repro.analysis.gcp.max_consistent_gcp` also runs, started
+here from per-process upper bounds instead of pinned values.
 
 The amount of work undone by the rollback quantifies the domino effect;
 :mod:`repro.recovery.domino` builds on this.
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.analysis.consistency import in_transit_of_cut, is_consistent_gcp
+from repro.analysis.gcp import propagate_rollback
 from repro.events.history import History
 from repro.recovery.failure import CrashSpec, restart_bounds
 from repro.types import CheckpointId, ProcessId
@@ -61,17 +62,7 @@ def recovery_line(
     """
     history = history.closed()
     crash_map = _normalise(history, crashes)
-    cut = restart_bounds(history, crash_map)
-    changed = True
-    while changed:
-        changed = False
-        for m in history.delivered_messages():
-            deliver_interval = history.deliver_interval(m)
-            assert deliver_interval is not None
-            send_interval = history.send_interval(m)
-            if cut[m.src] < send_interval and cut[m.dst] >= deliver_interval:
-                cut[m.dst] = deliver_interval - 1
-                changed = True
+    cut = propagate_rollback(history, restart_bounds(history, crash_map))
     assert is_consistent_gcp(history, cut)
     undone = _events_after(history, cut)
     discarded = sum(

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Snapshot document version.  It names the digest preimage (the shape
 #: of ``RecoveryManager.state()``), so it changes whenever that does.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 def state_digest(session: ServeSession) -> str:

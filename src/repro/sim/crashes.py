@@ -226,7 +226,6 @@ class _CrashEngine:
         ev = self.recorder.record_checkpoint(pid, time, kind)
         assert ev.checkpoint_index is not None
         self.manager.on_checkpoint(pid, ev.checkpoint_index, ev.time)
-        self.manager.logs[pid].flush(ev.checkpoint_index)
         self._take_snapshot(pid)
 
     def record_send(self, pid: int, dst: int, msg: int, time: float) -> None:

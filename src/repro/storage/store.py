@@ -5,18 +5,17 @@ operators measure them in bytes of stable storage.  This module models
 the per-process stable store -- checkpoint records plus the sender
 message log -- with simple, explicit cost parameters, so the garbage
 collection machinery (:mod:`repro.recovery.gc`) can be evaluated in the
-unit that matters.  The log is a
-:class:`~repro.recovery.logging.SenderLog`, so it is trimmed by the one
-reclaim rule and by nothing else.
+unit that matters.  The log is a set of message ids, trimmed by
+:func:`~repro.recovery.logging.trim_log` (the one reclaim rule) and by
+nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Set
 
-from repro.recovery.logging import SenderLog
-from repro.types import CheckpointId, ProcessId, ReproError
+from repro.types import CheckpointId, MessageId, ProcessId, ReproError
 
 
 class StorageError(ReproError):
@@ -40,7 +39,7 @@ class StableStore:
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid
         self._checkpoints: Dict[int, CheckpointRecord] = {}
-        self.log = SenderLog(pid)
+        self.log: Set[MessageId] = set()
         self.bytes_written = 0
         self.peak_bytes = 0
         self._usage = 0

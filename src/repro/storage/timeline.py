@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.events.event import EventKind
 from repro.events.history import History
 from repro.recovery.gc import global_recovery_floor
+from repro.recovery.logging import trim_log
 from repro.storage.store import StableStore
 from repro.types import CheckpointId, ProcessId
 
@@ -87,7 +88,7 @@ def simulate_storage(
             for index in store.checkpoint_indices():
                 if index < floor.cut[pid]:
                     freed += store.discard_checkpoint(index)
-            freed += message_bytes * store.log.collect_garbage(history, floor.cut)
+            freed += message_bytes * trim_log(store.log, history, floor.cut)
         return freed
 
     for ev in history.events_by_time():
@@ -104,7 +105,7 @@ def simulate_storage(
             samples.append((ev.time, total()))
         elif ev.kind is EventKind.SEND and log_messages:
             assert ev.msg_id is not None
-            stores[ev.pid].log.record(history.message(ev.msg_id))
+            stores[ev.pid].log.add(ev.msg_id)
             log_written += message_bytes
             samples.append((ev.time, total()))
 

@@ -19,8 +19,11 @@ from repro.core import (
     NRASProtocol,
     TDVPiggyback,
 )
+from repro.core.registry import PROTOCOLS
 from repro.types import ProtocolError
-from tests.oracles.bhmr import decode_matrix, decode_vector
+from tests.oracles.bhmr import ORACLES, decode_matrix, decode_vector
+
+BHMR_VARIANTS = [BHMRProtocol, BHMRNoSimpleProtocol, BHMRCausalOnlyProtocol]
 
 
 class TestBaseState:
@@ -269,6 +272,20 @@ class TestBHMRStateInvariants:
         for k in range(3):
             assert not causal[k][k]
 
+    def test_variant2_close_skips_its_own_row(self):
+        # Reachable states never set causal[pid][sender] before the close
+        # runs, so set it by hand: closing column pid through the sender
+        # must still leave causal[pid][pid] false.
+        p = BHMRCausalOnlyProtocol(0, 3)
+        other = BHMRCausalOnlyProtocol(1, 3)
+        p.causal[0] |= 1 << 1
+        p.on_receive(other.on_send(0), sender=1)
+        causal = decode_matrix(p.causal, 3)
+        assert causal[0] == (False, True, False)
+        assert causal[1][0]  # the close itself still ran
+        for k in range(3):
+            assert not causal[k][k]
+
     def test_checkpoint_resets_own_causal_row(self):
         p = BHMRProtocol(0, 3)
         other = BHMRProtocol(1, 3)
@@ -297,3 +314,54 @@ class TestBHMRStateInvariants:
     def test_min_gcp_of_initial(self):
         p = BHMRProtocol(0, 3)
         assert p.min_gcp_of(0) == {0: 0, 1: 0, 2: 0}
+
+
+def _piggybacks(n=3):
+    """One piggyback per registered protocol and per list-form oracle,
+    sent by P2 to P0 after P2 has checkpointed once."""
+    out = {}
+    oracles = {"oracle-" + name: cls for name, cls in ORACLES.items()}
+    for name, cls in {**PROTOCOLS, **oracles}.items():
+        sender = cls(2, n)
+        sender.on_checkpoint()
+        out[name] = sender.on_send(0)
+    return out
+
+
+def _predicate_refuses(variant, pb):
+    try:
+        variant(0, 3).wants_forced_checkpoint(pb, sender=2)
+    except ProtocolError:
+        return True
+    return False
+
+
+FOREIGN = [
+    (variant, source)
+    for variant in BHMR_VARIANTS
+    for source, pb in _piggybacks().items()
+    if _predicate_refuses(variant, pb)
+]
+
+
+class TestBHMRRefusesForeignPiggybacks:
+    """``on_receive`` refuses, before any change, every piggyback the
+    variant's predicate refuses."""
+
+    @pytest.mark.parametrize(
+        "variant,source", FOREIGN, ids=[f"{v.name}<-{s}" for v, s in FOREIGN]
+    )
+    def test_refused_without_a_state_change(self, variant, source):
+        p = variant(0, 3)
+        # A state away from S0: one delivery, one send, one checkpoint.
+        p.on_receive(variant(1, 3).on_send(0), sender=1)
+        p.on_send(1)
+        p.on_checkpoint()
+
+        def state():
+            return list(p.tdv), list(p.causal), p.simple, p.deliveries_in_interval
+
+        before = state()
+        with pytest.raises(ProtocolError, match="cannot interpret"):
+            p.on_receive(_piggybacks()[source], sender=2)
+        assert state() == before

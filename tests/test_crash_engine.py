@@ -19,6 +19,7 @@ import pytest
 
 from repro import api
 from repro import cli
+from repro.core.registry import PROTOCOLS
 from repro.obs import MetricsRegistry, Tracer
 from repro.recovery import RecoveryManager
 from repro.sim import (
@@ -242,6 +243,35 @@ class TestEngine:
         assert_plan_index_is_derived(result.manager)
         clean = RecoveryManager.from_history(make_sim().run(protocol).history)
         assert result.manager.state()["records"] == clean.state()["records"]
+
+
+class TestCrossingSendsWereFlushed:
+    """Why a sender log needs no "stable up to" mark: at every crash,
+    each message of the replay plan whose sender crashed was sent in an
+    interval at or below that sender's last taken checkpoint, so the
+    checkpoint that flushed it to stable storage had already been taken
+    (a surviving sender keeps its volatile log)."""
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_every_crossing_send_of_a_crashed_sender(self, protocol, monkeypatch):
+        checked = []
+        crash = RecoveryManager.crash
+
+        def crash_and_check(manager, pids, t=0.0):
+            online = crash(manager, pids, t)
+            for mid in online.to_replay:
+                src = manager.sent_message(mid).src
+                if src in online.crashed:
+                    send_interval = manager._records[mid].send_interval
+                    assert send_interval <= manager.last_taken(src), (mid, online)
+                    checked.append(mid)
+            return online
+
+        monkeypatch.setattr(RecoveryManager, "crash", crash_and_check)
+        for seed in range(4):
+            schedule = CrashSchedule.random(3, 40.0, count=3, seed=seed)
+            make_sim(seed=seed).run_with_crashes(protocol, schedule)
+        assert checked  # the property was exercised
 
 
 class TestApiRecover:

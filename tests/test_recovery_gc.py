@@ -104,7 +104,7 @@ class TestCollect:
         line = recovery_line(h, {0: CrashSpec(0, at_time=30.0)})
         plan = replay_plan(h, line.cut)
         for m in plan.messages():
-            assert logs[m.src].lookup(m.msg_id).msg_id == m.msg_id
+            assert m.msg_id in logs[m.src]
 
 
 class TestMonotonicity:

@@ -238,11 +238,11 @@ class TestUnsafeOldRule:
         logs = build_sender_logs(h)
         report = collect_garbage(h, logs=logs)
         assert report.reclaimed_log_messages == 0
-        assert logs[0].lookup(m).msg_id == m
+        assert m in logs[0]
         # The later crash's whole plan is servable from the logs.
         line = recovery_line(h, {1: CrashSpec(1)})
         for msg in replay_plan(h, line.cut).messages():
-            assert logs[msg.src].lookup(msg.msg_id).msg_id == msg.msg_id
+            assert msg.msg_id in logs[msg.src]
 
     def test_reclaimable_needs_both_sides(self):
         # (send_interval, deliver_interval, floor_src, floor_dst)
@@ -259,7 +259,7 @@ class TestUnsafeOldRule:
         h = b.build(close=True)
         logs = build_sender_logs(h)
         collect_garbage(h, logs=logs)
-        assert logs[0].lookup(m).msg_id == m
+        assert m in logs[0]
 
 
 class TestOnlineGC:

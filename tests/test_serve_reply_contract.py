@@ -116,19 +116,22 @@ def test_piggybacks_live_only_while_in_transit(protocol, n, ops):
 
 #: Per protocol, the first 16 hex digits of ``state_digest`` and of the
 #: canonical ``offline_answers`` of ``fixed_log_session`` (n=4, 400 ops),
-#: computed at the commit whose replies still carried the vectors.
+#: computed at the commit whose replies still carried the vectors.  The
+#: state digests were re-recorded at snapshot version 4: each equals that
+#: commit's document with the sender logs' never-read stability mark
+#: dropped; the answer digests are unchanged.
 PINNED = {
-    "bhmr": ("eb7e863fb7b1741a", "37def1e6397c903e"),
-    "bhmr-nosimple": ("ec6799bb5860532d", "57ae0e1b937274bb"),
-    "bhmr-causalonly": ("03f60ec0524d267e", "4dad1e726a57d2d4"),
-    "fdas": ("03f60ec0524d267e", "01e108e5afff9a18"),
-    "fdi": ("6d8f5c66f76deeb7", "bc26f931fa6f2c41"),
-    "nras": ("439f9c58c7decece", "fbf4e130a281eeba"),
-    "cbr": ("917ab56e7eab4110", "a7cd742b24675b0b"),
-    "cas": ("470ac0ab26a24e05", "dc9125ce57b7a550"),
-    "bcs": ("a9c429aacb22ee56", "b20bf2a91d397a72"),
-    "bcs-lazy": ("846851bf15bb3e3e", "8a51d26354821ce8"),
-    "independent": ("60ac82068d2f8863", "12c066b0658d3742"),
+    "bhmr": ("005794d597eeff2e", "37def1e6397c903e"),
+    "bhmr-nosimple": ("7144333938bfaa22", "57ae0e1b937274bb"),
+    "bhmr-causalonly": ("1e4021093b30344b", "4dad1e726a57d2d4"),
+    "fdas": ("1e4021093b30344b", "01e108e5afff9a18"),
+    "fdi": ("a088cb2d1a90f80b", "bc26f931fa6f2c41"),
+    "nras": ("90b462c2b12b24cd", "fbf4e130a281eeba"),
+    "cbr": ("4f5dba83fb30f09f", "a7cd742b24675b0b"),
+    "cas": ("57ee168a7e3d163a", "dc9125ce57b7a550"),
+    "bcs": ("33efa5cd7220c27e", "b20bf2a91d397a72"),
+    "bcs-lazy": ("cf5b692d8325dd2e", "8a51d26354821ce8"),
+    "independent": ("c9b33f5e5e832e3d", "12c066b0658d3742"),
 }
 
 

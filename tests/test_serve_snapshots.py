@@ -46,7 +46,7 @@ class TestSnapshotRoundTrip:
     def test_snapshot_doc_is_json_safe(self):
         doc = snapshot_doc(busy_session())
         assert canonical_dumps(doc)  # no repr fallbacks, no cycles
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert doc["events"] == len(doc["log"])
         assert doc["wal_seq"] == -1  # no WAL attached
 
@@ -58,8 +58,8 @@ class TestSnapshotRoundTrip:
         # A parent-commit doc hashed another preimage; it must not reach
         # (and misleadingly fail) the digest check.
         doc = snapshot_doc(busy_session())
-        doc["version"] = 2
-        with pytest.raises(SimulationError, match="version 2"):
+        doc["version"] = 3
+        with pytest.raises(SimulationError, match="version 3"):
             restore_session(doc)
 
     def test_tampered_log_fails_integrity_check(self):

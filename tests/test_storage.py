@@ -3,7 +3,6 @@
 import pytest
 
 from repro.events import figure1_pattern
-from repro.events.event import Message
 from repro.recovery import global_recovery_floor
 from repro.sim import Simulation, SimulationConfig
 from repro.storage import StableStore, StorageError, simulate_storage
@@ -15,7 +14,7 @@ class TestStableStore:
     def test_write_and_usage(self):
         s = StableStore(0)
         s.write_checkpoint(C(0, 0), 100, now=0.0)
-        s.log.record(Message(msg_id=5, src=0, dst=1, send_seq=1))
+        s.log.add(5)
         # The store's counters price checkpoints; log entries are priced
         # by the timeline, per entry.
         assert s.usage_bytes() == 100
