@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.clocks.tdv import tdv_snapshots
+from repro.clocks.tdv import tdv_rows
 from repro.events.history import History
 from repro.graph.reachability import iter_bits, popcount
 from repro.graph.rgraph import RGraph
@@ -144,30 +144,32 @@ def _scan_bitsets(
     case: ``TDV_{i,y}[i] == y``, so forward is tracked, backward is not.
     In a closed history no entry ``i`` exceeds ``P_i``'s last index.
     """
-    nodes = rgraph.nodes()
-    snapshots = tdv_snapshots(history)
-    at_least = [
-        [0] * (history.last_index(pid) + 1)
-        for pid in range(history.num_processes)
-    ]
-    for v, b in enumerate(nodes):
-        bit = 1 << v
-        for pid, x in enumerate(snapshots[b]):
-            at_least[pid][x] |= bit
+    rows = tdv_rows(history)  # flattened, in node-id order
+    at_least = [[0] * len(row) for row in rows]
+    bit = 1
+    for row in rows:
+        for vec in row:
+            for pid, x in enumerate(vec):
+                at_least[pid][x] |= bit
+            bit <<= 1
     for row in at_least:
         for x in range(len(row) - 2, -1, -1):
             row[x] |= row[x + 1]
 
+    nodes = rgraph.nodes()
     reach = rgraph.closure_masks()
     violations: List[RDTViolation] = []
     checked = 0
-    for u, a in enumerate(nodes):
-        paths = reach[u] & ~(1 << u)  # pairs are ordered and distinct
-        checked += popcount(paths)
-        for v in iter_bits(paths & ~at_least[a.pid][a.index]):
-            violations.append(RDTViolation(a, nodes[v]))
-            if max_violations is not None and len(violations) >= max_violations:
-                return violations, checked
+    u = 0
+    for row in at_least:
+        for tracked in row:
+            paths = reach[u] & ~(1 << u)  # pairs are ordered and distinct
+            checked += popcount(paths)
+            for v in iter_bits(paths & ~tracked):
+                violations.append(RDTViolation(nodes[u], nodes[v]))
+                if max_violations is not None and len(violations) >= max_violations:
+                    return violations, checked
+            u += 1
     return violations, checked
 
 

@@ -382,7 +382,11 @@ def cmd_analyze(args) -> int:
     else:  # a fresh simulated run
         sim = Simulation(_make_workload(args)(), _config(args))
         history = sim.run(args.protocol).history
-    report = api.analyze_rdt(history)
+    # Only the first --max-violations are printed (a negative value
+    # slices from the end, so it needs them all).
+    shown = args.max_violations
+    limit = max(shown, 1) if shown >= 0 else None
+    report = api.analyze_rdt(history, max_violations=limit)
     print(f"pattern:     {history!r}")
     print(f"RDT:         {'holds' if report.holds else 'VIOLATED'}")
     for violation in report.violations[: args.max_violations]:

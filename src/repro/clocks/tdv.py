@@ -20,7 +20,7 @@ of whatever protocol produced it.  It serves two purposes:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.events.event import EventKind
 from repro.events.history import History
@@ -66,23 +66,25 @@ def message_tdvs(history: History) -> Dict[int, Tuple[int, ...]]:
     }
 
 
-def tdv_snapshots(history: History) -> Dict[CheckpointId, Tuple[int, ...]]:
-    """The saved vector ``TDV_{i,x}`` for every checkpoint of the history.
+def tdv_rows(history: History) -> List[List[Tuple[int, ...]]]:
+    """The saved vectors as per-process rows: ``rows[i][x] == TDV_{i,x}``.
 
     Replays the paper's rules in global time order: initialisation sets
     every entry to 0; taking ``C(i,x)`` snapshots the vector then
     increments the own entry; a delivery merges the vector piggybacked at
-    the send.  Note ``TDV_{i,x}[i] == x`` always holds.
+    the send.  Note ``TDV_{i,x}[i] == x`` always holds.  Flattened, the
+    rows are in ``(pid, index)`` order, the R-graph's node-id order.
     """
     n = history.num_processes
     current = [[0] * n for _ in range(n)]
     send_tdv: Dict[int, Tuple[int, ...]] = {}
-    snapshots: Dict[CheckpointId, Tuple[int, ...]] = {}
+    rows: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
     for ev in history.events_by_time():
         vec = current[ev.pid]
         if ev.kind is EventKind.CHECKPOINT:
-            assert ev.checkpoint_index is not None
-            snapshots[CheckpointId(ev.pid, ev.checkpoint_index)] = tuple(vec)
+            # A process's checkpoints come in index order: its event
+            # times strictly increase.
+            rows[ev.pid].append(tuple(vec))
             vec[ev.pid] += 1
         elif ev.kind is EventKind.SEND:
             assert ev.msg_id is not None
@@ -93,7 +95,17 @@ def tdv_snapshots(history: History) -> Dict[CheckpointId, Tuple[int, ...]]:
             for k in range(n):
                 if piggy[k] > vec[k]:
                     vec[k] = piggy[k]
-    return snapshots
+    return rows
+
+
+def tdv_snapshots(history: History) -> Dict[CheckpointId, Tuple[int, ...]]:
+    """The saved vector ``TDV_{i,x}`` for every checkpoint of the history,
+    keyed by checkpoint: :func:`tdv_rows` as a dict."""
+    return {
+        CheckpointId(pid, x): vec
+        for pid, row in enumerate(tdv_rows(history))
+        for x, vec in enumerate(row)
+    }
 
 
 class TrackabilityOracle:

@@ -211,12 +211,17 @@ class History:
         return self._events[m.dst][m.deliver_seq]
 
     def send_interval(self, m: Message) -> int:
-        """Interval index ``x`` such that ``send(m)`` belongs to ``I(src, x)``."""
-        return self.interval_of(self.send_event(m))
+        """Interval index ``x`` such that ``send(m)`` belongs to ``I(src, x)``.
+
+        A send is never a checkpoint, so this is :meth:`interval_of` of
+        the send event, read off its seq without fetching the event.
+        """
+        return bisect_right(self._ckpt_seqs[m.src], m.send_seq)
 
     def deliver_interval(self, m: Message) -> Optional[int]:
-        ev = self.deliver_event(m)
-        return None if ev is None else self.interval_of(ev)
+        if m.deliver_seq is None:
+            return None
+        return bisect_right(self._ckpt_seqs[m.dst], m.deliver_seq)
 
     def messages_sent_in(self, pid: ProcessId, interval: int) -> List[Message]:
         return [

@@ -28,7 +28,8 @@ want.  Closed histories (``history.closed()``) need no volatile nodes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import accumulate
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.events.history import History
 from repro.graph.reachability import Closure, DenseDigraph
@@ -48,37 +49,38 @@ class RGraph:
     def __init__(self, history: History, include_volatile: bool = False) -> None:
         self._history = history
         self._include_volatile = include_volatile
-        n = history.num_processes
-        self._nodes: List[CheckpointId] = []
-        self._id_of: Dict[CheckpointId, int] = {}
-        for pid in range(n):
-            top = history.last_index(pid) + (1 if include_volatile else 0)
-            for index in range(top + 1):
-                cid = CheckpointId(pid, index)
-                self._id_of[cid] = len(self._nodes)
-                self._nodes.append(cid)
+        # Node C(p, x) is offset[p] + x: each process's checkpoints (and
+        # its volatile node) are one block of ids, top[p] its last index.
+        extra = 1 if include_volatile else 0
+        self._top = [
+            history.last_index(p) + extra for p in range(history.num_processes)
+        ]
+        self._offset = [0, *accumulate(t + 1 for t in self._top)]
+        self._nodes = [
+            CheckpointId(p, x) for p, t in enumerate(self._top) for x in range(t + 1)
+        ]
         self._graph = DenseDigraph(len(self._nodes))
         self._build_edges()
         self._closure: Optional[Closure] = None
 
     def _build_edges(self) -> None:
+        add_edge, offset, top = self._graph.add_edge, self._offset, self._top
+        # Same-process succession: u -> u + 1 inside each block.
+        for base, last in zip(offset, top):
+            for u in range(base, base + last):
+                add_edge(u, u + 1)
+        # Message edges; an open interval without a volatile node has none.
         history = self._history
-        # Same-process succession edges.
-        for pid in range(history.num_processes):
-            top = history.last_index(pid) + (1 if self._include_volatile else 0)
-            for index in range(top):
-                self._graph.add_edge(
-                    self._id_of[CheckpointId(pid, index)],
-                    self._id_of[CheckpointId(pid, index + 1)],
-                )
-        # Message edges.
         for m in history.delivered_messages():
-            src_cid = CheckpointId(m.src, history.send_interval(m))
-            dst_interval = history.deliver_interval(m)
-            assert dst_interval is not None
-            dst_cid = CheckpointId(m.dst, dst_interval)
-            if src_cid in self._id_of and dst_cid in self._id_of:
-                self._graph.add_edge(self._id_of[src_cid], self._id_of[dst_cid])
+            x, y = history.send_interval(m), history.deliver_interval(m)
+            if y is not None and x <= top[m.src] and y <= top[m.dst]:
+                add_edge(offset[m.src] + x, offset[m.dst] + y)
+
+    def _id(self, cid: CheckpointId) -> int:
+        # Bounds-checked per process: C(p, top[p] + 1) is not C(p + 1, 0).
+        if not self.has_node(cid):
+            raise KeyError(cid)
+        return self._offset[cid.pid] + cid.index
 
     # ------------------------------------------------------------------
     @property
@@ -103,17 +105,17 @@ class RGraph:
         return cid.index > self._history.last_index(cid.pid)
 
     def has_node(self, cid: CheckpointId) -> bool:
-        return cid in self._id_of
+        return cid.pid < len(self._top) and cid.index <= self._top[cid.pid]
 
     def edges(self) -> Iterable[Tuple[CheckpointId, CheckpointId]]:
         for u, v in self._graph.edges():
             yield (self._nodes[u], self._nodes[v])
 
     def successors(self, cid: CheckpointId) -> Set[CheckpointId]:
-        return {self._nodes[v] for v in self._graph.successors(self._id_of[cid])}
+        return {self._nodes[v] for v in self._graph.successors(self._id(cid))}
 
     def predecessors(self, cid: CheckpointId) -> Set[CheckpointId]:
-        return {self._nodes[u] for u in self._graph.predecessors(self._id_of[cid])}
+        return {self._nodes[u] for u in self._graph.predecessors(self._id(cid))}
 
     # ------------------------------------------------------------------
     def _closure_or_build(self) -> Closure:
@@ -128,16 +130,14 @@ class RGraph:
         "exists"; a *cyclic* path from ``a`` back to itself is reported by
         :meth:`on_cycle` instead.
         """
-        return self._closure_or_build().reaches_or_equal(
-            self._id_of[a], self._id_of[b]
-        )
+        return self._closure_or_build().reaches_or_equal(self._id(a), self._id(b))
 
     def reaches_strictly(self, a: CheckpointId, b: CheckpointId) -> bool:
         """True iff a non-empty R-path ``a -> b`` exists."""
-        return self._closure_or_build().reaches(self._id_of[a], self._id_of[b])
+        return self._closure_or_build().reaches(self._id(a), self._id(b))
 
     def reachable_set(self, a: CheckpointId) -> Set[CheckpointId]:
-        ids = self._closure_or_build().reachable_set(self._id_of[a])
+        ids = self._closure_or_build().reachable_set(self._id(a))
         return {self._nodes[v] for v in ids}
 
     def closure_masks(self) -> List[int]:
@@ -150,7 +150,7 @@ class RGraph:
         return [closure.reach_mask(u) for u in range(len(self._nodes))]
 
     def on_cycle(self, cid: CheckpointId) -> bool:
-        return self._closure_or_build().on_cycle(self._id_of[cid])
+        return self._closure_or_build().on_cycle(self._id(cid))
 
     def cycles(self) -> List[List[CheckpointId]]:
         """Strongly connected components containing a cycle.

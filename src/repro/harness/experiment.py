@@ -199,7 +199,7 @@ def compare_protocols(
             bucket["per_seed"].append(res.metrics.forced_checkpoints)
             if verify_rdt:
                 with profiler.phase("analyze"):
-                    holds = check_rdt(res.history).holds
+                    holds = check_rdt(res.history, max_violations=1).holds
                 if not holds:
                     bucket["rdt"] = False
                 if metrics is not None:

@@ -225,7 +225,11 @@ class TraceGenerator:
         self.scheduler.run(max_events=self.max_events)
         if self.transport is not None:
             self.net_report = self.transport.finalize()
-        return Trace(self.n, [op for op in self.ops if op.msg_id != -1])
+        # Hand the ops over and keep none: the generator sits in a
+        # reference cycle (``_ctx._g``), and a list left here would keep
+        # every op alive until a cyclic GC pass, long after the trace.
+        ops, self.ops = self.ops, []
+        return Trace(self.n, [op for op in ops if op.msg_id != -1])
 
 
 def generate_trace(

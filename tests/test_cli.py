@@ -70,6 +70,20 @@ class TestAnalyze:
         assert code == 1
         assert "VIOLATED" in out and "Z-cycles" in out
 
+    @pytest.mark.parametrize("shown", [1, 2, 0, -1])
+    def test_prints_the_full_checks_first_violations(self, capsys, shown):
+        # The check may stop early; what is printed must not change.
+        from repro.analysis import check_rdt
+        from repro.events import figure1_pattern
+
+        full = check_rdt(figure1_pattern()).violations
+        assert len(full) > 2
+        code, out = run_cli(
+            capsys, "analyze", "figure1", "--max-violations", str(shown)
+        )
+        printed = [line.strip() for line in out.splitlines() if "R-path" in line]
+        assert printed == [repr(v) for v in full[:shown]]
+
     def test_domino_pattern(self, capsys):
         code, out = run_cli(capsys, "analyze", "domino", "--rounds", "3")
         assert "pattern" in out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import check_rdt
 from repro.harness import (
     compare_protocols,
     ratio_sweep,
@@ -9,7 +10,7 @@ from repro.harness import (
     render_series,
     render_table,
 )
-from repro.sim import SimulationConfig
+from repro.sim import Simulation, SimulationConfig
 from repro.workloads import RandomUniformWorkload
 
 
@@ -49,6 +50,35 @@ class TestCompareProtocols:
         assert comparison.aggregate("cbr").forced_total > 0
         with pytest.raises(KeyError):
             comparison.aggregate("nope")
+
+    def test_rdt_ok_equals_full_check_per_history(self):
+        # The comparison stops each check at the first violation; its
+        # verdict must still be the full checker's on every history.
+        protocols = ["bhmr", "fdas", "cbr", "independent"]
+        seeds = (0, 1, 2)
+        comp = compare_protocols(
+            lambda: RandomUniformWorkload(send_rate=1.5),
+            small_cfg(),
+            protocols=protocols,
+            seeds=seeds,
+            verify_rdt=True,
+        )
+        reports = {
+            name: [
+                check_rdt(
+                    Simulation(
+                        RandomUniformWorkload(send_rate=1.5), small_cfg(seed=seed)
+                    ).run(name).history
+                )
+                for seed in seeds
+            ]
+            for name in protocols
+        }
+        for name in protocols:
+            expected = all(report.holds for report in reports[name])
+            assert comp.aggregate(name).rdt_ok == expected, name
+        # The cell has histories an early stop cuts short.
+        assert max(len(r.violations) for r in reports["independent"]) > 1
 
     def test_baseline_added_automatically(self):
         comp = compare_protocols(

@@ -48,8 +48,11 @@ pattern_inputs = st.tuples(
 )
 
 
-def build_pattern(n, ops, close=True):
-    """Interpret an op list into a valid history (total function)."""
+def build_pattern(n, ops, close=True, in_transit=True):
+    """Interpret an op list into a valid history (total function).
+
+    ``in_transit=False`` delivers whatever is still in flight at the end.
+    """
     builder = PatternBuilder(n)
     in_flight = []
     for code, a, b in ops:
@@ -61,6 +64,9 @@ def build_pattern(n, ops, close=True):
             builder.deliver(in_flight.pop(b % len(in_flight)))
         elif code == 2:
             builder.checkpoint(pid)
+    if not in_transit:
+        for msg_id in in_flight:
+            builder.deliver(msg_id)
     return builder.build(close=close)
 
 

@@ -1,5 +1,7 @@
 """Trace generation and protocol replay tests."""
 
+import gc
+
 import pytest
 
 from repro.core import protocol_factory
@@ -162,3 +164,25 @@ class TestSimulationFacade:
             RandomUniformWorkload(), "bhmr", small_config(duration=10)
         )
         assert res.protocol_name == "bhmr"
+
+
+class TestGeneratorKeepsNoOps:
+    def test_ops_die_with_their_trace(self):
+        # The generator is in a reference cycle (its workload context
+        # points back at it), so with the cyclic collector off anything
+        # it kept would outlive the simulation and its trace.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = Simulation(RandomUniformWorkload(), small_config())
+            made = {id(op) for op in sim.trace}
+            assert made
+            del sim
+            left = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, TraceOp) and id(obj) in made
+            ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert left == []
